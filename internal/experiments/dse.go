@@ -45,7 +45,7 @@ func RunDSE(ctx context.Context, o Options, spec dse.Spec) (*dse.Result, error) 
 		return nil, err
 	}
 
-	threads := effectiveThreads(o.Threads, o.Parallelism)
+	threads := sim.ThreadBudget(o.Threads, o.Parallelism)
 	ro := dse.RunOptions{
 		Parallelism: o.Parallelism,
 		Evaluate: func(ctx context.Context, c dse.Cell) (dse.Eval, error) {

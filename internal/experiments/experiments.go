@@ -60,10 +60,11 @@ type Options struct {
 	// at any value; only wall-clock time changes — the parallel engine
 	// now covers timeline sampling, trace capture and evicting
 	// footprints, and each sim.Result reports the engine that ran it
-	// in Result.Engine. The matrix clamps the count so Parallelism ×
-	// Threads never oversubscribes GOMAXPROCS — cell-level parallelism
-	// is the better lever while many cells are in flight, intra-run
-	// threads soak up what remains.
+	// in Result.Engine. Every driver resolves the count through
+	// sim.ThreadBudget, so the matrix and sweeps never run Parallelism ×
+	// Threads past GOMAXPROCS — cell-level parallelism is the better
+	// lever while many cells are in flight, intra-run threads soak up
+	// what remains.
 	Threads int
 	// Progress, when non-nil, is called after each matrix cell
 	// finishes with the number of completed cells and the total.
@@ -122,22 +123,6 @@ func (o Options) runOne(opts sim.Options) (*sim.Result, error) {
 	return o.runOneContext(context.Background(), opts)
 }
 
-// effectiveThreads clamps a per-simulation thread count so that
-// `concurrent` simultaneous simulations never oversubscribe the
-// machine: concurrent × result ≤ GOMAXPROCS (floored at 1 thread).
-func effectiveThreads(threads, concurrent int) int {
-	if threads <= 1 {
-		return 1
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	if limit := runtime.GOMAXPROCS(0) / concurrent; threads > limit {
-		threads = limit
-	}
-	return max(threads, 1)
-}
-
 // runOneContext builds and runs a single cancellable simulation.
 func (o Options) runOneContext(ctx context.Context, opts sim.Options) (*sim.Result, error) {
 	opts.Seed = o.Seed
@@ -146,7 +131,7 @@ func (o Options) runOneContext(ctx context.Context, opts sim.Options) (*sim.Resu
 		// Standalone drivers run one simulation at a time, so the whole
 		// machine is available; matrix cells arrive with Threads already
 		// clamped against their cell-level parallelism.
-		opts.Threads = effectiveThreads(o.Threads, 1)
+		opts.Threads = sim.ThreadBudget(o.Threads, 1)
 	}
 	s, err := sim.New(opts)
 	if err != nil {
@@ -206,11 +191,8 @@ func RunMatrixContext(ctx context.Context, o Options) (*Matrix, error) {
 	if len(pols) == 0 {
 		pols = standardPolicies()
 	}
-	// Clamp intra-run threads against cell-level parallelism: with
-	// Parallelism cells in flight, each run may use at most
-	// GOMAXPROCS / Parallelism workers before the matrix oversubscribes
-	// the machine.
-	simThreads := effectiveThreads(o.Threads, o.Parallelism)
+	// Clamp intra-run threads against cell-level parallelism.
+	simThreads := sim.ThreadBudget(o.Threads, o.Parallelism)
 	matrixPols := make([]sim.PolicyKind, 0, len(pols)+1)
 	var jobs []job
 	for _, name := range o.Workloads {

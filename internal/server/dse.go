@@ -35,11 +35,12 @@ func (s *Server) runDSE(ctx context.Context, j *Job) (any, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
+	threads := sim.ThreadBudget(j.Spec.Threads, par)
 	res, err := j.Spec.DSE.Run(ctx, dse.RunOptions{
 		Parallelism: par,
 		Progress:    j.setDSEProgress,
 		Evaluate: func(ctx context.Context, c dse.Cell) (dse.Eval, error) {
-			return s.evalDSECell(ctx, j.Spec, c)
+			return s.evalDSECell(ctx, j.Spec, c, threads)
 		},
 	})
 	if err != nil {
@@ -86,9 +87,10 @@ func decodeEval(b []byte, hash string, cached bool) (dse.Eval, error) {
 
 // evalDSECell resolves one sweep cell: local cache, then peer cache,
 // then execution on the cell's ring owner, then an inline local
-// simulation (also the fallback whenever a peer path fails — a dead
-// peer costs the sweep capacity, never a cell).
-func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (dse.Eval, error) {
+// simulation at the sweep's thread budget (also the fallback whenever
+// a peer path fails — a dead peer costs the sweep capacity, never a
+// cell).
+func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell, threads int) (dse.Eval, error) {
 	cs, err := cellSpec(parent, c)
 	if err != nil {
 		return dse.Eval{}, err
@@ -125,7 +127,7 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (d
 	if err != nil {
 		return dse.Eval{}, err
 	}
-	o.Threads = s.simThreads(o.Threads)
+	o.Threads = threads
 	sys, err := sim.New(o)
 	if err != nil {
 		return dse.Eval{}, err
@@ -134,8 +136,7 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (d
 	if err != nil {
 		return dse.Eval{}, err
 	}
-	s.metrics.SimCycles.Add(int64(res.MaxCycles))
-	s.metrics.ObserveSim(res)
+	s.metrics.ObserveRun(res)
 	s.metrics.DSECellsSimulated.Add(1)
 	b, err := marshalResult(res)
 	if err != nil {

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"chameleon/internal/dse"
+	"chameleon/internal/sim"
 )
 
 // fastDSESpec is a small real sweep (2 policies × 2 workloads × 2
@@ -134,6 +136,36 @@ func TestDSEFrontDeterministicAcrossThreads(t *testing.T) {
 
 	if sig1, sig2 := r1.FrontSignature(), r2.FrontSignature(); sig1 != sig2 {
 		t.Errorf("front differs across thread counts:\n1 thread:  %s\n4 threads: %s", sig1, sig2)
+	}
+}
+
+// TestDSECellThreadBudget: inline sweep cells run on the sequential
+// engine unless the sweep asks for threads, and an explicit request is
+// clamped by the sweep's cell parallelism — on 4 procs, 4 cells in
+// flight leave each cell one thread. Each case gets its own server,
+// since threads is excluded from the cell hashes. The test pins
+// GOMAXPROCS, so it must not run in parallel with others.
+func TestDSECellThreadBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		name         string
+		threads, par int
+		engine       string
+	}{
+		{name: "default", threads: 0, par: 2, engine: sim.EngineSequential},
+		{name: "clamped", threads: 8, par: 4, engine: sim.EngineSequential},
+		{name: "explicit", threads: 8, par: 2, engine: sim.EngineParallel},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Options{Workers: 1})
+			spec := fastDSESpec()
+			spec.Threads, spec.Parallelism = tc.threads, tc.par
+			runDSEJob(t, s, spec)
+			if n := engineRuns(s, tc.engine); n != 8 {
+				t.Errorf("sim_runs_by_engine[%s] = %d, want all 8 cells (map %s)",
+					tc.engine, n, s.Metrics().RunsByEngine.String())
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"chameleon/internal/sim"
 	"chameleon/internal/stats"
 )
 
@@ -29,14 +30,14 @@ type Metrics struct {
 	CacheHits     expvar.Int
 	CacheMisses   expvar.Int
 	SimCycles     expvar.Int // simulated cycles completed, all jobs
-	// SimThreadsEffective is a gauge of the per-simulation thread count
-	// the most recent sim job ran with, after the server clamped the
-	// spec's request against the worker pool and GOMAXPROCS.
-	SimThreadsEffective expvar.Int
-	// ParallelFallbacks counts sim jobs the parallel engine declined,
+	// RunsByEngine counts completed simulations — sim jobs, inline DSE
+	// cells and matrix cells alike — keyed by sim.Result.Engine
+	// ("sequential" or "parallel").
+	RunsByEngine expvar.Map
+	// ParallelFallbacks counts simulations the parallel engine declined,
 	// keyed by sim.Result.FallbackReason (e.g. "alloc-phases",
 	// "autonuma", "eviction-collision"). A healthy fleet keeps this
-	// near zero; growth pinpoints which feature is serializing jobs.
+	// near zero; growth pinpoints which feature is serializing runs.
 	ParallelFallbacks expvar.Map
 
 	// DSE sweep counters: cells actually simulated locally, cells
@@ -93,8 +94,21 @@ func (m *Metrics) SetClusterInfo(fn func() any) { m.clusterInfo = fn }
 // NewMetrics returns a zeroed metrics set anchored at now.
 func NewMetrics() *Metrics {
 	m := &Metrics{start: time.Now()}
+	m.RunsByEngine.Init()
 	m.ParallelFallbacks.Init()
 	return m
+}
+
+// ObserveRun records one completed simulation: its simulated cycles,
+// its unified snapshot, and its engine provenance. Every path that
+// runs a simulation reports through here.
+func (m *Metrics) ObserveRun(r *sim.Result) {
+	m.SimCycles.Add(int64(r.MaxCycles))
+	m.ObserveSim(r)
+	m.RunsByEngine.Add(r.Engine, 1)
+	if r.FallbackReason != "" {
+		m.ParallelFallbacks.Add(r.FallbackReason, 1)
+	}
 }
 
 // ObserveQueueWait records one job's time-to-first-worker.
@@ -191,7 +205,7 @@ func (m *Metrics) Vars() *expvar.Map {
 		mp.Set("dse_cells_cached", &m.DSECellsCached)
 		mp.Set("dse_cells_pruned", &m.DSECellsPruned)
 		mp.Set("dse_cells_remote", &m.DSECellsRemote)
-		mp.Set("sim_threads_effective", &m.SimThreadsEffective)
+		mp.Set("sim_runs_by_engine", &m.RunsByEngine)
 		mp.Set("sim_parallel_fallback_total", &m.ParallelFallbacks)
 		mp.Set("sim_cycles_total", &m.SimCycles)
 		mp.Set("sim_cycles_per_sec", expvar.Func(func() any { return m.CyclesPerSecond() }))

@@ -330,35 +330,13 @@ func (s *Server) runJob(j *Job) {
 	s.reportToOrigin(j, b, nil)
 }
 
-// simThreads resolves a job's per-simulation thread count. Jobs are
-// parallel by default: an unspecified count (0) becomes 2, since the
-// parallel engine now covers timeline sampling, trace capture and
-// evicting footprints, and its batched step loop beats the sequential
-// engine even on a single CPU (see BENCH_parallel.json). An explicit
-// 1 still requests the sequential engine. Larger requests are clamped
-// against the worker pool — with Workers jobs potentially running at
-// once, each may use about GOMAXPROCS/Workers threads before the pool
-// oversubscribes the host — but never below 2, so the algorithmic
-// speedup survives a crowded pool.
-func (s *Server) simThreads(requested int) int {
-	if requested == 0 {
-		requested = 2
-	}
-	if requested <= 1 {
-		return 1
-	}
-	limit := max(runtime.GOMAXPROCS(0)/s.opts.Workers, 2)
-	return min(requested, limit)
-}
-
 // runSim executes a single-simulation job.
 func (s *Server) runSim(ctx context.Context, j *Job) (any, error) {
 	o, err := j.Spec.SimOptions()
 	if err != nil {
 		return nil, err
 	}
-	o.Threads = s.simThreads(o.Threads)
-	s.metrics.SimThreadsEffective.Set(int64(o.Threads))
+	o.Threads = sim.ThreadBudget(o.Threads, s.opts.Workers)
 	o.Progress = j.setSimProgress
 	sys, err := sim.New(o)
 	if err != nil {
@@ -384,11 +362,7 @@ func (s *Server) runSim(ctx context.Context, j *Job) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if res.FallbackReason != "" {
-		s.metrics.ParallelFallbacks.Add(res.FallbackReason, 1)
-	}
-	s.metrics.SimCycles.Add(int64(res.MaxCycles))
-	s.metrics.ObserveSim(res)
+	s.metrics.ObserveRun(res)
 	return res, nil
 }
 
@@ -408,8 +382,7 @@ func (s *Server) runMatrix(ctx context.Context, j *Job) (any, error) {
 	}
 	for _, rows := range m.Results {
 		for _, r := range rows {
-			s.metrics.SimCycles.Add(int64(r.MaxCycles))
-			s.metrics.ObserveSim(r)
+			s.metrics.ObserveRun(r)
 		}
 	}
 	return matrixPayload{Results: m.ByName()}, nil

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"expvar"
+	"runtime"
 	"testing"
 	"time"
 
@@ -88,14 +90,15 @@ func TestSubmitResultMatchesDirectRun(t *testing.T) {
 	}
 }
 
-// TestJobsParallelByDefault: a sim job with timeline sampling — which
-// every chamd job attaches — runs on the parallel engine, both when the
-// spec asks for threads explicitly and when it leaves the count unset
-// (server default 2), and its result is DeepEqual to the same spec run
-// sequentially, up to the Engine provenance fields.
-func TestJobsParallelByDefault(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
-
+// TestJobEngineDefault: a sim job that leaves threads unset runs on the
+// sequential engine (sim.ThreadBudget's default), while an explicit
+// request the host has room for runs on the parallel engine. Either
+// way the served result — timeline included, since every chamd job
+// attaches one — is JSON-identical to the same spec run directly at
+// Threads=1, up to the Engine provenance fields. Each case gets its own
+// server because threads is excluded from the cache hash. The test
+// pins GOMAXPROCS, so it must not run in parallel with others.
+func TestJobEngineDefault(t *testing.T) {
 	// The sequential reference: the same spec run directly at Threads=1.
 	spec, err := fastSpec(11).Normalize()
 	if err != nil {
@@ -117,47 +120,68 @@ func TestJobsParallelByDefault(t *testing.T) {
 	if want.Engine != sim.EngineSequential {
 		t.Fatalf("reference run engine = %q, want sequential", want.Engine)
 	}
+	w := *want
+	w.Engine, w.FallbackReason = "", ""
+	wb, err := json.Marshal(&w)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, threads := range []int{0, 8} {
-		spec := fastSpec(11)
-		spec.Threads = threads
-		j, err := s.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := waitTerminal(t, j, 30*time.Second)
-		if st.State != StateDone {
-			t.Fatalf("threads=%d: state = %s (err %q), want done", threads, st.State, st.Error)
-		}
-		body, err := j.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got sim.Result
-		if err := json.Unmarshal(body, &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.Engine != sim.EngineParallel || got.FallbackReason != "" {
-			t.Fatalf("threads=%d: served engine %q/%q, want parallel", threads, got.Engine, got.FallbackReason)
-		}
-		got.Engine, got.FallbackReason = "", ""
-		w := *want
-		w.Engine, w.FallbackReason = "", ""
-		wb, err := json.Marshal(&w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := json.Marshal(&got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(wb) != string(gb) {
-			t.Errorf("threads=%d: served result diverged from the sequential run:\nseq: %s\npar: %s", threads, wb, gb)
-		}
+	for _, tc := range []struct {
+		name           string
+		threads, procs int // procs 0 leaves GOMAXPROCS alone
+		engine         string
+	}{
+		{name: "default", threads: 0, engine: sim.EngineSequential},
+		{name: "explicit", threads: 8, procs: 4, engine: sim.EngineParallel},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
+			s := newTestServer(t, Options{Workers: 1})
+			spec := fastSpec(11)
+			spec.Threads = tc.threads
+			j, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitTerminal(t, j, 30*time.Second); st.State != StateDone {
+				t.Fatalf("state = %s (err %q), want done", st.State, st.Error)
+			}
+			body, err := j.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got sim.Result
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Engine != tc.engine || got.FallbackReason != "" {
+				t.Fatalf("served engine %q/%q, want %s", got.Engine, got.FallbackReason, tc.engine)
+			}
+			if n := engineRuns(s, tc.engine); n != 1 {
+				t.Errorf("sim_runs_by_engine[%s] = %d, want 1", tc.engine, n)
+			}
+			got.Engine, got.FallbackReason = "", ""
+			gb, err := json.Marshal(&got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(wb) != string(gb) {
+				t.Errorf("served result diverged from the sequential run:\nseq: %s\ngot: %s", wb, gb)
+			}
+		})
 	}
-	if v := s.Metrics().Vars().Get("sim_parallel_fallback_total"); v == nil {
-		t.Error("sim_parallel_fallback_total missing from the expvar document")
+}
+
+// engineRuns reads one key of the server's sim_runs_by_engine map.
+func engineRuns(s *Server, engine string) int64 {
+	v, _ := s.Metrics().RunsByEngine.Get(engine).(*expvar.Int)
+	if v == nil {
+		return 0
 	}
+	return v.Value()
 }
 
 func TestDuplicateSubmitHitsCache(t *testing.T) {
@@ -518,6 +542,11 @@ func TestMatrixJobEndToEnd(t *testing.T) {
 		if payload.Results[policy]["bwaves"] == nil {
 			t.Errorf("matrix payload missing %s/bwaves (have %d policies)", policy, len(payload.Results))
 		}
+	}
+	// Matrix cells report their engine like sim jobs do; unset threads
+	// run every cell sequentially.
+	if n := engineRuns(s, sim.EngineSequential); n != 8 {
+		t.Errorf("sim_runs_by_engine[sequential] = %d, want 8 matrix cells", n)
 	}
 }
 

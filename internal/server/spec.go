@@ -85,13 +85,14 @@ type JobSpec struct {
 	Warmup       uint64 `json:"warmup,omitempty"` // 0 = default 4M; use 1 to disable
 	Seed         uint64 `json:"seed,omitempty"`
 	// Threads is the per-simulation worker-thread count handed to
-	// sim.Options.Threads (0 = server default of 2, 1 = sequential).
-	// The parallel engine is bit-deterministic, so Threads changes
-	// wall-clock time only — it is validated here but excluded from the
-	// cache hash, and two submissions differing only in threads share
-	// one cache entry. The server clamps the effective value against
-	// its worker pool and GOMAXPROCS (see the sim_threads_effective
-	// metric).
+	// sim.Options.Threads (0 or 1 = the sequential engine, the faster
+	// one on most workloads). The parallel engine is bit-deterministic,
+	// so Threads changes wall-clock time only — it is validated here but
+	// excluded from the cache hash, and two submissions differing only
+	// in threads share one cache entry. The server resolves an explicit
+	// request through sim.ThreadBudget: against its worker pool for a
+	// sim job, against the sweep's cell parallelism for a DSE cell (see
+	// the sim_runs_by_engine metric).
 	Threads int `json:"threads,omitempty"`
 	// CacheLevels replaces the default three-level cache hierarchy with
 	// an explicit stack (ordered from the core outward; see

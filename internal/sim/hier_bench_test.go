@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"chameleon/internal/config"
@@ -28,8 +29,8 @@ func BenchmarkStep(b *testing.B) {
 	b.Run("par2", func(b *testing.B) { benchStep64(b, 2, 0) })
 	b.Run("par4", func(b *testing.B) { benchStep64(b, 4, 0) })
 	b.Run("par8", func(b *testing.B) { benchStep64(b, 8, 0) })
-	// The server-shaped run: chamd attaches a timeline to every sim
-	// job, so this is the configuration the service actually executes.
+	// Timeline sampling on, as chamd attaches a timeline to every sim
+	// job that asks for threads.
 	b.Run("par8timeline", func(b *testing.B) { benchStep64(b, 8, 10_000) })
 }
 
@@ -109,6 +110,53 @@ func benchStep(b *testing.B, inline bool) {
 		sys.inlineWalk = inline
 		if _, err := sys.Run(20_000); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineByWorkload is the evidence behind ThreadBudget's
+// sequential default: one full simulation per op (New, 250k warm-up
+// and 100k measured instructions per core) of chameleon-opt on the
+// default 12-core machine at scale 256, for six Table II workloads
+// spanning the LLC-MPKI range, on the sequential engine (threads1)
+// and the parallel engine at two threads (threads2).
+// BENCH_parallel.json records the pairs with the host's NumCPU.
+func BenchmarkEngineByWorkload(b *testing.B) {
+	const scale = 256
+	cfg := config.Default(scale)
+	for _, name := range []string{"mcf", "lbm", "bwaves", "hpccg", "comd", "miniGhost"} {
+		prof, err := workload.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prof = prof.Scale(scale)
+		for _, threads := range []int{1, 2} {
+			engine := EngineSequential
+			if threads > 1 {
+				engine = EngineParallel
+			}
+			b.Run(fmt.Sprintf("%s/threads%d", name, threads), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sys, err := New(Options{
+						Config:             cfg,
+						Policy:             PolicyChameleonOpt,
+						Workload:           prof,
+						Seed:               7,
+						Threads:            threads,
+						WarmupInstructions: 250_000,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := sys.Run(100_000)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Engine != engine {
+						b.Fatalf("engine = %q (%s), want %s", res.Engine, res.FallbackReason, engine)
+					}
+				}
+			})
 		}
 	}
 }

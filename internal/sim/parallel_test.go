@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"chameleon/internal/config"
@@ -362,5 +363,31 @@ func TestStepLoopDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state execute pass allocated %.1f times, want 0", allocs)
+	}
+}
+
+// TestThreadBudget pins the one per-simulation thread rule every driver
+// uses: 0 or 1 is sequential, an explicit request is capped at
+// GOMAXPROCS/concurrent and floored at 1.
+func TestThreadBudget(t *testing.T) {
+	requested := []int{0, 1, 2, 8}
+	concurrent := []int{1, 2, 4}
+	// want[procs][i][j] is the budget for requested[i] with
+	// concurrent[j] runs in flight.
+	want := map[int][4][3]int{
+		1: {{1, 1, 1}, {1, 1, 1}, {1, 1, 1}, {1, 1, 1}},
+		2: {{1, 1, 1}, {1, 1, 1}, {2, 1, 1}, {2, 1, 1}},
+		8: {{1, 1, 1}, {1, 1, 1}, {2, 2, 2}, {8, 4, 2}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i, r := range requested {
+			for j, c := range concurrent {
+				if got := ThreadBudget(r, c); got != want[procs][i][j] {
+					t.Errorf("GOMAXPROCS=%d: ThreadBudget(%d, %d) = %d, want %d", procs, r, c, got, want[procs][i][j])
+				}
+			}
+		}
 	}
 }

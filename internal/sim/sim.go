@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 
@@ -531,6 +532,22 @@ func (s *System) translationsStable() bool {
 // ParallelEnabled reports whether this run will use the parallel
 // engine (Options.Threads accepted and no sequential fallback applied).
 func (s *System) ParallelEnabled() bool { return s.par != nil }
+
+// ThreadBudget is the Options.Threads a driver should hand a simulation
+// that runs alongside concurrent-1 others. A request of 0 or 1 selects
+// the sequential engine, the faster one on most workloads: on a 2-CPU
+// host, a 12-core chameleon-opt machine at scale 256 takes 1.02x (comd)
+// to 2.10x (mcf) as long at two threads as at one, and gains only on
+// miniGhost (0.80x; BenchmarkEngineByWorkload, BENCH_parallel.json).
+// An explicit request is capped at GOMAXPROCS/concurrent so the
+// concurrent runs together never oversubscribe the host, and never
+// falls below 1.
+func ThreadBudget(requested, concurrent int) int {
+	if requested <= 1 {
+		return 1
+	}
+	return max(min(requested, runtime.GOMAXPROCS(0)/max(concurrent, 1)), 1)
+}
 
 // Hierarchy exposes the cache stack (for tests).
 func (s *System) Hierarchy() *hier.Hierarchy { return s.hier }
