@@ -44,12 +44,20 @@ func (s Stats) Snapshot() stats.Snapshot {
 	}
 }
 
-type line struct {
-	tag   uint64
-	lru   uint64
-	valid bool
-	dirty bool
-}
+// A set is ways packed line words kept in recency order, most recently
+// used first. A word is block<<2 | dirty<<1 | valid, where block is the
+// line's address shifted right by the line-size bits (at least 2, so
+// the block fits in 62 bits). A hit moves its word to the front; a fill
+// shifts the set down one slot, writes the new word in front and
+// evicts whatever fell off the end. With no way to invalidate a line,
+// invalid (zero) words only ever form the set's tail, so the last word
+// is the first invalid slot while the set fills and the least recently
+// used line once it is full: exactly the victim timestamp LRU picks.
+const (
+	validBit   = 1
+	dirtyBit   = 2
+	blockShift = 2
+)
 
 // Cache is a single cache level.
 type Cache struct {
@@ -57,19 +65,24 @@ type Cache struct {
 	lineShift uint
 	sets      uint64
 	ways      int
-	lines     []line // sets * ways, set-major
-	tick      uint64
+	lines     []uint64 // sets * ways packed line words, set-major, MRU first
 	stats     Stats
 }
 
 // New builds a cache of sizeBytes organised as ways-associative sets of
-// lineBytes lines. The set count must come out a power of two.
+// lineBytes lines. The set count is sizeBytes / (ways * lineBytes),
+// rounded down; it need not be a power of two (Table I's 12 MB, 16-way
+// L3 has 12288 sets). Lines must be at least 4 bytes so a block number
+// fits in a line word.
 func New(name string, sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		return nil, fmt.Errorf("cache %s: parameters must be positive", name)
 	}
 	if lineBytes&(lineBytes-1) != 0 {
 		return nil, fmt.Errorf("cache %s: line size must be a power of two", name)
+	}
+	if lineBytes < 1<<blockShift {
+		return nil, fmt.Errorf("cache %s: line size %d below %d bytes", name, lineBytes, 1<<blockShift)
 	}
 	sets := sizeBytes / (ways * lineBytes)
 	if sets <= 0 {
@@ -84,7 +97,7 @@ func New(name string, sizeBytes, ways, lineBytes int) (*Cache, error) {
 		lineShift: shift,
 		sets:      uint64(sets),
 		ways:      ways,
-		lines:     make([]line, sets*ways),
+		lines:     make([]uint64, sets*ways),
 	}, nil
 }
 
@@ -100,9 +113,11 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // Snapshot implements stats.Source (Name is the cache level's name).
 func (c *Cache) Snapshot() stats.Snapshot { return c.stats.Snapshot() }
 
-func (c *Cache) set(addr uint64) (base int, tag uint64) {
+// set returns addr's set and the valid line word addr would occupy.
+func (c *Cache) set(addr uint64) (set []uint64, key uint64) {
 	blk := addr >> c.lineShift
-	return int(blk%c.sets) * c.ways, blk
+	base := int(blk%c.sets) * c.ways
+	return c.lines[base : base+c.ways], blk<<blockShift | validBit
 }
 
 // Access looks up addr; on a miss the line is filled (write-allocate)
@@ -110,80 +125,40 @@ func (c *Cache) set(addr uint64) (base int, tag uint64) {
 // false on misses. A write marks the line dirty.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, hasVictim bool) {
 	c.stats.Accesses++
-	c.tick++
-	base, tag := c.set(addr)
-	set := c.lines[base : base+c.ways]
+	set, key := c.set(addr)
+	var dirty uint64
+	if write {
+		dirty = dirtyBit
+	}
 
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.stats.Hits++
-			set[i].lru = c.tick
-			if write {
-				set[i].dirty = true
-			}
-			return true, Victim{}, false
+	for i, w := range set {
+		if w&^dirtyBit != key {
+			continue
 		}
+		c.stats.Hits++
+		if i > 0 || w|dirty != w {
+			// A loop, not copy: the shift is a few words and copy's
+			// memmove call costs more than it moves.
+			for ; i > 0; i-- {
+				set[i] = set[i-1]
+			}
+			set[0] = w | dirty
+		}
+		return true, Victim{}, false
 	}
 	c.stats.Misses++
 
-	// Choose a fill slot: first invalid, else LRU.
-	slot := 0
-	for i := range set {
-		if !set[i].valid {
-			slot = i
-			break
-		}
-		if set[i].lru < set[slot].lru {
-			slot = i
-		}
-	}
-	if set[slot].valid {
-		victim = Victim{Addr: set[slot].tag << c.lineShift, Dirty: set[slot].dirty}
+	last := len(set) - 1
+	if w := set[last]; w&validBit != 0 {
+		victim = Victim{Addr: w >> blockShift << c.lineShift, Dirty: w&dirtyBit != 0}
 		hasVictim = true
 		if victim.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	set[slot] = line{tag: tag, lru: c.tick, valid: true, dirty: write}
+	for i := last; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = key | dirty
 	return false, victim, hasVictim
-}
-
-// Probe reports whether addr is present without disturbing LRU or
-// statistics.
-func (c *Cache) Probe(addr uint64) bool {
-	base, tag := c.set(addr)
-	set := c.lines[base : base+c.ways]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Invalidate drops addr if present, returning whether the dropped line
-// was dirty.
-func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
-	base, tag := c.set(addr)
-	set := c.lines[base : base+c.ways]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			wasDirty = set[i].dirty
-			set[i] = line{}
-			return wasDirty
-		}
-	}
-	return false
-}
-
-// Flush invalidates the entire cache, returning the number of dirty
-// lines discarded.
-func (c *Cache) Flush() (dirty int) {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
-			dirty++
-		}
-		c.lines[i] = line{}
-	}
-	return dirty
 }

@@ -5,6 +5,18 @@ import (
 	"testing/quick"
 )
 
+// probe reports whether addr is resident without disturbing recency
+// or statistics.
+func (c *Cache) probe(addr uint64) bool {
+	set, key := c.set(addr)
+	for _, w := range set {
+		if w&^dirtyBit == key {
+			return true
+		}
+	}
+	return false
+}
+
 func mustCache(t *testing.T, size, ways, line int) *Cache {
 	t.Helper()
 	c, err := New("t", size, ways, line)
@@ -40,13 +52,13 @@ func TestLRUReplacement(t *testing.T) {
 	c.Access(64, false)
 	c.Access(0, false)   // touch 0 again; 64 is now LRU
 	c.Access(128, false) // evicts 64
-	if !c.Probe(0) {
+	if !c.probe(0) {
 		t.Error("line 0 (MRU) should survive")
 	}
-	if c.Probe(64) {
+	if c.probe(64) {
 		t.Error("line 64 (LRU) should be evicted")
 	}
-	if !c.Probe(128) {
+	if !c.probe(128) {
 		t.Error("line 128 should be resident")
 	}
 }
@@ -88,32 +100,6 @@ func TestWriteHitMarksDirty(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := mustCache(t, 4096, 4, 64)
-	c.Access(0, true)
-	if !c.Invalidate(0) {
-		t.Error("invalidate should report dirty")
-	}
-	if c.Probe(0) {
-		t.Error("line should be gone")
-	}
-	if c.Invalidate(0) {
-		t.Error("second invalidate should find nothing dirty")
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := mustCache(t, 4096, 4, 64)
-	c.Access(0, true)
-	c.Access(64, false)
-	if d := c.Flush(); d != 1 {
-		t.Errorf("Flush dirty count = %d, want 1", d)
-	}
-	if c.Probe(0) || c.Probe(64) {
-		t.Error("flush should empty the cache")
-	}
-}
-
 func TestNonPowerOfTwoSets(t *testing.T) {
 	// 12 MB, 16 ways, 64 B lines => 12288 sets (Table I's L3).
 	c := mustCache(t, 12<<20, 16, 64)
@@ -133,6 +119,9 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New("x", 64, 4, 64); err == nil {
 		t.Error("cache smaller than one set should fail")
 	}
+	if _, err := New("x", 4096, 4, 2); err == nil {
+		t.Error("line below 4 B should fail")
+	}
 }
 
 // TestCapacityProperty: after any access sequence, the number of
@@ -150,7 +139,7 @@ func TestCapacityProperty(t *testing.T) {
 		}
 		resident := 0
 		for line := uint64(0); line <= 0xFFFF>>6; line++ {
-			if c.Probe(line << 6) {
+			if c.probe(line << 6) {
 				resident++
 			}
 		}

@@ -458,6 +458,11 @@ func (c Config) Validate() error {
 		if lv.LineBytes&(lv.LineBytes-1) != 0 {
 			errs = append(errs, fmt.Errorf("config: %s line size must be a power of two", name))
 		}
+		// A cache line word packs the block number above two state
+		// bits, so lines must be at least 4 bytes.
+		if lv.LineBytes < 4 {
+			errs = append(errs, fmt.Errorf("config: %s line size %d below 4 bytes", name, lv.LineBytes))
+		}
 		if lv.SizeBytes/(lv.Ways*lv.LineBytes) == 0 {
 			errs = append(errs, fmt.Errorf("config: %s cache smaller than one set", name))
 		}

@@ -107,6 +107,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"unnamed level", func(c *Config) { c.CacheLevels[1].Name = "" }},
 		{"duplicate level names", func(c *Config) { c.CacheLevels[1].Name = "L1" }},
 		{"line not power of two", func(c *Config) { c.CacheLevels[0].LineBytes = 48 }},
+		{"line below 4 B", func(c *Config) { c.CacheLevels[0].LineBytes = 2 }},
 		{"cache under one set", func(c *Config) { c.CacheLevels[0].SizeBytes = 64 }},
 		{"decreasing latency", func(c *Config) { c.CacheLevels[2].LatencyCycles = 1 }},
 		{"no fast capacity", func(c *Config) { c.MemoryTiers[0].DRAM.CapacityBytes = 0 }},
