@@ -2,6 +2,7 @@ package chameleon_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"chameleon"
@@ -55,7 +56,7 @@ func TestFacadeQuickstart(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a := testRun(t, baseOptions(t, chameleon.PolicyChameleon, "mcf"), 100_000)
 	b := testRun(t, baseOptions(t, chameleon.PolicyChameleon, "mcf"), 100_000)
-	if a.GeoMeanIPC != b.GeoMeanIPC || a.Ctrl != b.Ctrl || a.Fast != b.Fast {
+	if a.GeoMeanIPC != b.GeoMeanIPC || a.Ctrl != b.Ctrl || !reflect.DeepEqual(a.Tiers, b.Tiers) {
 		t.Errorf("runs with identical seeds diverged: %v vs %v", a.GeoMeanIPC, b.GeoMeanIPC)
 	}
 }

@@ -121,8 +121,8 @@ func run(rc runCfg) error {
 	cfg := chameleon.DefaultConfig(rc.scale)
 	if rc.configPath != "" {
 		// The overlay decodes onto the scaled default, so a document may
-		// name only the fields it changes (a CacheLevels stack, a legacy
-		// L2 resize, DRAM timings, ...).
+		// name only the fields it changes (a CacheLevels stack, a
+		// memory_tiers stack, CPU or OS parameters, ...).
 		b, err := os.ReadFile(rc.configPath)
 		if err != nil {
 			return err

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -32,17 +33,22 @@ func TestRunThreeTierOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("three-tier CLI run: %v", err)
 	}
+}
 
-	// The legacy Fast/Slow overlay keeps working through the same flag.
-	legacy := filepath.Join(t.TempDir(), "legacy.json")
-	if err := os.WriteFile(legacy, []byte(`{"Fast": {"CapacityBytes": 4194304}}`), 0o644); err != nil {
+// TestRunRejectsUnknownConfigKeys: a -config file with a key the schema
+// does not define (here the retired Fast/Slow DRAM pair) fails the run
+// with an error naming the file and the key, instead of silently
+// simulating the default machine.
+func TestRunRejectsUnknownConfigKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, []byte(`{"Fast": {"CapacityBytes": 4194304}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = run(runCfg{
+	err := run(runCfg{
 		policyName: "chameleon-opt", wlName: "bwaves", scale: 1024,
-		instr: 10_000, warmup: 10_000, seed: 7, configPath: legacy, threads: 1,
+		instr: 10_000, warmup: 10_000, seed: 7, configPath: path, threads: 1,
 	})
-	if err != nil {
-		t.Fatalf("legacy overlay CLI run: %v", err)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), `"Fast"`) {
+		t.Fatalf("err %v, want one naming %s and the Fast key", err, path)
 	}
 }

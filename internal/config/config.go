@@ -7,6 +7,7 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,16 +27,6 @@ type CPUConfig struct {
 	BaseCPI  float64 // cycles per non-memory instruction when not stalled
 	MaxMLP   int     // maximum overlapped LLC misses per core
 	IssueBlk int     // instructions retired between trace events
-}
-
-// CacheConfig is the legacy per-level cache shape of the fixed
-// three-level schema (JSON keys L1/L2/L3). New configurations use
-// Config.CacheLevels; this type remains only so stored legacy
-// configurations keep decoding (see Config.UnmarshalJSON).
-type CacheConfig struct {
-	SizeBytes int
-	Ways      int
-	LineBytes int
 }
 
 // CacheLevelConfig describes one level of the cache hierarchy, ordered
@@ -105,45 +96,18 @@ type MemSysConfig struct {
 	ClearOnModeSwitch bool // security clearing on cache<->PoM transitions
 }
 
-// UnmarshalJSON accepts both the current field names and the
-// pre-rename "ClearOnModeSwith" key (deprecated; kept for one release
-// so serialized configurations keep loading).
-func (m *MemSysConfig) UnmarshalJSON(b []byte) error {
-	type plain MemSysConfig // plain drops the method, avoiding recursion
-	var p plain
-	if err := json.Unmarshal(b, &p); err != nil {
-		return err
-	}
-	var legacy struct {
-		ClearOnModeSwith *bool
-	}
-	if err := json.Unmarshal(b, &legacy); err != nil {
-		return err
-	}
-	*m = MemSysConfig(p)
-	if legacy.ClearOnModeSwith != nil {
-		m.ClearOnModeSwitch = *legacy.ClearOnModeSwith
-	}
-	return nil
-}
-
 // Config is the complete simulated system configuration.
 type Config struct {
 	CPU CPUConfig
 	// CacheLevels is the cache hierarchy, ordered from the core
 	// outward. Any depth >= 1 is valid; the last entry is the LLC that
-	// filters accesses into the memory system. Legacy JSON documents
-	// using the fixed L1/L2/L3 keys (plus CPU.L1Latency/L2Latency/
-	// L3Latency) still decode into this field; mixing legacy keys with
-	// CacheLevels in one document is an error.
+	// filters accesses into the memory system. A CacheLevels list in a
+	// document replaces the decode target's whole hierarchy.
 	CacheLevels []CacheLevelConfig
 	// MemoryTiers is the ordered memory-tier stack, fastest first
 	// (canonical JSON key "memory_tiers"). The default is the paper's
 	// two DRAM tiers (stacked + off-chip); any length >= 2 and mix of
-	// dram/nvm/cxl kinds is valid. Legacy JSON documents using the
-	// fixed Fast/Slow DRAM keys still decode into this field (as an
-	// equivalent two-tier stack); mixing legacy keys with memory_tiers
-	// in one document is an error. A memory_tiers list in a document
+	// dram/nvm/cxl kinds is valid. A memory_tiers list in a document
 	// replaces the decode target's whole stack.
 	MemoryTiers []MemTierConfig `json:"memory_tiers"`
 	OS          OSConfig
@@ -169,25 +133,6 @@ func (c Config) Tier(i int) MemTierConfig {
 // TierCapacity returns tier i's capacity (0 when out of range).
 func (c Config) TierCapacity(i int) uint64 { return c.Tier(i).CapacityBytes() }
 
-// FastDRAM returns the first tier's DRAM parameters (a zero value when
-// the first tier is not DRAM-backed). It exists for the many two-tier
-// call sites that predate the tier list.
-func (c Config) FastDRAM() DRAMConfig {
-	if d := c.Tier(0).DRAM; d != nil {
-		return *d
-	}
-	return DRAMConfig{}
-}
-
-// SlowDRAM returns the second tier's DRAM parameters (a zero value when
-// the second tier is not DRAM-backed).
-func (c Config) SlowDRAM() DRAMConfig {
-	if d := c.Tier(1).DRAM; d != nil {
-		return *d
-	}
-	return DRAMConfig{}
-}
-
 // LLC returns the last (memory-side) cache level, or a zero value when
 // no levels are configured.
 func (c Config) LLC() CacheLevelConfig {
@@ -207,102 +152,36 @@ func (c Config) Level(name string) (CacheLevelConfig, bool) {
 	return CacheLevelConfig{}, false
 }
 
-// UnmarshalJSON decodes a configuration, accepting both the canonical
-// schemas (CacheLevels, memory_tiers) and the legacy fixed keys: the
-// three-level L1/L2/L3 objects (plus CPU.L1Latency/L2Latency/L3Latency)
-// and the Fast/Slow DRAM pair. Legacy keys overlay the decode target's
-// existing stack (or, when the target has a different shape, the
-// unscaled Table I defaults), mirroring the ClearOnModeSwitch key
-// migration. A document mixing a canonical schema with its legacy keys
-// is rejected: the two would silently shadow each other.
+// UnmarshalJSON decodes a configuration onto c: keys the document
+// omits keep the target's values, a CacheLevels or memory_tiers list
+// replaces the target's whole list, and an unknown key is an error
+// that names it.
 func (c *Config) UnmarshalJSON(b []byte) error {
-	var keys struct {
-		CacheLevels *json.RawMessage
-		L1, L2, L3  *CacheConfig
-		CPU         *struct {
-			L1Latency, L2Latency, L3Latency *uint64
-		}
-		MemoryTiers *json.RawMessage `json:"memory_tiers"`
-		Fast, Slow  *json.RawMessage
+	var lists struct {
+		CacheLevels json.RawMessage
+		MemoryTiers json.RawMessage `json:"memory_tiers"`
 	}
-	if err := json.Unmarshal(b, &keys); err != nil {
+	if err := json.Unmarshal(b, &lists); err != nil {
 		return err
-	}
-	hasLegacyMem := keys.Fast != nil || keys.Slow != nil
-	if hasLegacyMem && keys.MemoryTiers != nil {
-		return errors.New("config: document mixes memory_tiers with legacy Fast/Slow keys; use one schema")
 	}
 	type plain Config // plain drops the method, avoiding recursion
-	p := plain(*c)    // preserve target values: absent keys keep them
-	if keys.MemoryTiers != nil {
-		// A memory_tiers list replaces the whole stack. Decoding onto
-		// the target's tiers would element-wise merge device sections
-		// (leaving, say, a default DRAM pointer inside a document's NVM
-		// tier), so the incoming list decodes fresh.
+	p := plain(*c)
+	// encoding/json decodes a list element onto the element already at
+	// its index, so a document's level or tier would inherit every field
+	// it omits (the default L1's latency, the default L3's sharing, a
+	// DRAM section inside an NVM tier). Incoming lists decode fresh.
+	if lists.CacheLevels != nil {
+		p.CacheLevels = nil
+	}
+	if lists.MemoryTiers != nil {
 		p.MemoryTiers = nil
 	}
-	if err := json.Unmarshal(b, &p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
 		return err
 	}
-	hasLegacy := keys.L1 != nil || keys.L2 != nil || keys.L3 != nil
-	var lat [3]*uint64
-	if keys.CPU != nil {
-		lat = [3]*uint64{keys.CPU.L1Latency, keys.CPU.L2Latency, keys.CPU.L3Latency}
-		for _, l := range lat {
-			hasLegacy = hasLegacy || l != nil
-		}
-	}
-	if hasLegacy && keys.CacheLevels != nil {
-		return errors.New("config: document mixes CacheLevels with legacy L1/L2/L3 keys; use one schema")
-	}
 	*c = Config(p)
-	if hasLegacyMem {
-		// Overlay the legacy DRAM pair on a two-DRAM-tier base: the
-		// target's own stack when it already has that shape (so partial
-		// legacy documents merge like any other nested struct), else
-		// Table I.
-		base := c.MemoryTiers
-		if len(base) != 2 || base[0].DRAM == nil || base[1].DRAM == nil {
-			base = Default(1).MemoryTiers
-		}
-		tiers := CloneTiers(base[:2])
-		if keys.Fast != nil {
-			if err := json.Unmarshal(*keys.Fast, tiers[0].DRAM); err != nil {
-				return err
-			}
-		}
-		if keys.Slow != nil {
-			if err := json.Unmarshal(*keys.Slow, tiers[1].DRAM); err != nil {
-				return err
-			}
-		}
-		c.MemoryTiers = tiers
-	}
-	if !hasLegacy {
-		return nil
-	}
-	// Overlay the legacy keys on a three-level base: the target's own
-	// stack when it already has the L1/L2/L3 shape (so partial legacy
-	// documents merge like any other nested struct), else Table I.
-	base := c.CacheLevels
-	if len(base) != 3 || base[0].Name != "L1" || base[1].Name != "L2" || base[2].Name != "L3" {
-		base = Default(1).CacheLevels
-	}
-	levels := make([]CacheLevelConfig, 3)
-	copy(levels, base)
-	for i, l := range []*CacheConfig{keys.L1, keys.L2, keys.L3} {
-		if l != nil {
-			levels[i].SizeBytes = l.SizeBytes
-			levels[i].Ways = l.Ways
-			levels[i].LineBytes = l.LineBytes
-		}
-	}
-	for i, l := range lat {
-		if l != nil {
-			levels[i].LatencyCycles = *l
-		}
-	}
-	c.CacheLevels = levels
 	return nil
 }
 

@@ -35,7 +35,7 @@ func TestDefaultTableI(t *testing.T) {
 		t.Errorf("segment = %d, want 2 KB", c.MemSys.SegmentBytes)
 	}
 	// Bandwidth ratio: 128-bit @1.6 GHz vs 64-bit @0.8 GHz => 4x.
-	ratio := c.FastDRAM().PeakBandwidth() / c.SlowDRAM().PeakBandwidth()
+	ratio := c.Tier(0).DRAM.PeakBandwidth() / c.Tier(1).DRAM.PeakBandwidth()
 	if ratio < 3.99 || ratio > 4.01 {
 		t.Errorf("bandwidth ratio = %v, want 4", ratio)
 	}
@@ -142,38 +142,18 @@ func TestPeakBandwidth(t *testing.T) {
 }
 
 func TestClearOnModeSwitchJSON(t *testing.T) {
-	// Canonical key.
 	var m MemSysConfig
 	if err := json.Unmarshal([]byte(`{"ClearOnModeSwitch": true}`), &m); err != nil {
 		t.Fatal(err)
 	}
 	if !m.ClearOnModeSwitch {
-		t.Error("canonical key not decoded")
+		t.Error("ClearOnModeSwitch key not decoded")
 	}
-	// The pre-rename key (a long-lived typo) still decodes for one
-	// release so stored specs keep working.
-	m = MemSysConfig{}
-	if err := json.Unmarshal([]byte(`{"ClearOnModeSwith": true}`), &m); err != nil {
-		t.Fatal(err)
-	}
-	if !m.ClearOnModeSwitch {
-		t.Error("legacy ClearOnModeSwith key not honoured")
-	}
-	// When both keys appear the legacy one wins: its presence is
-	// explicit intent from a pre-rename writer.
-	m = MemSysConfig{}
-	if err := json.Unmarshal([]byte(`{"ClearOnModeSwitch": false, "ClearOnModeSwith": true}`), &m); err != nil {
-		t.Fatal(err)
-	}
-	if !m.ClearOnModeSwitch {
-		t.Error("legacy key should win only when it is present (explicit intent)")
-	}
-	// Round-trip: Marshal emits only the canonical key.
 	b, err := json.Marshal(Default(256).MemSys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(b), "Swith") {
-		t.Errorf("marshal leaked the legacy key: %s", b)
+	if !strings.Contains(string(b), `"ClearOnModeSwitch":true`) {
+		t.Errorf("marshal lost ClearOnModeSwitch: %s", b)
 	}
 }

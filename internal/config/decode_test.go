@@ -2,158 +2,142 @@ package config
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestCacheLevelsDecode proves the two config schemas converge: a
-// legacy fixed three-level document (L1/L2/L3 objects plus CPU latency
-// fields) and its CacheLevels rewrite construct identical hierarchies,
-// and a document that mixes the schemas is rejected.
+// TestCacheLevelsDecode: a CacheLevels list replaces the target's
+// hierarchy instead of merging into it element by element, so a level
+// inherits nothing the document leaves out — neither the default L1's
+// latency nor the default L3's sharing — and a document without the key
+// keeps the target's hierarchy.
 func TestCacheLevelsDecode(t *testing.T) {
-	legacy := `{
-		"L1": {"SizeBytes": 65536, "Ways": 8, "LineBytes": 64},
-		"L2": {"SizeBytes": 524288, "Ways": 8, "LineBytes": 64},
-		"L3": {"SizeBytes": 8388608, "Ways": 16, "LineBytes": 64},
-		"CPU": {"L1Latency": 3, "L2Latency": 14, "L3Latency": 40}
-	}`
-	modern := `{
-		"CacheLevels": [
-			{"Name": "L1", "SizeBytes": 65536, "Ways": 8, "LineBytes": 64, "LatencyCycles": 3},
-			{"Name": "L2", "SizeBytes": 524288, "Ways": 8, "LineBytes": 64, "LatencyCycles": 14},
-			{"Name": "L3", "SizeBytes": 8388608, "Ways": 16, "LineBytes": 64, "LatencyCycles": 40, "Shared": true}
-		]
-	}`
-	var oldC, newC Config
-	if err := json.Unmarshal([]byte(legacy), &oldC); err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if err := json.Unmarshal([]byte(modern), &newC); err != nil {
-		t.Fatalf("CacheLevels decode: %v", err)
-	}
-	if !reflect.DeepEqual(oldC.CacheLevels, newC.CacheLevels) {
-		t.Errorf("schemas diverged:\nlegacy: %+v\nmodern: %+v", oldC.CacheLevels, newC.CacheLevels)
-	}
-
-	// Partial legacy keys overlay the decode target's stack in place,
-	// like any other nested struct field.
 	cfg := Default(1)
-	if err := json.Unmarshal([]byte(`{"L2": {"SizeBytes": 1048576, "Ways": 4, "LineBytes": 64}}`), &cfg); err != nil {
-		t.Fatalf("partial legacy decode: %v", err)
+	doc := `{"CacheLevels": [
+		{"Name": "A", "SizeBytes": 32768, "Ways": 4, "LineBytes": 64},
+		{"Name": "B", "SizeBytes": 262144, "Ways": 8, "LineBytes": 64, "LatencyCycles": 10},
+		{"Name": "C", "SizeBytes": 1048576, "Ways": 16, "LineBytes": 64, "LatencyCycles": 30}
+	]}`
+	if err := json.Unmarshal([]byte(doc), &cfg); err != nil {
+		t.Fatal(err)
 	}
-	if cfg.CacheLevels[1].SizeBytes != 1048576 || cfg.CacheLevels[1].Ways != 4 {
-		t.Errorf("partial L2 overlay lost: %+v", cfg.CacheLevels[1])
+	want := []CacheLevelConfig{
+		{Name: "A", SizeBytes: 32 * KB, Ways: 4, LineBytes: 64},
+		{Name: "B", SizeBytes: 256 * KB, Ways: 8, LineBytes: 64, LatencyCycles: 10},
+		{Name: "C", SizeBytes: 1 * MB, Ways: 16, LineBytes: 64, LatencyCycles: 30},
 	}
-	if cfg.CacheLevels[0] != Default(1).CacheLevels[0] || cfg.CacheLevels[2] != Default(1).CacheLevels[2] {
-		t.Errorf("partial overlay disturbed untouched levels: %+v", cfg.CacheLevels)
-	}
-	if cfg.CacheLevels[1].LatencyCycles != 12 || !cfg.CacheLevels[2].Shared {
-		t.Errorf("overlay dropped base latency/sharing: %+v", cfg.CacheLevels)
+	if !reflect.DeepEqual(cfg.CacheLevels, want) {
+		t.Errorf("levels merged with the target's:\ngot  %+v\nwant %+v", cfg.CacheLevels, want)
 	}
 
 	// Absent keys keep the target's hierarchy untouched.
 	cfg = Default(256)
-	want := append([]CacheLevelConfig(nil), cfg.CacheLevels...)
+	keep := append([]CacheLevelConfig(nil), cfg.CacheLevels...)
 	if err := json.Unmarshal([]byte(`{"Scale": 256}`), &cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cfg.CacheLevels, want) {
+	if !reflect.DeepEqual(cfg.CacheLevels, keep) {
 		t.Errorf("decode without cache keys rewrote the hierarchy: %+v", cfg.CacheLevels)
-	}
-
-	// Mixing the schemas in one document must error, for every legacy key.
-	for _, doc := range []string{
-		`{"CacheLevels": [{"Name": "L1"}], "L1": {"SizeBytes": 1024, "Ways": 1, "LineBytes": 64}}`,
-		`{"CacheLevels": [{"Name": "L1"}], "L3": {"SizeBytes": 1024, "Ways": 1, "LineBytes": 64}}`,
-		`{"CacheLevels": [{"Name": "L1"}], "CPU": {"L2Latency": 10}}`,
-	} {
-		var c Config
-		err := json.Unmarshal([]byte(doc), &c)
-		if err == nil || !strings.Contains(err.Error(), "legacy") {
-			t.Errorf("mixed schemas not rejected (err %v): %s", err, doc)
-		}
-	}
-
-	// Marshal emits only the canonical schema.
-	b, err := json.Marshal(Default(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(b), `"L1":`) || !strings.Contains(string(b), `"CacheLevels":`) {
-		t.Errorf("marshal leaked the legacy schema: %s", b)
 	}
 }
 
-// FuzzConfigDecode generates a legacy document (fixed cache levels plus
-// the Fast/Slow DRAM pair) and its canonical rewrite from one parameter
-// tuple and requires both to decode to the same machine (or both to
-// keep failing validation identically), and the mixed documents to
-// error.
-func FuzzConfigDecode(f *testing.F) {
-	f.Add(32*KB, 4, 64, uint64(4), 256*KB, 8, uint64(12), 12*MB, 16, uint64(38), uint64(4*GB), uint64(20*GB))
-	f.Add(16*KB, 2, 32, uint64(2), 128*KB, 4, uint64(20), 4*MB, 8, uint64(44), uint64(16*MB), uint64(80*MB))
-	f.Add(1, 0, 0, uint64(0), 0, -3, uint64(9), 64, 1, uint64(1), uint64(0), uint64(1))
-	f.Fuzz(func(t *testing.T, s1, w1, line int, lat1 uint64, s2, w2 int, lat2 uint64, s3, w3 int, lat3 uint64, fastCap, slowCap uint64) {
-		legacy := fmt.Sprintf(`{
-			"L1": {"SizeBytes": %d, "Ways": %d, "LineBytes": %d},
-			"L2": {"SizeBytes": %d, "Ways": %d, "LineBytes": %d},
-			"L3": {"SizeBytes": %d, "Ways": %d, "LineBytes": %d},
-			"CPU": {"L1Latency": %d, "L2Latency": %d, "L3Latency": %d},
-			"Fast": {"CapacityBytes": %d},
-			"Slow": {"CapacityBytes": %d}
-		}`, s1, w1, line, s2, w2, line, s3, w3, line, lat1, lat2, lat3, fastCap, slowCap)
-		modern := fmt.Sprintf(`{"CacheLevels": [
-			{"Name": "L1", "SizeBytes": %d, "Ways": %d, "LineBytes": %d, "LatencyCycles": %d},
-			{"Name": "L2", "SizeBytes": %d, "Ways": %d, "LineBytes": %d, "LatencyCycles": %d},
-			{"Name": "L3", "SizeBytes": %d, "Ways": %d, "LineBytes": %d, "LatencyCycles": %d, "Shared": true}
-		]}`, s1, w1, line, lat1, s2, w2, line, lat2, s3, w3, line, lat3)
+// TestConfigRejectsUnknownKeys: a key the schema does not define fails
+// the decode and the error names it, so neither a retired schema key
+// nor a typo silently runs the default machine. The target is left as
+// it was.
+func TestConfigRejectsUnknownKeys(t *testing.T) {
+	cases := []struct{ key, doc string }{
+		{"L1", `{"L1": {"SizeBytes": 65536, "Ways": 8, "LineBytes": 64}}`},
+		{"L2", `{"L2": {"SizeBytes": 524288, "Ways": 8, "LineBytes": 64}}`},
+		{"L3", `{"L3": {"SizeBytes": 8388608, "Ways": 16, "LineBytes": 64}}`},
+		{"L1Latency", `{"CPU": {"L1Latency": 3}}`},
+		{"L2Latency", `{"CPU": {"L2Latency": 14}}`},
+		{"L3Latency", `{"CPU": {"L3Latency": 40}}`},
+		{"Fast", `{"Fast": {"CapacityBytes": 16777216}}`},
+		{"Slow", `{"Slow": {"CapacityBytes": 83886080}}`},
+		{"ClearOnModeSwith", `{"MemSys": {"ClearOnModeSwith": false}}`},
+		// Typos, at the top level of a list element and inside a tier.
+		{"LinBytes", `{"CacheLevels": [{"Name": "L1", "SizeBytes": 32768, "Ways": 4, "LinBytes": 64}]}`},
+		{"Capacity", `{"memory_tiers": [{"NVM": {"Name": "pmem", "Capacity": 1024}}]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.key, func(t *testing.T) {
+			cfg := Default(256)
+			err := json.Unmarshal([]byte(tc.doc), &cfg)
+			if err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+				t.Fatalf("err %v, want one naming %q", err, tc.key)
+			}
+			if !reflect.DeepEqual(cfg, Default(256)) {
+				t.Errorf("failed decode changed the target: %+v", cfg)
+			}
+		})
+	}
+}
 
-		oldC, newC := Default(1), Default(1)
-		oldErr := json.Unmarshal([]byte(legacy), &oldC)
-		newErr := json.Unmarshal([]byte(modern), &newC)
-		if (oldErr == nil) != (newErr == nil) {
-			t.Fatalf("decode disagreement: legacy %v, modern %v", oldErr, newErr)
-		}
-		if oldErr != nil {
-			return
-		}
-		// The modern document carries the capacities through the
-		// canonical schema instead.
-		newC.MemoryTiers[0].SetCapacity(fastCap)
-		newC.MemoryTiers[1].SetCapacity(slowCap)
-		// The legacy base stack is shared (L3); the rewrite says so
-		// explicitly, so the machines must now match field for field.
-		if !reflect.DeepEqual(oldC, newC) {
-			t.Fatalf("configs diverged:\nlegacy: %+v\nmodern: %+v", oldC, newC)
-		}
-		// Validation must agree too: the same machine is legal or not
-		// regardless of which schema described it.
-		if (oldC.Validate() == nil) != (newC.Validate() == nil) {
-			t.Fatalf("validation disagreement: legacy %v, modern %v", oldC.Validate(), newC.Validate())
-		}
-		// Marshal speaks only the canonical schema, and the marshal
-		// round-trips: the memory_tiers rewrite of the legacy document
-		// reconstructs the identical machine.
-		b, err := json.Marshal(oldC)
+// TestConfigMarshalRoundTrip: the marshal of a configuration decodes,
+// onto a zero value or onto a different machine, back to the same
+// configuration.
+func TestConfigMarshalRoundTrip(t *testing.T) {
+	twoLevel := Default(64)
+	twoLevel.CacheLevels = []CacheLevelConfig{
+		{Name: "L1", SizeBytes: 32 * KB, Ways: 4, LineBytes: 64, LatencyCycles: 4},
+		{Name: "LLC", SizeBytes: 2 * MB, Ways: 16, LineBytes: 64, LatencyCycles: 30, Shared: true},
+	}
+	for name, want := range map[string]Config{
+		"default":   Default(256),
+		"nvm":       Default(256).WithNVMTier(128 * MB),
+		"cxl":       Default(256).WithCXLTier(256 * MB),
+		"two-level": twoLevel,
+	} {
+		b, err := json.Marshal(want)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, target := range []Config{{}, Default(1).WithCXLTier(GB)} {
+			got := target
+			if err := json.Unmarshal(b, &got); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: round trip diverged:\nwant %+v\ngot  %+v", name, want, got)
+			}
+		}
+	}
+}
+
+// FuzzConfigDecode: whatever document decodes onto Default(1), its
+// marshal decodes fresh to a DeepEqual configuration, and Validate
+// reaches the same verdict on both.
+func FuzzConfigDecode(f *testing.F) {
+	f.Add([]byte(`{"CacheLevels": [
+		{"Name": "L1", "SizeBytes": 16384, "Ways": 2, "LineBytes": 32},
+		{"Name": "L2", "SizeBytes": 131072, "Ways": 4, "LineBytes": 32, "LatencyCycles": 20, "Shared": true}
+	], "CPU": {"Cores": 4}}`))
+	f.Add([]byte(`{"memory_tiers": [
+		{"DRAM": {"Name": "hbm", "CapacityBytes": 16777216, "Channels": 4}},
+		{"Kind": "nvm", "NVM": {"Name": "pmem", "CapacityBytes": 83886080, "WearBlockBytes": 3}},
+		{"CXL": {"Name": "far", "CapacityBytes": 1}, "Power": {"BackgroundMW": 1}}
+	], "Scale": 3}`))
+	f.Add([]byte(`{"MemSys": {"SegmentBytes": 1000, "ClearOnModeSwitch": false}, "OS": {"PageBytes": -1}, "CacheLevels": null}`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		c := Default(1)
+		if err := json.Unmarshal(doc, &c); err != nil {
+			return
+		}
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
 		var rt Config
 		if err := json.Unmarshal(b, &rt); err != nil {
-			t.Fatalf("round-trip decode: %v", err)
+			t.Fatalf("re-decode of %s: %v", b, err)
 		}
-		if !reflect.DeepEqual(oldC, rt) {
-			t.Fatalf("memory_tiers round trip diverged:\nwant: %+v\ngot:  %+v", oldC, rt)
+		if !reflect.DeepEqual(c, rt) {
+			t.Fatalf("round trip diverged:\nfirst  %+v\nsecond %+v", c, rt)
 		}
-		// And the mixed documents always error.
-		var c Config
-		if err := json.Unmarshal([]byte(`{"CacheLevels": [], `+legacy[1:]), &c); err == nil {
-			t.Fatal("mixed cache schemas decoded without error")
-		}
-		if err := json.Unmarshal([]byte(`{"memory_tiers": [], `+legacy[1:]), &c); err == nil {
-			t.Fatal("mixed memory schemas decoded without error")
+		if (c.Validate() == nil) != (rt.Validate() == nil) {
+			t.Fatalf("validation disagreement: %v vs %v", c.Validate(), rt.Validate())
 		}
 	})
 }

@@ -7,39 +7,9 @@ import (
 	"testing"
 )
 
-// TestMemoryTiersDecode proves the two memory schemas converge: a
-// legacy Fast/Slow document and its memory_tiers rewrite construct
-// identical configurations, and a document mixing them is rejected.
+// TestMemoryTiersDecode: a memory_tiers list replaces the target's
+// stack, and a document without the key keeps it.
 func TestMemoryTiersDecode(t *testing.T) {
-	legacy := `{
-		"Fast": {"CapacityBytes": 16777216},
-		"Slow": {"CapacityBytes": 83886080}
-	}`
-	// The legacy pair overlays the Table I tiers; its memory_tiers
-	// rewrite is the marshal of that result, so decoding it fresh must
-	// reconstruct the same Config field for field.
-	oldC := Default(256)
-	if err := json.Unmarshal([]byte(legacy), &oldC); err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if oldC.TierCapacity(0) != 16*MB || oldC.TierCapacity(1) != 80*MB {
-		t.Fatalf("legacy overlay lost capacities: %d + %d", oldC.TierCapacity(0), oldC.TierCapacity(1))
-	}
-	if oldC.FastDRAM().Channels != 2 || oldC.FastDRAM().Name != "stacked" {
-		t.Fatalf("legacy overlay dropped base DRAM fields: %+v", oldC.FastDRAM())
-	}
-	b, err := json.Marshal(oldC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var newC Config
-	if err := json.Unmarshal(b, &newC); err != nil {
-		t.Fatalf("memory_tiers decode: %v", err)
-	}
-	if !reflect.DeepEqual(oldC, newC) {
-		t.Errorf("schemas diverged:\nlegacy: %+v\nmodern: %+v", oldC, newC)
-	}
-
 	// A memory_tiers list replaces the target's stack wholesale; the
 	// document's NVM tier must not inherit a DRAM section from the
 	// element it lands on.
@@ -72,30 +42,11 @@ func TestMemoryTiersDecode(t *testing.T) {
 	if !reflect.DeepEqual(cfg.MemoryTiers, want) {
 		t.Errorf("decode without memory keys rewrote the stack: %+v", cfg.MemoryTiers)
 	}
-
-	// Marshal emits only the canonical schema.
-	if strings.Contains(string(b), `"Fast":`) || !strings.Contains(string(b), `"memory_tiers":`) {
-		t.Errorf("marshal leaked the legacy schema: %s", b)
-	}
 }
 
-// TestMemoryTiersRejection table-drives the malformed documents and
-// stacks the decoder and validator must refuse.
+// TestMemoryTiersRejection table-drives the malformed stacks the
+// validator must refuse.
 func TestMemoryTiersRejection(t *testing.T) {
-	decodeErrs := []struct {
-		name, doc, want string
-	}{
-		{"mixed fast", `{"memory_tiers": [], "Fast": {"CapacityBytes": 1024}}`, "legacy"},
-		{"mixed slow", `{"memory_tiers": [], "Slow": {"CapacityBytes": 1024}}`, "legacy"},
-	}
-	for _, tc := range decodeErrs {
-		var c Config
-		err := json.Unmarshal([]byte(tc.doc), &c)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err %v, want mention of %q", tc.name, err, tc.want)
-		}
-	}
-
 	validateErrs := []struct {
 		name string
 		mut  func(*Config)

@@ -10,7 +10,7 @@ import (
 func testDevice(t *testing.T) *Device {
 	t.Helper()
 	cfg := config.Default(256)
-	d, err := New(cfg.SlowDRAM(), cfg.CPU.FreqHz)
+	d, err := New(*cfg.Tier(1).DRAM, cfg.CPU.FreqHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func testDevice(t *testing.T) *Device {
 func fastDevice(t *testing.T) *Device {
 	t.Helper()
 	cfg := config.Default(256)
-	d, err := New(cfg.FastDRAM(), cfg.CPU.FreqHz)
+	d, err := New(*cfg.Tier(0).DRAM, cfg.CPU.FreqHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestStatsClassification(t *testing.T) {
 // frequencies).
 func TestBandwidthRatio(t *testing.T) {
 	cfg := config.Default(256)
-	f, _ := New(cfg.FastDRAM(), cfg.CPU.FreqHz)
-	s, _ := New(cfg.SlowDRAM(), cfg.CPU.FreqHz)
+	f, _ := New(*cfg.Tier(0).DRAM, cfg.CPU.FreqHz)
+	s, _ := New(*cfg.Tier(1).DRAM, cfg.CPU.FreqHz)
 	fb := f.BurstCycles(64)
 	sb := s.BurstCycles(64)
 	ratio := float64(sb) / float64(fb)
@@ -177,12 +177,12 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestNewErrors(t *testing.T) {
-	cfg := config.Default(1).SlowDRAM()
+	cfg := *config.Default(1).Tier(1).DRAM
 	cfg.Channels = 0
 	if _, err := New(cfg, 3.6e9); err == nil {
 		t.Error("zero channels should fail")
 	}
-	cfg = config.Default(1).SlowDRAM()
+	cfg = *config.Default(1).Tier(1).DRAM
 	if _, err := New(cfg, 0); err == nil {
 		t.Error("zero CPU frequency should fail")
 	}

@@ -76,8 +76,8 @@ func TestStackedVsOffChipEnergyPerByte(t *testing.T) {
 	// Streaming the same bytes must cost less I/O energy on the stacked
 	// device (the premise behind HBM's efficiency).
 	cfg := config.Default(256)
-	f, _ := New(cfg.FastDRAM(), cfg.CPU.FreqHz)
-	s, _ := New(cfg.SlowDRAM(), cfg.CPU.FreqHz)
+	f, _ := New(*cfg.Tier(0).DRAM, cfg.CPU.FreqHz)
+	s, _ := New(*cfg.Tier(1).DRAM, cfg.CPU.FreqHz)
 	f.Stream(0, 0, false, 1<<16, 64)
 	s.Stream(0, 0, false, 1<<16, 64)
 	ef := f.Energy(DefaultStackedPower(), 1_000_000)

@@ -71,13 +71,6 @@ func (t *Tier) Energy(elapsedCycles uint64) EnergyReport {
 	return t.Dev.Energy(t.Power, elapsedCycles)
 }
 
-// DRAM returns the underlying DRAM device, or nil for non-DRAM tiers.
-// The sequential-engine fast paths and legacy result fields use it.
-func (t *Tier) DRAM() *dram.Device {
-	d, _ := t.Dev.(*dram.Device)
-	return d
-}
-
 // Build constructs the device for one tier configuration. idx is the
 // tier's position in the stack (it selects the default power profile
 // for DRAM tiers).

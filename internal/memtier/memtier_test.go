@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chameleon/internal/config"
+	"chameleon/internal/dram"
 )
 
 const testHz = 3.6e9
@@ -157,8 +158,8 @@ func TestBuildStack(t *testing.T) {
 		if tier.Index != i || tier.Name() == "" || tier.Capacity() == 0 {
 			t.Errorf("tier %d identity incomplete: %+v", i, tier)
 		}
-		if (tier.DRAM() != nil) != (wantKinds[i] == config.TierDRAM) {
-			t.Errorf("tier %d DRAM() mismatch for kind %q", i, tier.Kind)
+		if _, isDRAM := tier.Dev.(*dram.Device); isDRAM != (wantKinds[i] == config.TierDRAM) {
+			t.Errorf("tier %d device type %T mismatch for kind %q", i, tier.Dev, tier.Kind)
 		}
 	}
 	// Positional power fallback: first DRAM tier stacked, second off-chip.

@@ -9,7 +9,7 @@ import (
 func init() {
 	Register("alloy", Descriptor{
 		Build: func(bc BuildContext) (Controller, error) {
-			return NewAlloy(bc.Fast, bc.Slow,
+			return NewAlloy(bc.Tiers[0].Mem, bc.Tiers[1].Mem,
 				bc.Config.TierCapacity(0), bc.Config.TierCapacity(1))
 		},
 	})

@@ -21,21 +21,21 @@ func init() {
 		NeedsISA: true,
 		Build: build(func(sp *addr.Space, bc BuildContext) (Controller, error) {
 			ms := bc.Config.MemSys
-			return NewPolymorphic(sp, bc.Fast, bc.Slow, ms.SRTCacheEntries, ms.CacheLineBytes, ms.ClearOnModeSwitch)
+			return NewPolymorphic(sp, bc.Tiers[0].Mem, bc.Tiers[1].Mem, ms.SRTCacheEntries, ms.CacheLineBytes, ms.ClearOnModeSwitch)
 		}),
 	})
 	Register("chameleon", Descriptor{
 		NeedsISA: true,
 		Build: build(func(sp *addr.Space, bc BuildContext) (Controller, error) {
 			ms := bc.Config.MemSys
-			return NewChameleon(sp, bc.Fast, bc.Slow, ms.SRTCacheEntries, ms.SwapThreshold, ms.CacheLineBytes, ms.ClearOnModeSwitch)
+			return NewChameleon(sp, bc.Tiers[0].Mem, bc.Tiers[1].Mem, ms.SRTCacheEntries, ms.SwapThreshold, ms.CacheLineBytes, ms.ClearOnModeSwitch)
 		}),
 	})
 	Register("chameleon-opt", Descriptor{
 		NeedsISA: true,
 		Build: build(func(sp *addr.Space, bc BuildContext) (Controller, error) {
 			ms := bc.Config.MemSys
-			return NewChameleonOpt(sp, bc.Fast, bc.Slow, ms.SRTCacheEntries, ms.SwapThreshold, ms.CacheLineBytes, ms.ClearOnModeSwitch)
+			return NewChameleonOpt(sp, bc.Tiers[0].Mem, bc.Tiers[1].Mem, ms.SRTCacheEntries, ms.SwapThreshold, ms.CacheLineBytes, ms.ClearOnModeSwitch)
 		}),
 	})
 }

@@ -12,7 +12,7 @@ func init() {
 		RequiresBaseline: true,
 		Build: func(bc BuildContext) (Controller, error) {
 			name := fmt.Sprintf("flat-%dGB", bc.BaselineBytes/config.GB*bc.Config.Scale)
-			return NewFlat(name, nil, bc.Slow, 0, bc.BaselineBytes), nil
+			return NewFlat(name, nil, bc.Tiers[1].Mem, 0, bc.BaselineBytes), nil
 		},
 	})
 	Register("numa-flat", Descriptor{
@@ -23,7 +23,7 @@ func init() {
 				// NUMA node, ordered near to far.
 				return NewFlatTiers("numa-flat", bc.Tiers), nil
 			}
-			return NewFlat("numa-flat", bc.Fast, bc.Slow,
+			return NewFlat("numa-flat", bc.Tiers[0].Mem, bc.Tiers[1].Mem,
 				bc.Config.TierCapacity(0), bc.Config.TotalCapacity()), nil
 		},
 	})

@@ -13,7 +13,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewPoM("pom", sp, bc.Fast, bc.Slow, ms.SRTCacheEntries, ms.SwapThreshold, ms.CacheLineBytes)
+			return NewPoM("pom", sp, bc.Tiers[0].Mem, bc.Tiers[1].Mem, ms.SRTCacheEntries, ms.SwapThreshold, ms.CacheLineBytes)
 		},
 	})
 	// CAMEO remaps at cache-line granularity with first-touch swaps.
@@ -24,7 +24,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return NewPoM("cameo", sp, bc.Fast, bc.Slow, ms.SRTCacheEntries, 1, ms.CacheLineBytes)
+			return NewPoM("cameo", sp, bc.Tiers[0].Mem, bc.Tiers[1].Mem, ms.SRTCacheEntries, 1, ms.CacheLineBytes)
 		},
 	})
 }

@@ -20,10 +20,6 @@ type BuildContext struct {
 	// Tiers is the ordered memory stack (nearest first). Devices are
 	// *dram.Device / memtier devices in the simulator, fakes in tests.
 	Tiers []TierMem
-	// Fast and Slow alias Tiers[0].Mem and Tiers[1].Mem — the pair
-	// every two-tier design consumes.
-	Fast Mem
-	Slow Mem
 	// BaselineBytes is the OS-visible capacity of a flat baseline
 	// (Options.BaselineBytes); zero for every other design.
 	BaselineBytes uint64

@@ -23,7 +23,7 @@ import (
 var registerToy = sync.OnceFunc(func() {
 	policy.Register("toy", policy.Descriptor{
 		Build: func(bc policy.BuildContext) (policy.Controller, error) {
-			return policy.NewFlat("toy", bc.Fast, bc.Slow,
+			return policy.NewFlat("toy", bc.Tiers[0].Mem, bc.Tiers[1].Mem,
 				bc.Config.TierCapacity(0), bc.Config.TotalCapacity()), nil
 		},
 	})

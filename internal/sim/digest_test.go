@@ -6,47 +6,54 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math"
 	"reflect"
 	"testing"
 
 	"chameleon/internal/config"
 	"chameleon/internal/policy"
+	"chameleon/internal/stats"
 	"chameleon/internal/workload"
 )
 
 // pinnedDigests are SHA-256 digests of every integer counter of a
-// short run (see resultDigest), per policy and workload; both engines
-// must produce it. They pin simulation results across rewrites of the
-// layers below the engines, which the engine-versus-engine equivalence
-// tests cannot see.
+// short run, per-tier device snapshots included (see resultDigest), per
+// policy and workload; both engines must produce it. They pin
+// simulation results across rewrites of the layers below the engines,
+// which the engine-versus-engine equivalence tests cannot see.
 // A change that legitimately alters simulated behaviour must re-record
 // them and say why.
 var pinnedDigests = map[string]string{
-	"alloy/mcf":               "06379e577a39b599efa4921fc2f73ade342de04a9f06c6a00d9b11493023af97",
-	"alloy/miniGhost":         "5cd576d9398415c91b4e5a57fed888b4f555807060f5187dc5a03fb32854db6f",
-	"cameo/mcf":               "d6fc112a6394e15081f81c4c0cd25b4ecb28f1ecdc41adc3e789eecafdd3ecad",
-	"cameo/miniGhost":         "403f4bd34ff1de499b5215b041d5f3e1c5858a96fe917a1effad638ee1e3c9e0",
-	"chameleon/mcf":           "4f88d0972a75de94920cd6697fb5dc0477ab055984d920add1c38dd24bee878c",
-	"chameleon/miniGhost":     "0831b9087080b54cce1db4ffefd4ed4f73543c81086a7f9531212cd0af3ecb18",
-	"chameleon-opt/mcf":       "de4f72ac62d3169d1c7a8a2b26d7b5bed508cd2b6fa2b35c1eca45642f8dd328",
-	"chameleon-opt/miniGhost": "31ca07db92545cfe7dc39f7d13d79c3625220183c5f8ffe52eec0eb76bd8ad58",
-	"flat/mcf":                "6326fe1ca3c72dca1e603d727555781d4902f2e735d54f4486c8168b6c60c1d2",
-	"flat/miniGhost":          "f49d25900d5240979e6d740edb9da016662e4c9a929c5d68619a636e3fc49f62",
-	"hwc/mcf":                 "62bbfc0ea82f5f011e5119357a5e08b690130f1caa74516ce0d59bdfa7c068bf",
-	"hwc/miniGhost":           "3f14da240a0223031f0a412998f57f75e8e84782d73121621feee394705b4c18",
-	"numa-flat/mcf":           "a3dfed7d3ab466e636b559e231dc811d423d1aa68d1706bba7664e4d9600b214",
-	"numa-flat/miniGhost":     "109dc777648f9f7a76efed6f00b8c55281ae145cb7299dc042c7d71942f5d567",
-	"polymorphic/mcf":         "e40941704709b837446aa533e1bb3bc6198165b212b582813a8062b19e011227",
-	"polymorphic/miniGhost":   "da901a7b68c3ea2350d11eb1206e32ac2c5f10c45362f0e633ca0c4f842da1f7",
-	"pom/mcf":                 "750016f9d3d89fb024100662a1ce0fb90ea0eb7c775d6eeab11e3260bb4fbc0a",
-	"pom/miniGhost":           "017d3fc354a907f521708df5552de52e4fbdce8896ae68e37223f2a494949beb",
+	"alloy/mcf":               "55fbd002fe0bb609b0ff48ac9594d2af1eb3b8f38a98ed01c62730f7c261680f",
+	"alloy/miniGhost":         "3beadab76b5f52fa2ff8e2314f102587534799c07e0044ba6ba8aa2f2481183f",
+	"cameo/mcf":               "8defa5a84fe9694d8ba4b63e0866d356b2896d1be8de9f86c1cd4b5abd58b6b6",
+	"cameo/miniGhost":         "ee0fdc45d649754e1d2e8a002d140be3d9f1185bd65a26664455988a96e0a4cb",
+	"chameleon-opt/mcf":       "75084487bb8443181691f76d52194dbb5e04ec67e22f602f5c19190ecb697665",
+	"chameleon-opt/miniGhost": "39500c8ba0beb129a44e4c6eb0a88f2c8692eead98f73ea06507e6f4005d7a6e",
+	"chameleon/mcf":           "5dcfbf7e37469216a329d3e883d3a5933b4a9fe8bba2efb4558f0d191f81400d",
+	"chameleon/miniGhost":     "b8504983aa7079bc74e84fdd70095bc126af6b68a22e5c25eff1a534c48d1b68",
+	"flat/mcf":                "7ae529cdab051a64ddfa12ac988dbaeeaeec8659d5ed2cdf6c43a419dc54f313",
+	"flat/miniGhost":          "ddde5a059807341997331fc0329cc1c33f21e3ae8c035b63417c727956507179",
+	"hwc/mcf":                 "9fa858c4e20f5fe6f0f23455e4985346fb01a5965ea74866d192c9f67fe5539c",
+	"hwc/miniGhost":           "c29d00422c46b3980ff1448c98acb015d2a6ea8662b296b482db27300b8400c8",
+	"numa-flat/mcf":           "075aea5fd465498e8df1bbaccd9ca8c8fecfd3f73b38192b8a400f62278a9a1f",
+	"numa-flat/miniGhost":     "859144f9edadd2019033976398dd68220cb5b42bfb2f1cc44194cdb2dd09278b",
+	"polymorphic/mcf":         "37de258d5e0abf2192dd32d8aa8ac3af106767984d3cf6ec3467236332677008",
+	"polymorphic/miniGhost":   "f3c8b6ea551987e991fa0ef9619cb5e3d4374b045b03bb8e5cc47290e8a28a78",
+	"pom/mcf":                 "1423b531712e30edfcdd2de566022359ce4f5fd56335a0c6ab40909f9001c701",
+	"pom/miniGhost":           "bd9912181f2595e61f143701c515ef756f7e93e9601b6a6ef5a07eb141e1d6e0",
 }
 
-// digestInts writes every integer and boolean reachable from v, in
-// field order, into h. Floats, strings and maps are skipped so the
-// digest does not depend on the platform's math library or on map
-// iteration order; every float in a Result is derived from counters
-// that are hashed.
+// snapshotType is the one map type digestInts hashes.
+var snapshotType = reflect.TypeFor[stats.Snapshot]()
+
+// digestInts writes every integer, boolean and stats.Snapshot counter
+// reachable from v, in field order, into h. A Snapshot is hashed in
+// sorted-key order, each key followed by its value's IEEE bits: every
+// value there is a float64 copy of an integer counter, so the bits are
+// exact. Other floats, strings and maps are skipped so the digest does
+// not depend on the platform's math library or on map iteration order;
+// every float in a Result is derived from counters that are hashed.
 func digestInts(h hash.Hash, v reflect.Value) {
 	var buf [8]byte
 	switch v.Kind() {
@@ -74,6 +81,19 @@ func digestInts(h hash.Hash, v reflect.Value) {
 	case reflect.Pointer:
 		if !v.IsNil() {
 			digestInts(h, v.Elem())
+		}
+	case reflect.Map:
+		if v.Type() != snapshotType {
+			return
+		}
+		snap := v.Interface().(stats.Snapshot)
+		keys := snap.Keys()
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(keys)))
+		h.Write(buf[:])
+		for _, k := range keys {
+			h.Write([]byte(k))
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(snap[k]))
+			h.Write(buf[:])
 		}
 	}
 }

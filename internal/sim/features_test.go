@@ -171,11 +171,12 @@ func TestEnergyAndUtilisationReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, slow := sys.DeviceEnergy(res.MaxCycles)
+	fast, slow := sys.TierEnergy(0, res.MaxCycles), sys.TierEnergy(1, res.MaxCycles)
 	if fast.TotalNJ() <= 0 || slow.TotalNJ() <= 0 {
 		t.Error("energy reports empty")
 	}
-	fu, su := sys.DeviceUtilisation(res.MaxCycles)
+	tiers := sys.Tiers()
+	fu, su := tiers[0].Dev.BusyFraction(res.MaxCycles), tiers[1].Dev.BusyFraction(res.MaxCycles)
 	if fu < 0 || fu > 1.05 || su < 0 || su > 1.05 {
 		t.Errorf("utilisation out of range: %v, %v", fu, su)
 	}

@@ -78,7 +78,10 @@ func TestTrafficConservation(t *testing.T) {
 	srt := res.Ctrl.SRTMisses * 64
 	segment := res.Ctrl.SwapBytes * 2 // each byte read once and written once
 	want := demand + srt + segment
-	got := res.Fast.BytesMoved + res.Slow.BytesMoved
+	var got uint64
+	for _, tr := range res.Tiers {
+		got += uint64(tr.Device["bytes_moved"])
+	}
 	if got != want {
 		t.Errorf("device bytes %d != accounted bytes %d (demand %d, srt %d, segments %d)",
 			got, want, demand, srt, segment)

@@ -8,7 +8,6 @@ import (
 
 	"chameleon/internal/addr"
 	"chameleon/internal/cache"
-	"chameleon/internal/dram"
 	"chameleon/internal/hier"
 	"chameleon/internal/osmodel"
 	"chameleon/internal/policy"
@@ -80,11 +79,6 @@ type Result struct {
 
 	Ctrl policy.Stats
 	OS   osmodel.Stats
-	// Fast and Slow are the first two tiers' DRAM statistics, zero when
-	// a tier is backed by a non-DRAM device (see Tiers for the
-	// device-agnostic view).
-	Fast dram.Stats
-	Slow dram.Stats
 	// Tiers holds per-tier statistics in stack order (nearest first).
 	Tiers []TierResult
 	// Levels holds per-cache-level statistics in hierarchy order (the
@@ -548,12 +542,6 @@ func (s *System) collect(start, instr0, faults0 []uint64) *Result {
 		Workload: s.runName,
 		Ctrl:     s.ctrl.Stats(),
 		OS:       s.os.Stats(),
-	}
-	if s.fast != nil {
-		r.Fast = s.fast.Stats()
-	}
-	if s.slow != nil {
-		r.Slow = s.slow.Stats()
 	}
 	for i := 0; i < s.hier.NumLevels(); i++ {
 		r.Levels = append(r.Levels, LevelResult{Level: s.hier.LevelName(i), Stats: s.hier.LevelStats(i)})

@@ -211,11 +211,6 @@ type System struct {
 	opts  Options
 	cfg   config.Config
 	tiers []*memtier.Tier
-	// fast and slow alias the first two tiers' DRAM devices (nil when a
-	// tier is NVM/CXL-backed); they feed the legacy Result.Fast/Slow
-	// fields and the sequential engine's fast paths.
-	fast  *dram.Device
-	slow  *dram.Device
 	ctrl  policy.Controller
 	os    *osmodel.OS
 	auto  *osmodel.AutoNUMA
@@ -372,7 +367,6 @@ func New(opts Options) (*System, error) {
 	if s.tiers, err = memtier.BuildStack(tierCfgs, cfg.CPU.FreqHz); err != nil {
 		return nil, err
 	}
-	s.fast, s.slow = s.tiers[0].DRAM(), s.tiers[1].DRAM()
 	tms := make([]policy.TierMem, len(s.tiers))
 	for i, t := range s.tiers {
 		tms[i] = policy.TierMem{Name: t.Name(), Kind: t.Kind, CapacityBytes: t.Capacity(), Mem: t.Dev}
@@ -380,8 +374,6 @@ func New(opts Options) (*System, error) {
 	if s.ctrl, err = desc.Build(policy.BuildContext{
 		Config:        cfg,
 		Tiers:         tms,
-		Fast:          tms[0].Mem,
-		Slow:          tms[1].Mem,
 		BaselineBytes: opts.BaselineBytes,
 	}); err != nil {
 		return nil, err
@@ -560,20 +552,6 @@ func (a isaAdapter) ISAFree(now uint64, seg addr.Seg)  { a.c.ISAFree(now, seg) }
 
 // Controller exposes the memory-system controller (for tests).
 func (s *System) Controller() policy.Controller { return s.ctrl }
-
-// DeviceEnergy estimates the first two tiers' energy over the given
-// number of elapsed CPU cycles using each tier's configured power
-// profile (which defaults to the classic HBM/DDR parameters for a
-// two-DRAM stack).
-func (s *System) DeviceEnergy(elapsedCycles uint64) (fast, slow dram.EnergyReport) {
-	return s.tiers[0].Energy(elapsedCycles), s.tiers[1].Energy(elapsedCycles)
-}
-
-// DeviceUtilisation returns the fraction of peak bandwidth the first
-// two tiers sustained over the given elapsed cycles.
-func (s *System) DeviceUtilisation(elapsedCycles uint64) (fast, slow float64) {
-	return s.tiers[0].Dev.BusyFraction(elapsedCycles), s.tiers[1].Dev.BusyFraction(elapsedCycles)
-}
 
 // Tiers exposes the built memory stack (nearest first) for per-tier
 // reporting.

@@ -43,9 +43,11 @@ func TestSmokeAllPolicies(t *testing.T) {
 			t.Logf("%s: IPC=%.3f hit=%.1f%% AMAT=%.0f swaps=%d fills=%d wb=%d cacheMode=%.1f%% MPKI=%.2f faults=%d",
 				k, res.GeoMeanIPC, res.StackedHitRate*100, res.AMAT,
 				res.Ctrl.Swaps, res.Ctrl.Fills, res.Ctrl.Writebacks, res.CacheModeFraction*100, res.Cores[0].MPKI, res.OS.MajorFaults)
-			t.Logf("   fast: r=%d w=%d rowHit=%d conf=%d busW=%d | slow: r=%d w=%d rowHit=%d conf=%d busW=%d",
-				res.Fast.Reads, res.Fast.Writes, res.Fast.RowHits, res.Fast.RowConflicts, res.Fast.BusWaits,
-				res.Slow.Reads, res.Slow.Writes, res.Slow.RowHits, res.Slow.RowConflicts, res.Slow.BusWaits)
+			for _, tr := range res.Tiers {
+				d := tr.Device
+				t.Logf("   %s: r=%.0f w=%.0f rowHit=%.0f conf=%.0f busW=%.0f",
+					tr.Tier, d["reads"], d["writes"], d["row_hits"], d["row_conflicts"], d["bus_waits"])
+			}
 		})
 	}
 }

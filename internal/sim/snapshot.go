@@ -14,7 +14,7 @@ func (r *Result) Name() string { return r.Policy }
 
 // Snapshot implements stats.Source: the run's headline scalars plus
 // every substrate counter, namespaced by subsystem ("ctrl.swaps",
-// "dram_fast.row_hits", "l3.misses", ...). Cache levels contribute one
+// "mem_stacked.row_hits", "l3.misses", ...). Cache levels contribute one
 // namespace each, keyed by the lower-cased level name, so the server's
 // expvar surface, the experiment figure emitters, and the CLI's counter
 // dump follow whatever hierarchy the run was configured with.
@@ -30,8 +30,6 @@ func (r *Result) Snapshot() stats.Snapshot {
 	}
 	s.Merge("ctrl", r.Ctrl.Snapshot())
 	s.Merge("os", r.OS.Snapshot())
-	s.Merge("dram_fast", r.Fast.Snapshot())
-	s.Merge("dram_slow", r.Slow.Snapshot())
 	for _, t := range r.Tiers {
 		ns := "mem_" + strings.ToLower(t.Tier)
 		s.Merge(ns, t.Device)

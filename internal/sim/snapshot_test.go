@@ -49,7 +49,7 @@ func TestResultSnapshotShape(t *testing.T) {
 		"ipc_geomean", "stacked_hit_rate", "amat_cycles",
 		"cache_mode_fraction", "cpu_utilization", "max_cycles", "cores",
 		"ctrl.accesses", "ctrl.swaps", "os.major_faults",
-		"dram_fast.reads", "dram_slow.reads", "l3.misses",
+		"mem_stacked.reads", "mem_offchip.reads", "l3.misses",
 	} {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("snapshot missing %q (have %v)", key, snap.Keys())

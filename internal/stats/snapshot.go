@@ -11,7 +11,7 @@ import "sort"
 // one per bespoke stats struct.
 //
 // Keys are lower_snake_case; nested subsystems are namespaced with a
-// dot prefix (e.g. "ctrl.swaps", "dram_fast.row_hits").
+// dot prefix (e.g. "ctrl.swaps", "mem_stacked.row_hits").
 type Snapshot map[string]float64
 
 // Source is implemented by anything that can report its metrics as a
