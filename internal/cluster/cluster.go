@@ -114,18 +114,6 @@ func (c *Cluster) Owners(key string, n int) []Node {
 	return out
 }
 
-// IsOwner reports whether the local node is among the first n owners
-// of key.
-func (c *Cluster) IsOwner(key string, n int) bool {
-	self := c.mem.Self().ID
-	for _, id := range c.Ring().Owners(key, n) {
-		if id == self {
-			return true
-		}
-	}
-	return false
-}
-
 // HandleGossip serves the receiving half of a push/pull exchange.
 func (c *Cluster) HandleGossip(d Digest) Digest { return c.mem.HandleGossip(d) }
 

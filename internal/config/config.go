@@ -22,11 +22,10 @@ const (
 
 // CPUConfig describes the simulated cores.
 type CPUConfig struct {
-	Cores    int     // number of cores (one application instance each)
-	FreqHz   float64 // core clock frequency
-	BaseCPI  float64 // cycles per non-memory instruction when not stalled
-	MaxMLP   int     // maximum overlapped LLC misses per core
-	IssueBlk int     // instructions retired between trace events
+	Cores   int     // number of cores (one application instance each)
+	FreqHz  float64 // core clock frequency
+	BaseCPI float64 // cycles per non-memory instruction when not stalled
+	MaxMLP  int     // maximum overlapped LLC misses per core
 }
 
 // CacheLevelConfig describes one level of the cache hierarchy, ordered
@@ -74,10 +73,9 @@ func (d DRAMConfig) PeakBandwidth() float64 {
 
 // OSConfig describes operating-system level parameters.
 type OSConfig struct {
-	PageBytes        int    // base page size (4 KB)
-	HugePageBytes    int    // THP size (2 MB)
-	PageFaultCycles  uint64 // major fault (SSD) latency in CPU cycles
-	BufferCacheBytes uint64 // memory reserved by the OS buffer cache
+	PageBytes       int    // base page size (4 KB)
+	HugePageBytes   int    // THP size (2 MB)
+	PageFaultCycles uint64 // major fault (SSD) latency in CPU cycles
 }
 
 // MemSysConfig describes the heterogeneous memory-system organisation.
@@ -205,11 +203,10 @@ func Default(scale uint64) Config {
 	}
 	c := Config{
 		CPU: CPUConfig{
-			Cores:    12,
-			FreqHz:   3.6e9,
-			BaseCPI:  0.33, // ~3-wide effective issue
-			MaxMLP:   4,
-			IssueBlk: 64,
+			Cores:   12,
+			FreqHz:  3.6e9,
+			BaseCPI: 0.33, // ~3-wide effective issue
+			MaxMLP:  4,
 		},
 		CacheLevels: []CacheLevelConfig{
 			{Name: "L1", SizeBytes: 32 * KB, Ways: 4, LineBytes: 64, LatencyCycles: 4},

@@ -57,6 +57,9 @@ func TestConfigRejectsUnknownKeys(t *testing.T) {
 		{"Fast", `{"Fast": {"CapacityBytes": 16777216}}`},
 		{"Slow", `{"Slow": {"CapacityBytes": 83886080}}`},
 		{"ClearOnModeSwith", `{"MemSys": {"ClearOnModeSwith": false}}`},
+		// Knobs nothing in the simulator ever read.
+		{"IssueBlk", `{"CPU": {"IssueBlk": 64}}`},
+		{"BufferCacheBytes", `{"OS": {"BufferCacheBytes": 1048576}}`},
 		// Typos, at the top level of a list element and inside a tier.
 		{"LinBytes", `{"CacheLevels": [{"Name": "L1", "SizeBytes": 32768, "Ways": 4, "LinBytes": 64}]}`},
 		{"Capacity", `{"memory_tiers": [{"NVM": {"Name": "pmem", "Capacity": 1024}}]}`},

@@ -248,20 +248,11 @@ func CloneTiers(tiers []MemTierConfig) []MemTierConfig {
 	return out
 }
 
-// TierPower resolves tier i's power profile: the configured override,
-// else the kind's default. The first DRAM tier defaults to the stacked
-// (HBM) profile, deeper DRAM tiers to the off-chip (DDR) profile —
-// preserving the pre-tier simulator's energy accounting for two-tier
-// configurations that never mention power.
-func (c Config) TierPower(i int) PowerConfig {
-	if i < 0 || i >= len(c.MemoryTiers) {
-		return PowerConfig{}
-	}
-	return TierPowerFor(c.MemoryTiers[i], i)
-}
-
-// TierPowerFor implements TierPower for a tier outside a Config (the
-// device builders resolve power from the tier list alone).
+// TierPowerFor resolves the power profile of tier t at stack position
+// idx: the configured override, else the kind's default. The first DRAM
+// tier defaults to the stacked (HBM) profile, deeper DRAM tiers to the
+// off-chip (DDR) profile — preserving the pre-tier simulator's energy
+// accounting for two-tier configurations that never mention power.
 func TierPowerFor(t MemTierConfig, idx int) PowerConfig {
 	if t.Power != nil {
 		return *t.Power

@@ -1,8 +1,9 @@
 // Package hier implements the composable cache-hierarchy pipeline: an
 // ordered stack of set-associative levels built from configuration,
 // with one entry point that owns the walk, the latency accounting and
-// the cascaded dirty-victim writebacks that used to be hand-rolled for
-// a fixed L1/L2/L3 stack inside the simulator.
+// the cascaded dirty-victim writebacks. On the paper's private/private/
+// shared three-level shape it is checked access by access against a
+// hand-written L1→L2→L3 walk (ref_test.go).
 //
 // # Level model
 //
@@ -12,9 +13,8 @@
 // LatencyCycles is the cumulative hit latency from the core; the walk
 // charges the delta over the previous level before probing each level,
 // and the first level's latency is never charged — it is assumed hidden
-// by the core model's BaseCPI, matching the inline walk this package
-// replaced. The deltas are hoisted at construction so Access performs
-// no per-level arithmetic beyond one addition.
+// by the core model's BaseCPI. The deltas are hoisted at construction
+// so Access performs no per-level arithmetic beyond one addition.
 //
 // # Writeback semantics
 //
@@ -269,13 +269,6 @@ func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 
 // LevelName returns level i's configured name.
 func (h *Hierarchy) LevelName(i int) string { return h.levels[i].name }
-
-// Cache exposes the underlying cache of one level for one core (the
-// core index is ignored for shared levels). It exists for tests and the
-// simulator's inline reference walk.
-func (h *Hierarchy) Cache(level, core int) *cache.Cache {
-	return h.levels[level].cache(core)
-}
 
 // LevelStats returns level i's statistics aggregated across cores
 // (private levels sum their per-core instances).

@@ -97,10 +97,10 @@ func TestPrivateVsShared(t *testing.T) {
 	if miss || stall != 38 {
 		t.Errorf("core 1: stall %d miss %v, want LLC hit at 38", stall, miss)
 	}
-	if h.Cache(0, 0) == h.Cache(0, 1) {
+	if h.levels[0].cache(0) == h.levels[0].cache(1) {
 		t.Error("private level shared between cores")
 	}
-	if h.Cache(2, 0) != h.Cache(2, 1) {
+	if h.levels[2].cache(0) != h.levels[2].cache(1) {
 		t.Error("shared level not shared")
 	}
 }

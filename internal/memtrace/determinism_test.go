@@ -98,10 +98,9 @@ func normEngine(r *sim.Result) *sim.Result {
 // EVERY registered policy, record a run, replay the recording under
 // the same options, and require the replayed sim.Result to be
 // DeepEqual to the original — same IPC, MPKI, per-level stats, device
-// queues, OS fault counts and timeline (mirroring
-// TestHierarchyEquivalence's strongest-statement structure). A second
-// capture taken *during* the replay must also be byte-identical to the
-// first, pinning the encoder's determinism end to end.
+// queues, OS fault counts and timeline. A second capture taken *during*
+// the replay must also be byte-identical to the first, pinning the
+// encoder's determinism end to end.
 func TestCaptureReplayDeterminism(t *testing.T) {
 	const scale = 512
 	const instr = 50_000

@@ -293,14 +293,6 @@ func (o *OS) FastFreeBytes() uint64 {
 // Nodes returns the number of NUMA nodes the space is carved into.
 func (o *OS) Nodes() int { return len(o.free) }
 
-// NodeFreeBytes returns unallocated memory on node n.
-func (o *OS) NodeFreeBytes(n int) uint64 {
-	if n < 0 || n >= len(o.free) {
-		return 0
-	}
-	return uint64(len(o.free[n])) * o.cfg.PageBytes
-}
-
 // nodeOf returns the node holding a frame.
 func (o *OS) nodeOf(frame uint32) int {
 	for n := 1; n < len(o.nodeStart); n++ {
@@ -621,39 +613,4 @@ func (o *OS) FreeRange(p *Process, vaddr, bytes uint64, now uint64) {
 // FreeAll releases every mapping of the process.
 func (o *OS) FreeAll(p *Process, now uint64) {
 	o.FreeRange(p, 0, uint64(len(p.table))*o.cfg.PageBytes, now)
-}
-
-// BufferCache models the OS page cache of §V-D3: the kernel grows and
-// shrinks a pool of file-cache pages over time, and those allocations
-// issue ISA-Alloc/ISA-Free exactly like application pages, so the
-// Chameleon hardware never confiscates buffer-cache space for its own
-// cache mode. It is backed by a dedicated address space.
-type BufferCache struct {
-	os    *OS
-	proc  *Process
-	bytes uint64
-}
-
-// NewBufferCache creates an empty buffer cache.
-func (o *OS) NewBufferCache() *BufferCache {
-	return &BufferCache{os: o, proc: o.NewProcess()}
-}
-
-// Bytes returns the cache's current size.
-func (b *BufferCache) Bytes() uint64 { return b.bytes }
-
-// Resize grows or shrinks the buffer cache to target bytes, mapping or
-// reclaiming pages (and issuing the corresponding ISA notifications).
-// It returns the number of major faults incurred while growing.
-func (b *BufferCache) Resize(target uint64, now uint64) (majors uint64) {
-	page := b.os.cfg.PageBytes
-	target = (target + page - 1) / page * page
-	switch {
-	case target > b.bytes:
-		majors = b.os.Map(b.proc, b.bytes, target-b.bytes, now)
-	case target < b.bytes:
-		b.os.FreeRange(b.proc, target, b.bytes-target, now)
-	}
-	b.bytes = target
-	return majors
 }

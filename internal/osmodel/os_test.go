@@ -294,44 +294,3 @@ func TestAllocPolicyString(t *testing.T) {
 		}
 	}
 }
-
-func TestBufferCacheResize(t *testing.T) {
-	rec := &recorder{}
-	o := testOS(t, baseCfg(), rec)
-	bc := o.NewBufferCache()
-	free0 := o.FreeBytes()
-
-	bc.Resize(64<<10, 0) // grow to 64 KB
-	if bc.Bytes() != 64<<10 {
-		t.Errorf("size = %d", bc.Bytes())
-	}
-	if o.FreeBytes() != free0-(64<<10) {
-		t.Error("growth did not consume frames")
-	}
-	allocs := len(rec.allocs)
-	if allocs != 16*2 { // 16 pages x 2 segments
-		t.Errorf("ISA-Allocs = %d, want 32", allocs)
-	}
-
-	bc.Resize(16<<10, 0) // shrink
-	if o.FreeBytes() != free0-(16<<10) {
-		t.Error("shrink did not return frames")
-	}
-	if len(rec.frees) != 12*2 { // 12 pages freed
-		t.Errorf("ISA-Frees = %d, want 24", len(rec.frees))
-	}
-
-	bc.Resize(0, 0)
-	if o.FreeBytes() != free0 {
-		t.Error("emptying the cache must return all frames")
-	}
-}
-
-func TestBufferCacheRoundsToPages(t *testing.T) {
-	o := testOS(t, baseCfg(), nil)
-	bc := o.NewBufferCache()
-	bc.Resize(5000, 0) // rounds up to 2 pages
-	if bc.Bytes() != 8192 {
-		t.Errorf("size = %d, want 8192", bc.Bytes())
-	}
-}

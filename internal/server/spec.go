@@ -137,6 +137,9 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	if s.Threads < 0 {
 		return s, fmt.Errorf("threads must be non-negative, got %d", s.Threads)
 	}
+	if s.Ratio < 0 {
+		return s, fmt.Errorf("ratio must be non-negative, got %d", s.Ratio)
+	}
 	if len(s.CacheLevels) > 0 {
 		// Reject malformed hierarchies at submission, not inside a
 		// worker: overlay the stack on an otherwise-valid config so
@@ -166,6 +169,16 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if tiers := max(len(s.MemoryTiers), 2); desc.RequiredTiers() > tiers {
 			return s, fmt.Errorf("policy %q needs %d memory tiers, spec has %d",
 				s.Policy, desc.RequiredTiers(), tiers)
+		}
+		// The hierarchy and the stack passed above, so a machine that
+		// fails here is one the scale or the ratio starved of a tier:
+		// reject it now rather than inside a worker.
+		cfg, err := s.machine()
+		if err == nil {
+			err = cfg.Validate()
+		}
+		if err != nil {
+			return s, fmt.Errorf("scale %d, ratio %d: %w", s.Scale, s.Ratio, err)
 		}
 		if path, ok := strings.CutPrefix(s.Workload, workload.ReplayPrefix); ok {
 			// Both spellings of a replay normalize identically, so they
@@ -300,8 +313,10 @@ func (s JobSpec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// SimOptions converts a normalized sim spec into simulator options.
-func (s JobSpec) SimOptions() (sim.Options, error) {
+// machine builds the simulated machine of a sim spec: the scaled
+// default with the spec's hierarchy and memory stack overlaid and its
+// ratio applied.
+func (s JobSpec) machine() (config.Config, error) {
 	cfg := config.Default(s.Scale)
 	if len(s.CacheLevels) > 0 {
 		cfg.CacheLevels = s.CacheLevels
@@ -310,10 +325,16 @@ func (s JobSpec) SimOptions() (sim.Options, error) {
 		cfg.MemoryTiers = config.CloneTiers(s.MemoryTiers)
 	}
 	if s.Ratio > 0 {
-		var err error
-		if cfg, err = cfg.WithRatio(s.Ratio); err != nil {
-			return sim.Options{}, err
-		}
+		return cfg.WithRatio(s.Ratio)
+	}
+	return cfg, nil
+}
+
+// SimOptions converts a normalized sim spec into simulator options.
+func (s JobSpec) SimOptions() (sim.Options, error) {
+	cfg, err := s.machine()
+	if err != nil {
+		return sim.Options{}, err
 	}
 	o := sim.Options{
 		Config:              cfg,

@@ -11,10 +11,8 @@ import (
 
 // BenchmarkStep measures the end-to-end per-reference cost of the
 // simulation loop on the default three-level hierarchy — translation,
-// the cache walk, and the memory system. It is the regression gate for
-// the composable hierarchy pipeline: the ns/op here must not regress
-// beyond noise against the pre-pipeline inline walk (BENCH_hier.json
-// records the before/after pair).
+// the cache walk, and the memory system (BENCH_hier.json records it
+// against the walk the hierarchy pipeline replaced).
 //
 // The seq64/parN sub-benchmarks are the parallel engine's gate
 // (BENCH_parallel.json): a 64-core machine stepping the measured
@@ -23,8 +21,7 @@ import (
 // allocs/op reports the steady-state loop (0 for seq64, pinned by
 // TestStepLoopDoesNotAllocate) and ns/op the pure step throughput.
 func BenchmarkStep(b *testing.B) {
-	b.Run("pipeline", func(b *testing.B) { benchStep(b, false) })
-	b.Run("inline", func(b *testing.B) { benchStep(b, true) })
+	b.Run("pipeline", benchStep)
 	b.Run("seq64", func(b *testing.B) { benchStep64(b, 1, 0) })
 	b.Run("par2", func(b *testing.B) { benchStep64(b, 2, 0) })
 	b.Run("par4", func(b *testing.B) { benchStep64(b, 4, 0) })
@@ -88,7 +85,7 @@ func benchStep64(b *testing.B, threads int, epochCycles uint64) {
 	}
 }
 
-func benchStep(b *testing.B, inline bool) {
+func benchStep(b *testing.B) {
 	const scale = 512
 	cfg := config.Default(scale)
 	prof, err := workload.ByName("bwaves")
@@ -107,7 +104,6 @@ func benchStep(b *testing.B, inline bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys.inlineWalk = inline
 		if _, err := sys.Run(20_000); err != nil {
 			b.Fatal(err)
 		}

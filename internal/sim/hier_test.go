@@ -1,74 +1,12 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 
 	"chameleon/internal/config"
-	"chameleon/internal/policy"
 	"chameleon/internal/trace"
 	"chameleon/internal/workload"
 )
-
-// TestHierarchyEquivalence: the composable hierarchy pipeline must
-// reproduce the pre-refactor inline L1/L2/L3 walk bit for bit, for
-// EVERY registered policy — same IPC, MPKI, hit rates, per-level stats,
-// device queues and remapping state. walkInline restates the seed
-// code over the hierarchy's own caches (see run.go), so a DeepEqual of
-// whole Results is the strongest equivalence the engine can state.
-func TestHierarchyEquivalence(t *testing.T) {
-	const scale = 512
-	run := func(t *testing.T, name string, inline bool) *Result {
-		t.Helper()
-		cfg := config.Default(scale)
-		prof, err := workload.ByName("cloverleaf")
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := Options{
-			Config:              cfg,
-			Policy:              PolicyKind(name),
-			Workload:            prof.Scale(scale),
-			Seed:                31,
-			WarmupInstructions:  300_000,
-			TimelineEpochCycles: 500_000,
-			// Allocation churn drives ISA notifications and mode
-			// switches mid-run, exercising the walk under remapping.
-			PhaseAllocBytes:        64 * config.KB,
-			PhaseEveryInstructions: 40_000,
-		}
-		desc, err := policy.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for opts.Config.NumTiers() < desc.RequiredTiers() {
-			opts.Config = opts.Config.WithNVMTier(32 * config.GB / scale)
-		}
-		if desc.RequiresBaseline {
-			opts.BaselineBytes = 24 * config.GB / scale
-		}
-		sys, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.inlineWalk = inline
-		res, err := sys.Run(100_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	for _, name := range policy.Names() {
-		t.Run(name, func(t *testing.T) {
-			pipelined := run(t, name, false)
-			inline := run(t, name, true)
-			if !reflect.DeepEqual(pipelined, inline) {
-				t.Errorf("hierarchy pipeline diverged from the inline walk:\npipeline: %+v\ninline:   %+v",
-					pipelined, inline)
-			}
-		})
-	}
-}
 
 // TestMixWorkloadNames: under Options.Mix the result must name every
 // application, not silently report Mix[0] — per core the profile it

@@ -938,7 +938,6 @@ func (w *parWorker) finish(i int) {
 	e.pub[i].Store(math.MaxUint64)
 	e.mu.Lock()
 	e.status[i].Store(coreDone)
-	e.s.cores.done[i] = true
 	e.nDone++
 	e.mu.Unlock()
 	e.seqCond.Signal()

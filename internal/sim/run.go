@@ -291,14 +291,13 @@ func (s *System) resetStats() {
 // time.
 const ctxCheckInterval = 4096
 
-// beginPass arms every core for one execute pass — budget further
-// instructions each, not yet done. It is the budget-reset preamble
-// shared by all three engines (heap, linear reference, parallel).
+// beginPass arms every core for one execute pass: budget further
+// instructions each. It is the budget-reset preamble shared by both
+// engines (heap and parallel).
 func (s *System) beginPass(budget uint64) {
 	c := &s.cores
 	for i := range c.budget {
 		c.budget[i] = c.instr[i] + budget
-		c.done[i] = false
 	}
 }
 
@@ -321,16 +320,12 @@ func (s *System) checkCancel(steps *int) error {
 //
 // Cores advance in (time, id) order via an indexed min-heap: pick the
 // root, step it, then either sift its advanced clock down or pop it
-// when its budget is spent. O(log cores) per reference instead of the
-// O(cores) scan of executeLinear, with identical scheduling order. With
+// when its budget is spent: O(log cores) per reference. With
 // Options.Threads > 1 (and no sequential fallback, see System.par) the
 // pass instead runs on the parallel engine, which reproduces the same
 // order at commit granularity.
 func (s *System) execute(budget uint64) error {
-	if s.linearSched {
-		return s.executeLinear(budget)
-	}
-	if s.par != nil && !s.inlineWalk {
+	if s.par != nil {
 		return s.executePar(budget)
 	}
 	s.beginPass(budget)
@@ -344,45 +339,12 @@ func (s *System) execute(budget uint64) error {
 		i := h.peek()
 		s.step(int(i))
 		if c.instr[i] >= c.budget[i] {
-			c.done[i] = true
 			h.pop()
 		} else {
 			h.fix()
 		}
 	}
 	return nil
-}
-
-// executeLinear is the pre-heap scheduler: a full O(cores) min-scan
-// per reference. Kept as the reference implementation for the
-// scheduler-equivalence test and benchmark baseline (System.linearSched
-// routes execute here).
-func (s *System) executeLinear(budget uint64) error {
-	s.beginPass(budget)
-	c := &s.cores
-	steps := 0
-	for {
-		if err := s.checkCancel(&steps); err != nil {
-			return err
-		}
-		// Advance the core with the smallest local clock.
-		next := -1
-		for i := range c.time {
-			if c.done[i] {
-				continue
-			}
-			if next < 0 || c.time[i] < c.time[next] {
-				next = i
-			}
-		}
-		if next < 0 {
-			return nil
-		}
-		s.step(next)
-		if c.instr[next] >= c.budget[next] {
-			c.done[next] = true
-		}
-	}
 }
 
 // step executes one reference on core i: the instruction gap, address
@@ -434,14 +396,7 @@ func (s *System) step(i int) {
 // fault event whose page was mapped with no stall (the step then
 // continues exactly as it would have sequentially).
 func (s *System) finishStep(i int, p uint64, write bool) {
-	var walkStall uint64
-	var llcMiss bool
-	var victims []hier.Victim
-	if s.inlineWalk {
-		walkStall, llcMiss, victims = s.walkInline(i, p, write, s.cores.time[i])
-	} else {
-		walkStall, llcMiss, victims = s.hier.Access(i, p, write, s.cores.time[i])
-	}
+	walkStall, llcMiss, victims := s.hier.Access(i, p, write, s.cores.time[i])
 	s.applyWalk(i, p, walkStall, llcMiss, victims)
 }
 
@@ -498,44 +453,6 @@ func (s *System) phaseChurn(i int) {
 	c.phaseHeld[i] = !c.phaseHeld[i]
 }
 
-// walkInline is the pre-pipeline cache walk: the hand-rolled L1→L2→L3
-// sequence the simulator used before internal/hier, restated over the
-// hierarchy's own cache instances with the same signature as
-// hier.Access. It is kept as the reference implementation for
-// TestHierarchyEquivalence (System.inlineWalk routes step here) and the
-// walk benchmarks, and it assumes the default three-level
-// private/private/shared shape.
-func (s *System) walkInline(coreID int, p uint64, write bool, now uint64) (stall uint64, llcMiss bool, victims []hier.Victim) {
-	l1 := s.hier.Cache(0, coreID)
-	l2 := s.hier.Cache(1, coreID)
-	l3 := s.hier.Cache(2, coreID)
-	s.wbScratch = s.wbScratch[:0]
-	if hit, v, hv := l1.Access(p, write); hit {
-		return 0, false, s.wbScratch
-	} else if hv && v.Dirty {
-		if h2, v2, hv2 := l2.Access(v.Addr, true); !h2 && hv2 && v2.Dirty {
-			if h3, v3, hv3 := l3.Access(v2.Addr, true); !h3 && hv3 && v3.Dirty {
-				s.wbScratch = append(s.wbScratch, hier.Victim{Addr: v3.Addr, Now: now})
-			}
-		}
-	}
-	stall = s.cfg.CacheLevels[1].LatencyCycles
-	if hit, v, hv := l2.Access(p, false); hit {
-		return stall, false, s.wbScratch
-	} else if hv && v.Dirty {
-		if h3, v3, hv3 := l3.Access(v.Addr, true); !h3 && hv3 && v3.Dirty {
-			s.wbScratch = append(s.wbScratch, hier.Victim{Addr: v3.Addr, Now: now + stall})
-		}
-	}
-	stall = s.cfg.CacheLevels[2].LatencyCycles
-	if hit, v, hv := l3.Access(p, false); hit {
-		return stall, false, s.wbScratch
-	} else if hv && v.Dirty {
-		s.wbScratch = append(s.wbScratch, hier.Victim{Addr: v.Addr, Now: now + stall})
-	}
-	return stall, true, s.wbScratch
-}
-
 func (s *System) collect(start, instr0, faults0 []uint64) *Result {
 	r := &Result{
 		Policy:   s.ctrl.Name(),
@@ -590,7 +507,7 @@ func (s *System) collect(start, instr0, faults0 []uint64) *Result {
 		r.NUMATimeline = s.auto.Timeline()
 	}
 	r.Timeline = s.timeline
-	if s.par != nil && !s.linearSched && !s.inlineWalk {
+	if s.par != nil {
 		r.Engine = EngineParallel
 	} else {
 		r.Engine = EngineSequential

@@ -3,8 +3,8 @@ package sim
 // coreHeap is a binary min-heap of runnable core indices ordered by
 // (time, id), where time aliases the struct-of-arrays clock slice. The
 // id tie-break makes the minimum unique, so heap selection is identical
-// to a first-strictly-smaller linear scan over the cores — the two
-// schedulers produce bit-identical runs.
+// to a first-strictly-smaller linear scan over the cores (pinned by
+// TestCoreHeapMatchesLinearScan).
 //
 // Only the scheduled core's clock ever advances, so the heap needs no
 // general decrease-key: after a step either the root sifts down (fix)
@@ -48,9 +48,9 @@ func (h *coreHeap) pop() {
 	}
 }
 
-// less orders cores by (time, id); the global step order every engine
-// in this package — linear scan, heap, parallel commit sequencer —
-// agrees on.
+// less orders cores by (time, id): the global step order both engines
+// in this package — the heap loop and the parallel commit sequencer —
+// agree on.
 func (h *coreHeap) less(a, b int32) bool {
 	return h.time[a] < h.time[b] || (h.time[a] == h.time[b] && a < b)
 }

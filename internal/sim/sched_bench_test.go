@@ -9,24 +9,16 @@ import (
 )
 
 // BenchmarkScheduler measures the simulation loop under the heap
-// scheduler against the O(cores) linear-scan reference at increasing
-// core counts. The two produce bit-identical runs (see
-// TestSchedulerEquivalence), so any ns/op difference is pure scheduling
-// overhead.
+// scheduler at increasing core counts.
 func BenchmarkScheduler(b *testing.B) {
 	for _, n := range []int{12, 32, 64} {
-		for _, sched := range []struct {
-			name   string
-			linear bool
-		}{{"heap", false}, {"linear", true}} {
-			b.Run(fmt.Sprintf("cores=%d/%s", n, sched.name), func(b *testing.B) {
-				benchScheduler(b, n, sched.linear)
-			})
-		}
+		b.Run(fmt.Sprintf("cores=%d/heap", n), func(b *testing.B) {
+			benchScheduler(b, n)
+		})
 	}
 }
 
-func benchScheduler(b *testing.B, cores int, linear bool) {
+func benchScheduler(b *testing.B, cores int) {
 	const scale = 512
 	cfg := config.Default(scale)
 	cfg.CPU.Cores = cores
@@ -51,7 +43,6 @@ func benchScheduler(b *testing.B, cores int, linear bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys.linearSched = linear
 		if _, err := sys.Run(20_000); err != nil {
 			b.Fatal(err)
 		}

@@ -1,56 +1,59 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 
-	"chameleon/internal/config"
-	"chameleon/internal/workload"
+	"chameleon/internal/rng"
 )
 
-// TestSchedulerEquivalence: the heap scheduler must reproduce the
-// linear-scan reference bit for bit. The (time, id) tie-break makes the
-// heap's minimum the exact core the linear scan would pick, so whole
-// runs — device queues, remapping state, every counter — are identical.
-func TestSchedulerEquivalence(t *testing.T) {
-	const scale = 512
-	run := func(k PolicyKind, linear bool) *Result {
-		cfg := config.Default(scale)
-		prof, err := workload.ByName("cloverleaf")
-		if err != nil {
-			t.Fatal(err)
+// linearMin is the O(cores) scheduler the heap replaced, kept as an
+// oracle: the first core in id order whose clock is strictly smallest
+// among the cores not done, or -1 when every core is done.
+func linearMin(time []uint64, done []bool) int32 {
+	next := int32(-1)
+	for i := range time {
+		if done[i] {
+			continue
 		}
-		opts := Options{
-			Config:              cfg,
-			Policy:              k,
-			Workload:            prof.Scale(scale),
-			Seed:                29,
-			WarmupInstructions:  300_000,
-			TimelineEpochCycles: 500_000,
+		if next < 0 || time[i] < time[next] {
+			next = int32(i)
 		}
-		if k == PolicyFlat {
-			opts.BaselineBytes = 24 * config.GB / scale
-		}
-		sys, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.linearSched = linear
-		res, err := sys.Run(100_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
 	}
-	for _, k := range []PolicyKind{PolicyFlat, PolicyPoM, PolicyChameleonOpt} {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			heap := run(k, false)
-			linear := run(k, true)
-			if !reflect.DeepEqual(heap, linear) {
-				t.Errorf("heap and linear schedulers diverged:\nheap:   %+v\nlinear: %+v", heap, linear)
+	return next
+}
+
+// TestCoreHeapMatchesLinearScan drives heaps over 1 to 64 cores whose
+// clocks start in a narrow range, so equal clocks are everywhere: each
+// step either advances the selected core by a random amount (zero
+// included) and fixes the heap, or pops it. At every step peek must
+// name the core the linear scan picks.
+func TestCoreHeapMatchesLinearScan(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(64)
+		times := make([]uint64, n)
+		for i := range times {
+			times[i] = uint64(r.Intn(4))
+		}
+		done := make([]bool, n)
+		h := newCoreHeap(times, nil)
+		for step := 0; h.len() > 0; step++ {
+			got, want := h.peek(), linearMin(times, done)
+			if got != want {
+				t.Fatalf("trial %d (%d cores) step %d: heap picked core %d (time %d), linear scan core %d (time %d)",
+					trial, n, step, got, times[got], want, times[want])
 			}
-		})
+			if r.Intn(8) == 0 {
+				done[got] = true
+				h.pop()
+			} else {
+				times[got] += uint64(r.Intn(3))
+				h.fix()
+			}
+		}
+		if left := linearMin(times, done); left != -1 {
+			t.Fatalf("trial %d: heap drained with core %d still runnable", trial, left)
+		}
 	}
 }
 

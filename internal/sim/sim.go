@@ -156,7 +156,6 @@ type coreSoA struct {
 	time   []uint64
 	instr  []uint64
 	budget []uint64
-	done   []bool
 
 	llcMisses   []uint64
 	faultCycles []uint64
@@ -189,7 +188,6 @@ func newCoreSoA(n int) coreSoA {
 		time:         make([]uint64, n),
 		instr:        make([]uint64, n),
 		budget:       make([]uint64, n),
-		done:         make([]bool, n),
 		llcMisses:    make([]uint64, n),
 		faultCycles:  make([]uint64, n),
 		memStall:     make([]uint64, n),
@@ -223,7 +221,7 @@ type System struct {
 	// par is the parallel execution engine, non-nil when Options.Threads
 	// asked for more than one worker AND the run qualifies (no
 	// inherently serial feature — see fallback). execute routes through
-	// it unless a test reference path is forced.
+	// it.
 	par *parEngine
 	// fallback records why a Threads>1 request fell back to the
 	// sequential engine ("" when parallel ran or was never requested);
@@ -250,17 +248,6 @@ type System struct {
 	timelineOn bool // timeline sampling configured
 	autoOn     bool // AutoNUMA engine attached
 	sinkOn     bool // trace capture attached
-
-	// linearSched routes execute through the O(cores) reference
-	// scheduler; settable only from package-internal tests/benchmarks.
-	linearSched bool
-	// inlineWalk routes the cache walk through the pre-pipeline inline
-	// L1/L2/L3 reference (walkInline); settable only from
-	// package-internal tests/benchmarks, and only meaningful on the
-	// default three-level private/private/shared shape.
-	inlineWalk bool
-	// wbScratch is walkInline's reusable victim buffer.
-	wbScratch []hier.Victim
 
 	// nextEpoch is the next timeline-epoch boundary. Atomic because the
 	// parallel engine's workers read it lock-free to decide whether a
@@ -540,9 +527,6 @@ func ThreadBudget(requested, concurrent int) int {
 	}
 	return max(min(requested, runtime.GOMAXPROCS(0)/max(concurrent, 1)), 1)
 }
-
-// Hierarchy exposes the cache stack (for tests).
-func (s *System) Hierarchy() *hier.Hierarchy { return s.hier }
 
 // isaAdapter forwards OS notifications to the controller.
 type isaAdapter struct{ c policy.Controller }
