@@ -363,7 +363,15 @@ func TestJobDeadline(t *testing.T) {
 
 func TestShutdownDrains(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 8})
-	running, err := s.Submit(fastSpec(10))
+	// The first job must still be in flight when Shutdown starts, or
+	// the worker dequeues a slow job before draining begins and runs
+	// it to the shutdown deadline. A fast job finishes in a few
+	// milliseconds, which a loaded host can spend before Shutdown; a
+	// slow job with a deadline stays in flight for a second, then
+	// ends (terminal) on its own.
+	first := slowSpec(10)
+	first.TimeoutMS = 1000
+	running, err := s.Submit(first)
 	if err != nil {
 		t.Fatal(err)
 	}

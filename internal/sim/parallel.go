@@ -7,32 +7,27 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"chameleon/internal/hier"
 	"chameleon/internal/trace"
 )
 
 // This file is the parallel execution engine: workers run cores ahead
 // through their private state and park on shared-phase events, which a
-// single sequencer commits in the scheduler's global (time, id) order.
+// single sequencer commits in the scheduler's global (key, id) order.
 //
 // # Step decomposition
 //
-// One simulated reference splits into a core-local prefix and a shared
-// suffix. The prefix — reference generation, the instruction gap,
-// mapped-page translation (osmodel.TranslateMapped) and the private
-// cache levels (hier.AccessPrivate) — touches only per-core state and
-// so commutes across cores: workers execute it without coordination. A
-// step whose reference hits a private level with no spill into the
-// shared levels is entirely local and retires on the worker. Everything
-// else — the shared cache levels, the memory-system controller, the
-// DRAM devices, page faults — is deferred as a parked event carrying
-// the step's commit key (the core's pre-step clock) and executed by the
-// sequencer via the same finishStep/applyWalk/AccessShared code the
-// sequential engine runs.
+// The engine uses the package's one step decomposition (run.go): a
+// worker runs each step's core-local prefix with System.stepPrivate and
+// parks the stepEvent it returns; the sequencer commits parked events
+// with System.commit, the same code the sequential engine's run-ahead
+// loop runs. What this file adds is concurrency around that core: the
+// per-core status and published clocks, the sequencer's commit-safety
+// wait, side-channel rings for trace capture and CLOCK reference bits,
+// and the eviction fence.
 //
 // # Determinism
 //
-// The sequential scheduler executes steps in (pre-step time, core id)
+// The sequential engine commits events in (pre-step time, core id)
 // order. Local prefixes commute, so only the shared suffixes' relative
 // order matters; the sequencer commits parked events by exactly that
 // (key, id) order, and it commits an event only once no running core
@@ -133,32 +128,6 @@ const (
 	coreDone                 // instruction budget exhausted this pass
 )
 
-// Event kinds (parEvent.kind).
-const (
-	evWalk  uint8 = iota // private walk spilled into the shared levels
-	evFault              // translation missed (or its generation went stale); full fault path needed
-	evEpoch              // fully-local step that may cross a timeline epoch; sample, then retire
-	evSync               // no step at all: the core's side-channel rings are full and must drain
-)
-
-// parEvent is one parked shared-phase event.
-type parEvent struct {
-	kind  uint8
-	write bool
-	// replay marks an evWalk for a replayed post-fault reference. The
-	// sequential engine samples the timeline only on the translate
-	// branch of a step, which replays skip — so the sequencer must not
-	// sample when committing a replayed walk either.
-	replay bool
-	// key is the commit key: the core's pre-step clock.
-	key uint64
-	// phys is the demand physical address (evWalk) or the faulting
-	// virtual address (evFault).
-	phys uint64
-	// stall is the private-prefix stall accrued so far (evWalk, evEpoch).
-	stall uint64
-}
-
 // parBatchSteps is how many consecutive steps a worker runs on one core
 // before re-picking its minimum-clock core, amortising the scan while
 // keeping owned cores loosely in time order.
@@ -239,9 +208,9 @@ type parEngine struct {
 	workers []*parWorker
 	owner   []*parWorker // owner[i] runs core i
 
+	// status[i] is coreParked while cores.ev[i] and cores.key[i] hold
+	// core i's parked event.
 	status []atomic.Int32 // coreRunning/coreParked/coreDone
-	event  []parEvent     // valid while status[i] == coreParked
-	ops    [][]hier.SharedOp
 
 	refs    []refRing   // per-core capture rings (capturing only)
 	touches []touchRing // per-core ref-bit rings (evictable only)
@@ -294,8 +263,6 @@ func newParEngine(s *System, threads int) *parEngine {
 		evictable: !s.translationsStable(),
 		owner:     make([]*parWorker, n),
 		status:    make([]atomic.Int32, n),
-		event:     make([]parEvent, n),
-		ops:       make([][]hier.SharedOp, n),
 		pub:       make([]atomic.Uint64, n),
 	}
 	if e.capturing {
@@ -305,9 +272,6 @@ func newParEngine(s *System, threads int) *parEngine {
 		e.touches = make([]touchRing, n)
 	}
 	e.seqCond = sync.NewCond(&e.mu)
-	for i := range e.ops {
-		e.ops[i] = make([]hier.SharedOp, 0, s.hier.MaxOpsPerWalk())
-	}
 	for id := 0; id < threads; id++ {
 		w := &parWorker{eng: e, id: id, lo: id * n / threads, hi: (id + 1) * n / threads}
 		w.cond = sync.NewCond(&e.mu)
@@ -419,7 +383,7 @@ func (e *parEngine) sequence() error {
 			if e.status[i].Load() != coreParked {
 				continue
 			}
-			if k := e.event[i].key; best < 0 || k < bestKey {
+			if k := c.key[i]; best < 0 || k < bestKey {
 				best, bestKey = i, k
 			}
 		}
@@ -450,7 +414,7 @@ func (e *parEngine) sequence() error {
 			// reproduces the sequential prefix exactly.
 			e.drainLogs(bestKey, best)
 		}
-		err := e.commit(best)
+		err := s.commit(best, e)
 		if commits++; err == nil && commits >= ctxCheckInterval {
 			commits = 0
 			if cerr := s.runCtx.Err(); cerr != nil {
@@ -548,73 +512,13 @@ func (e *parEngine) drainRefs(bk uint64, bi int) {
 	}
 }
 
-// commit executes core i's parked shared-phase event. It is the only
-// place shared simulation state (LLC, controller, devices, OS tables)
-// mutates during a parallel pass, and — matching the sequential step
-// order — the only place timeline samples are taken.
-func (e *parEngine) commit(i int) error {
-	s := e.s
-	c := &s.cores
-	ev := &e.event[i]
-	switch ev.kind {
-	case evFault:
-		var phys uint64
-		var stall uint64
-		if s.os.FreeBytes() < s.os.Config().PageBytes {
-			if !e.evictable {
-				return fmt.Errorf("sim: parallel engine: fault at core %d would evict a page, violating the translation-stability bound; rerun with Threads=1", i)
-			}
-			p, st, err := e.evictingTranslate(i, ev)
-			if err != nil {
-				return err
-			}
-			phys, stall = uint64(p), st
-		} else {
-			p, st := s.os.Translate(c.proc[i], ev.phys, c.time[i])
-			phys, stall = uint64(p), st
-		}
-		if s.timelineOn {
-			// Sequential order within a fault step: translate, sample,
-			// then the stall (c.time[i] is still the post-gap clock here).
-			s.sampleTimeline(c.time[i])
-		}
-		if stall > 0 {
-			c.time[i] += stall
-			c.faultCycles[i] += stall
-			c.pendingValid[i] = true
-			c.pendingPhys[i] = phys
-			c.pendingWrite[i] = ev.write
-			return nil
-		}
-		s.finishStep(i, phys, ev.write)
-		return nil
-	case evEpoch:
-		if s.timelineOn {
-			s.sampleTimeline(c.time[i])
-		}
-		// Retire the fully-local step the worker deferred for sampling.
-		c.time[i] += ev.stall
-		return nil
-	case evSync:
-		// The pre-commit drain already emptied this core's rings; the
-		// worker retries the step it never started.
-		return nil
-	}
-	if s.timelineOn && !ev.replay {
-		s.sampleTimeline(c.time[i])
-	}
-	stall, llcMiss, victims := s.hier.AccessShared(i, ev.write, e.ops[i], ev.stall, c.time[i])
-	s.applyWalk(i, ev.phys, stall, llcMiss, victims)
-	return nil
-}
-
 // evictingTranslate commits a fault that must evict: quiesce the
 // workers behind the fence, run the authoritative translation (CLOCK
 // sees the commit-ordered reference bits, so it picks the sequential
 // victim), and verify no run-ahead step already translated against the
 // reclaimed frame. The page-table generation the eviction bumps is what
 // workers validate against once the fence drops.
-func (e *parEngine) evictingTranslate(i int, ev *parEvent) (phys uint64, stall uint64, err error) {
+func (e *parEngine) evictingTranslate(i int, vaddr uint64) (phys uint64, stall uint64, err error) {
 	s := e.s
 	c := &s.cores
 	if err := e.quiesce(); err != nil {
@@ -622,7 +526,7 @@ func (e *parEngine) evictingTranslate(i int, ev *parEvent) (phys uint64, stall u
 	}
 	defer e.unfence()
 	gen := s.os.PageGen()
-	p, st := s.os.Translate(c.proc[i], ev.phys, c.time[i])
+	p, st := s.os.Translate(c.proc[i], vaddr, c.time[i])
 	if s.os.PageGen() != gen {
 		victim := s.os.LastEvictedFrame()
 		if e.victimTouched(victim) {
@@ -823,12 +727,9 @@ func (w *parWorker) sleep() (exit bool) {
 	}
 }
 
-// stepLocal runs one step's core-local prefix on core i, parking the
-// shared suffix if the step needs one. It reports whether the core
-// parked. It mirrors System.step minus the features the engine's
-// remaining fallback conditions exclude (allocation-churn phases,
-// AutoNUMA); timeline sampling and trace capture are deferred to the
-// sequencer through evEpoch events and the capture rings.
+// stepLocal runs one step's core-local prefix on core i (see
+// System.stepPrivate), parking the shared suffix if the step needs one.
+// It reports whether the core parked.
 func (w *parWorker) stepLocal(i int) (parked bool) {
 	e := w.eng
 	s := e.s
@@ -837,87 +738,16 @@ func (w *parWorker) stepLocal(i int) (parked bool) {
 	if (e.capturing && e.refs[i].full()) || (e.evictable && e.touches[i].full()) {
 		// Out of side-channel room: park a no-op sync event so the
 		// sequencer drains the rings in commit order, then retry.
-		e.event[i] = parEvent{kind: evSync, key: key}
+		c.ev[i] = stepEvent{kind: evSync}
 		w.park(i, key)
 		return true
 	}
-	replay := c.pendingValid[i]
-	var p uint64
-	var write bool
-	if replay {
-		// Replay the reference whose fault the sequencer committed. Like
-		// the sequential replay path this neither re-translates nor
-		// re-captures nor samples: the fault commit accounted for all
-		// three.
-		p, write = c.pendingPhys[i], c.pendingWrite[i]
-		c.pendingValid[i] = false
-	} else {
-		ref := c.stream[i].Next()
-		if e.capturing {
-			e.refs[i].push(key, ref)
-		}
-		c.instr[i] += ref.Gap
-		c.time[i] += ref.Gap * s.baseCPIx1000 / 1000
-		var ok, onFast bool
-		if e.evictable {
-			// Seqlock-style validation: an eviction bumps the page-table
-			// generation, so a stable read brackets a translation no
-			// eviction raced with. The reference bit is logged, not set —
-			// the sequencer replays bits in commit order so CLOCK victim
-			// selection stays bit-identical.
-			gen := s.os.PageGen()
-			phys, frame, fast, mapped := s.os.TranslateMappedQuiet(c.proc[i], ref.VAddr)
-			onFast, ok = fast, mapped
-			if !ok || s.os.PageGen() != gen {
-				// Unmapped, or the translation went stale: discard it and
-				// let the sequencer replay the fault path authoritatively
-				// at this step's commit position.
-				e.event[i] = parEvent{kind: evFault, write: ref.Write, key: key, phys: ref.VAddr}
-				w.park(i, key)
-				return true
-			}
-			e.touches[i].push(key, frame)
-			p = uint64(phys)
-		} else {
-			phys, fast, mapped := s.os.TranslateMapped(c.proc[i], ref.VAddr)
-			onFast, ok = fast, mapped
-			if !ok {
-				e.event[i] = parEvent{kind: evFault, write: ref.Write, key: key, phys: ref.VAddr}
-				w.park(i, key)
-				return true
-			}
-			p = uint64(phys)
-		}
-		c.touchTotal[i]++
-		if onFast {
-			c.touchFast[i]++
-		}
-		write = ref.Write
+	if s.stepPrivate(i, key, e) {
+		w.park(i, key)
+		return true
 	}
-	stall, hit, ops := s.hier.AccessPrivate(i, p, write, c.time[i], e.ops[i][:0])
-	e.ops[i] = ops
-	if hit && len(ops) == 0 {
-		if s.timelineOn && !replay {
-			if next := s.nextEpoch.Load(); next != 0 && c.time[i] >= next {
-				// The step may cross an epoch boundary. The loaded bound
-				// can only lag the true one (the sequencer alone advances
-				// it, at commits that precede this step), so skipping the
-				// park is always sound and parking is at worst spurious:
-				// the sequencer re-checks at commit and samples in exact
-				// step order.
-				e.event[i] = parEvent{kind: evEpoch, key: key, stall: stall}
-				w.park(i, key)
-				return true
-			}
-		}
-		// Fully local step: retire and publish the advanced clock.
-		c.time[i] += stall
-		w.publish(i, c.time[i])
-		return false
-	}
-	e.event[i] = parEvent{kind: evWalk, write: write, replay: replay, key: key, phys: p, stall: stall}
-	w.park(i, key)
-	return true
+	w.publish(i, c.time[i])
+	return false
 }
 
 // park hands core i to the sequencer. The event (and the step's state
@@ -925,6 +755,7 @@ func (w *parWorker) stepLocal(i int) (parked bool) {
 // signal lands after any in-progress sequencer scan holding mu.
 func (w *parWorker) park(i int, key uint64) {
 	e := w.eng
+	e.s.cores.key[i] = key
 	e.pub[i].Store(key)
 	e.mu.Lock()
 	e.status[i].Store(coreParked)

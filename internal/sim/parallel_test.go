@@ -336,33 +336,45 @@ func TestParallelEngineSelection(t *testing.T) {
 }
 
 // TestStepLoopDoesNotAllocate pins the sequential engine's steady-state
-// step loop at zero allocations per reference: once the system is
-// prefaulted and the scratch buffers have grown to their working sizes,
-// whole execute passes must not allocate. This is the package-level
-// regression gate behind BenchmarkStep's allocs/op column.
+// step loop at zero allocations per reference, in run-ahead and in
+// serial mode: once the system is prefaulted and the scratch buffers
+// have grown to their working sizes, whole execute passes must not
+// allocate. This is the package-level regression gate behind
+// BenchmarkStep's allocs/op column.
 func TestStepLoopDoesNotAllocate(t *testing.T) {
-	opts := parOpts(t, string(PolicyChameleonOpt), 1)
-	opts.WarmupInstructions = 0
-	sys, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.ran = true
-	sys.runCtx = context.Background()
-	if err := sys.prefault(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// One warm pass settles caches, remap metadata and scratch buffers.
-	if err := sys.execute(100_000); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := sys.execute(20_000); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state execute pass allocated %.1f times, want 0", allocs)
+	for _, mode := range []struct {
+		name     string
+		runAhead bool
+	}{{"run-ahead", true}, {"serial", false}} {
+		t.Run(mode.name, func(t *testing.T) {
+			opts := parOpts(t, string(PolicyChameleonOpt), 1)
+			opts.WarmupInstructions = 0
+			sys, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sys.runAhead {
+				t.Fatal("options do not admit run-ahead")
+			}
+			sys.runAhead = mode.runAhead
+			sys.ran = true
+			sys.runCtx = context.Background()
+			if err := sys.prefault(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			// One warm pass settles caches, remap metadata and scratch buffers.
+			if err := sys.execute(100_000); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := sys.execute(20_000); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state execute pass allocated %.1f times, want 0", allocs)
+			}
+		})
 	}
 }
 

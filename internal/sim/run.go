@@ -293,7 +293,7 @@ const ctxCheckInterval = 4096
 
 // beginPass arms every core for one execute pass: budget further
 // instructions each. It is the budget-reset preamble shared by both
-// engines (heap and parallel).
+// engines (sequential and parallel).
 func (s *System) beginPass(budget uint64) {
 	c := &s.cores
 	for i := range c.budget {
@@ -315,41 +315,72 @@ func (s *System) checkCancel(steps *int) error {
 }
 
 // execute runs every core for budget further instructions. It returns
-// a non-nil error only when the run context is canceled (or, on the
-// parallel engine, when a run invariant is violated).
+// a non-nil error only when the run context is canceled (or, on either
+// run-ahead engine, when a run invariant is violated).
 //
-// Cores advance in (time, id) order via an indexed min-heap: pick the
-// root, step it, then either sift its advanced clock down or pop it
-// when its budget is spent: O(log cores) per reference. With
-// Options.Threads > 1 (and no sequential fallback, see System.par) the
-// pass instead runs on the parallel engine, which reproduces the same
-// order at commit granularity.
+// With Options.Threads > 1 (and no sequential fallback, see System.par)
+// the pass runs on the parallel engine. Otherwise it runs here, on one
+// goroutine: an indexed min-heap holds every unfinished core under the
+// (key, id) commit position of its parked event. The loop takes the
+// minimum core, commits its event, runs the core's private prefixes
+// straight through (stepPrivate) until a step needs shared state or the
+// budget is spent, then parks the core under its new key (fix) or pops
+// it. Private prefixes commute across cores, so only shared events need
+// ordering, and the heap moves once per shared event instead of once
+// per reference. When run-ahead is unsafe (System.runAhead) every step
+// parks whole as an evStep, which is exactly the one-reference-at-a-time
+// (time, id) order.
 func (s *System) execute(budget uint64) error {
 	if s.par != nil {
 		return s.executePar(budget)
 	}
 	s.beginPass(budget)
 	c := &s.cores
-	h := newCoreHeap(c.time, s.heapIdx)
+	for i := range c.ev {
+		// Nothing is parked yet: a no-op event lets the loop start every
+		// core the same way it resumes one.
+		c.ev[i] = stepEvent{kind: evSync}
+		c.key[i] = c.time[i]
+	}
+	h := newCoreHeap(c.key, s.heapIdx)
 	steps := 0
 	for h.len() > 0 {
-		if err := s.checkCancel(&steps); err != nil {
+		i := int(h.peek())
+		if err := s.commit(i, nil); err != nil {
 			return err
 		}
-		i := h.peek()
-		s.step(int(i))
-		if c.instr[i] >= c.budget[i] {
-			h.pop()
-		} else {
+		parked := false
+		for c.instr[i] < c.budget[i] {
+			if err := s.checkCancel(&steps); err != nil {
+				return err
+			}
+			key := c.time[i]
+			if s.runAhead {
+				parked = s.stepPrivate(i, key, nil)
+			} else {
+				c.ev[i] = stepEvent{kind: evStep}
+				parked = true
+			}
+			if parked {
+				c.key[i] = key
+				break
+			}
+		}
+		if parked {
 			h.fix()
+		} else {
+			h.pop()
 		}
 	}
+	s.mergeTouches()
 	return nil
 }
 
-// step executes one reference on core i: the instruction gap, address
-// translation (with demand paging), the cache hierarchy and, on an LLC
-// miss, the memory system.
+// step executes one whole reference on core i: the allocation phase,
+// the instruction gap, address translation (with demand paging), the
+// cache hierarchy and, on an LLC miss, the memory system. It is the
+// commit of an evStep event: every step in serial mode, and a step at
+// an alloc-phase boundary in run-ahead mode.
 func (s *System) step(i int) {
 	c := &s.cores
 	if s.phaseOn {
@@ -391,10 +422,9 @@ func (s *System) step(i int) {
 }
 
 // finishStep is the walk-and-memory-system suffix of one step: the
-// cache hierarchy walk followed by applyWalk. The sequential engine
-// calls it from step; the parallel sequencer calls it when committing a
-// fault event whose page was mapped with no stall (the step then
-// continues exactly as it would have sequentially).
+// cache hierarchy walk followed by applyWalk. step calls it, and so does
+// commit for a fault event whose page was mapped with no stall (the
+// step then continues exactly as a whole step would).
 func (s *System) finishStep(i int, p uint64, write bool) {
 	walkStall, llcMiss, victims := s.hier.Access(i, p, write, s.cores.time[i])
 	s.applyWalk(i, p, walkStall, llcMiss, victims)
@@ -403,8 +433,8 @@ func (s *System) finishStep(i int, p uint64, write bool) {
 // applyWalk charges a finished walk to core i and the memory system:
 // spilled writebacks reserve device occupancy, the walk stall advances
 // the core, and an LLC miss pays the controller's (MLP-divided)
-// latency. It is the shared-state tail of every step — the parallel
-// sequencer commits it for worker-parked walks.
+// latency. It is the shared-state tail of every step — commit runs it
+// for parked walks.
 func (s *System) applyWalk(i int, p uint64, walkStall uint64, llcMiss bool, victims []hier.Victim) {
 	c := &s.cores
 	// Dirty victims that spilled past the LLC reach the memory system
@@ -429,20 +459,205 @@ func (s *System) applyWalk(i int, p uint64, walkStall uint64, llcMiss bool, vict
 	c.memStall[i] += stallCycles
 }
 
+// # Step decomposition
+//
+// One simulated reference splits into a core-local prefix and a shared
+// suffix. The prefix — reference generation, the instruction gap,
+// mapped-page translation (osmodel.TranslateMapped) and the private
+// cache levels (hier.AccessPrivate) — touches only per-core state and
+// so commutes across cores. A step whose reference hits a private level
+// with no spill into the shared levels is entirely local and retires at
+// once. Everything else — the shared cache levels, the memory-system
+// controller, the DRAM devices, page faults, allocation phases — parks
+// as a stepEvent under the step's commit key (the core's pre-step
+// clock) and runs when commit reaches it in (key, id) order. Both
+// engines use this one decomposition: the run-ahead sequential loop in
+// execute, and the parallel engine's workers and sequencer (see
+// parallel.go), which add rings, a fence and atomics around it.
+
+// Event kinds (stepEvent.kind).
+const (
+	evStep  uint8 = iota // the whole step is shared: commit runs step
+	evWalk               // private walk spilled into the shared levels
+	evFault              // translation missed (or its generation went stale); full fault path needed
+	evEpoch              // fully-local step that may cross a timeline epoch; sample, then retire
+	evSync               // no step at all: a pass start, or a parallel core whose side-channel rings must drain
+)
+
+// stepEvent is one core's parked shared-phase event. Its commit key
+// lives beside it in coreSoA.key, where the schedulers compare it.
+type stepEvent struct {
+	kind  uint8
+	write bool
+	// replay marks an evWalk for a replayed post-fault reference. The
+	// whole-step path samples the timeline only on the translate branch
+	// of a step, which replays skip — so committing a replayed walk must
+	// not sample either.
+	replay bool
+	// phys is the demand physical address (evWalk) or the faulting
+	// virtual address (evFault).
+	phys uint64
+	// stall is the private-prefix stall accrued so far (evWalk, evEpoch).
+	stall uint64
+}
+
+// stepPrivate runs the core-local prefix of core i's next step, whose
+// commit key is key. It reports whether the step parked: c.ev[i] then
+// holds the event whose commit finishes the step, and c.time[i] is the
+// post-gap clock. Otherwise the step retired without touching shared
+// state. e is the parallel engine whose worker runs the prefix, or nil
+// on the sequential engine; it adds trace capture and the eviction-safe
+// translation protocol (parallel.go).
+//
+// Run-ahead needs translations no other core's commit can change, so
+// the sequential engine calls it only when System.runAhead holds.
+func (s *System) stepPrivate(i int, key uint64, e *parEngine) (parked bool) {
+	c := &s.cores
+	if s.phaseOn && s.phaseDue(i) {
+		// The boundary maps or frees memory (ISA-Alloc/Free): the whole
+		// step runs at its commit position.
+		c.ev[i] = stepEvent{kind: evStep}
+		return true
+	}
+	replay := c.pendingValid[i]
+	var p uint64
+	var write bool
+	if replay {
+		// Replay the reference whose fault was committed. Like step's
+		// replay path this neither re-translates nor re-captures nor
+		// samples: the fault commit accounted for all three.
+		p, write = c.pendingPhys[i], c.pendingWrite[i]
+		c.pendingValid[i] = false
+	} else {
+		ref := c.stream[i].Next()
+		if e != nil && e.capturing {
+			e.refs[i].push(key, ref)
+		}
+		c.instr[i] += ref.Gap
+		c.time[i] += ref.Gap * s.baseCPIx1000 / 1000
+		var ok, onFast bool
+		if e != nil && e.evictable {
+			// Seqlock-style validation: an eviction bumps the page-table
+			// generation, so a stable read brackets a translation no
+			// eviction raced with. The reference bit is logged, not set —
+			// the sequencer replays bits in commit order so CLOCK victim
+			// selection stays bit-identical.
+			gen := s.os.PageGen()
+			phys, frame, fast, mapped := s.os.TranslateMappedQuiet(c.proc[i], ref.VAddr)
+			onFast, ok = fast, mapped && s.os.PageGen() == gen
+			if ok {
+				e.touches[i].push(key, frame)
+			}
+			p = uint64(phys)
+		} else {
+			phys, fast, mapped := s.os.TranslateMapped(c.proc[i], ref.VAddr)
+			onFast, ok = fast, mapped
+			p = uint64(phys)
+		}
+		if !ok {
+			// Unmapped, or the translation went stale: the commit replays
+			// the fault path authoritatively at this step's position.
+			c.ev[i] = stepEvent{kind: evFault, write: ref.Write, phys: ref.VAddr}
+			return true
+		}
+		c.touchTotal[i]++
+		if onFast {
+			c.touchFast[i]++
+		}
+		write = ref.Write
+	}
+	stall, hit, ops := s.hier.AccessPrivate(i, p, write, c.time[i], c.ops[i][:0])
+	c.ops[i] = ops
+	if hit && len(ops) == 0 {
+		if s.timelineOn && !replay {
+			if next := s.nextEpoch.Load(); next != 0 && c.time[i] >= next {
+				// The step may cross an epoch boundary. The loaded bound
+				// can only lag the true one (only commits advance it, and
+				// only those that precede this step), so skipping the park
+				// is always sound and parking is at worst spurious: the
+				// commit re-checks and samples in exact step order.
+				c.ev[i] = stepEvent{kind: evEpoch, stall: stall}
+				return true
+			}
+		}
+		c.time[i] += stall
+		return false
+	}
+	c.ev[i] = stepEvent{kind: evWalk, write: write, replay: replay, phys: p, stall: stall}
+	return true
+}
+
+// commit executes core i's parked event at its (key, id) position. It
+// is the only place shared simulation state (LLC, controller, devices,
+// OS tables) mutates during a run-ahead pass, and the only place
+// timeline samples are taken. e is the parallel engine whose sequencer
+// commits (nil on the sequential engine); its eviction-safe mode owns
+// faults that must evict.
+func (s *System) commit(i int, e *parEngine) error {
+	c := &s.cores
+	ev := &c.ev[i]
+	switch ev.kind {
+	case evStep:
+		s.step(i)
+		return nil
+	case evSync:
+		return nil
+	case evEpoch:
+		if s.timelineOn {
+			s.sampleTimeline(c.time[i])
+		}
+		// Retire the fully-local step deferred for sampling.
+		c.time[i] += ev.stall
+		return nil
+	case evFault:
+		var phys, stall uint64
+		if s.os.FreeBytes() < s.os.Config().PageBytes {
+			if e == nil || !e.evictable {
+				return fmt.Errorf("sim: fault at core %d would evict a page, violating the translation-stability bound run-ahead relies on", i)
+			}
+			p, st, err := e.evictingTranslate(i, ev.phys)
+			if err != nil {
+				return err
+			}
+			phys, stall = p, st
+		} else {
+			p, st := s.os.Translate(c.proc[i], ev.phys, c.time[i])
+			phys, stall = uint64(p), st
+		}
+		if s.timelineOn {
+			// Whole-step order within a fault: translate, sample, then the
+			// stall (c.time[i] is still the post-gap clock here).
+			s.sampleTimeline(c.time[i])
+		}
+		if stall > 0 {
+			c.time[i] += stall
+			c.faultCycles[i] += stall
+			c.pendingValid[i] = true
+			c.pendingPhys[i] = phys
+			c.pendingWrite[i] = ev.write
+			return nil
+		}
+		s.finishStep(i, phys, ev.write)
+		return nil
+	}
+	if s.timelineOn && !ev.replay {
+		s.sampleTimeline(c.time[i])
+	}
+	stall, llcMiss, victims := s.hier.AccessShared(i, ev.write, c.ops[i], ev.stall, c.time[i])
+	s.applyWalk(i, ev.phys, stall, llcMiss, victims)
+	return nil
+}
+
 // phaseChurn models §III-B's time-varying memory demand: at each phase
 // boundary the core alternately maps and frees a transient buffer just
 // past its footprint, issuing ISA-Alloc/ISA-Free through the OS and
 // letting Chameleon's segment groups switch modes mid-run.
 // Callers gate on System.phaseOn, so the options are known non-zero.
 func (s *System) phaseChurn(i int) {
+	if !s.phaseDue(i) {
+		return
+	}
 	c := &s.cores
-	if c.phaseNext[i] == 0 {
-		c.phaseNext[i] = c.instr[i] + s.opts.PhaseEveryInstructions
-		return
-	}
-	if c.instr[i] < c.phaseNext[i] {
-		return
-	}
 	c.phaseNext[i] += s.opts.PhaseEveryInstructions
 	base := c.stream[i].Profile().FootprintBytes
 	if c.phaseHeld[i] {
@@ -451,6 +666,19 @@ func (s *System) phaseChurn(i int) {
 		s.os.Map(c.proc[i], base, s.opts.PhaseAllocBytes, c.time[i])
 	}
 	c.phaseHeld[i] = !c.phaseHeld[i]
+}
+
+// phaseDue reports whether core i's next step starts at an allocation
+// phase boundary. It reads and arms only core-private state (the first
+// boundary is set lazily, one period past the core's first step), so
+// the run-ahead prefix can ask it without ordering.
+func (s *System) phaseDue(i int) bool {
+	c := &s.cores
+	if c.phaseNext[i] == 0 {
+		c.phaseNext[i] = c.instr[i] + s.opts.PhaseEveryInstructions
+		return false
+	}
+	return c.instr[i] >= c.phaseNext[i]
 }
 
 func (s *System) collect(start, instr0, faults0 []uint64) *Result {

@@ -1,0 +1,199 @@
+package sim
+
+import (
+	"reflect"
+	"testing"
+
+	"chameleon/internal/config"
+	"chameleon/internal/osmodel"
+	"chameleon/internal/workload"
+)
+
+// runAheadVariants are the feature dimensions the sequential engine's
+// run-ahead must reproduce serial mode across: timeline sampling (the
+// evEpoch parks), allocation churn (the whole-step parks at phase
+// boundaries, here under sampling too), demand faulting (the evFault
+// commits) and a consolidated mix (per-core spans that differ).
+var runAheadVariants = []parVariant{
+	{name: "base"},
+	{name: "timeline", mutate: func(_ testing.TB, o *Options) {
+		o.TimelineEpochCycles = 50_000
+	}},
+	{name: "churn", mutate: func(_ testing.TB, o *Options) {
+		o.PhaseAllocBytes = 64 * config.KB
+		o.PhaseEveryInstructions = 40_000
+		o.TimelineEpochCycles = 100_000
+	}},
+	{name: "faults", mutate: func(_ testing.TB, o *Options) {
+		o.SkipPrefault = true
+	}},
+	{name: "mix", mutate: func(t testing.TB, o *Options) {
+		o.Mix = nil
+		for _, name := range []string{"mcf", "miniGhost", "lbm"} {
+			prof, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Mix = append(o.Mix, prof.Scale(4*512))
+		}
+	}},
+}
+
+// runSequential runs opts on the sequential engine, in run-ahead mode
+// or with serial mode forced, and fails unless the options admit
+// run-ahead (else the comparison would pit serial mode against itself).
+func runSequential(t testing.TB, opts Options, instr uint64, serial bool) *Result {
+	t.Helper()
+	sys, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.runAhead {
+		t.Fatal("options do not admit run-ahead; the comparison would be vacuous")
+	}
+	if serial {
+		sys.runAhead = false
+	}
+	res, err := sys.Run(instr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestRunAheadMatchesSerial: the sequential engine's run-ahead, which
+// runs each core's private steps straight through and orders only
+// shared events, must reproduce serial mode — one whole step at a time
+// in (time, id) order — bit for bit, for every registered policy.
+func TestRunAheadMatchesSerial(t *testing.T) {
+	for _, kind := range PolicyNames() {
+		for _, v := range runAheadVariants {
+			t.Run(kind+"/"+v.name, func(t *testing.T) {
+				opts := parOpts(t, kind, 1)
+				if v.mutate != nil {
+					v.mutate(t, &opts)
+				}
+				serial := runSequential(t, opts, 150_000, true)
+				ahead := runSequential(t, opts, 150_000, false)
+				switch v.name {
+				case "timeline", "churn":
+					if len(serial.Timeline) == 0 {
+						t.Fatal("no timeline points sampled; variant is not exercising sampling")
+					}
+				case "faults":
+					if serial.OS.MinorFaults == 0 {
+						t.Fatal("no faults in the measured run; variant is not exercising the fault path")
+					}
+				}
+				if v.name == "churn" && serial.OS.FreedPages == 0 {
+					t.Fatal("no churn buffer freed; variant is not exercising phase boundaries")
+				}
+				if !reflect.DeepEqual(serial, ahead) {
+					t.Errorf("run-ahead diverged from serial mode:\nserial: %+v\nahead:  %+v", serial, ahead)
+				}
+			})
+		}
+	}
+}
+
+// FuzzRunAheadMatchesSerial widens TestRunAheadMatchesSerial over
+// seeds, policies, workloads, churn periods and timeline epochs on a
+// 4-core slice of the default machine.
+func FuzzRunAheadMatchesSerial(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint32(0), uint32(0))
+	f.Add(uint64(7), uint8(3), uint8(2), uint32(15_000), uint32(30_000))
+	f.Add(uint64(31), uint8(6), uint8(5), uint32(8_000), uint32(0))
+	f.Add(uint64(99), uint8(7), uint8(1), uint32(0), uint32(8_000))
+	policies := PolicyNames()
+	workloads := []string{"mcf", "lbm", "bwaves", "hpccg", "comd", "miniGhost"}
+	f.Fuzz(func(t *testing.T, seed uint64, policyPick, workloadPick uint8, churnEvery, epoch uint32) {
+		kind := policies[int(policyPick)%len(policies)]
+		opts := parOpts(t, kind, 1)
+		prof, err := workload.ByName(workloads[int(workloadPick)%len(workloads)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Workload = prof.Scale(4 * 512)
+		opts.Copies = 4
+		opts.Seed = seed
+		opts.WarmupInstructions = 20_000
+		if every := uint64(churnEvery % 50_000); every >= 1_000 {
+			opts.PhaseAllocBytes = 64 * config.KB
+			opts.PhaseEveryInstructions = every
+		}
+		if e := uint64(epoch % 200_000); e >= 5_000 {
+			opts.TimelineEpochCycles = e
+		}
+		serial := runSequential(t, opts, 60_000, true)
+		ahead := runSequential(t, opts, 60_000, false)
+		if !reflect.DeepEqual(serial, ahead) {
+			t.Errorf("%s/%s seed %d churn %d epoch %d: run-ahead diverged from serial mode",
+				kind, opts.Workload.Name, seed, opts.PhaseEveryInstructions, opts.TimelineEpochCycles)
+		}
+	})
+}
+
+// TestTranslationsStableCountsChurnBuffer: allocation churn maps a
+// PhaseAllocBytes buffer past every core's footprint, so the stability
+// bound must count it. The footprints here fit physical memory with a
+// little slack, but footprint plus buffer does not.
+func TestTranslationsStableCountsChurnBuffer(t *testing.T) {
+	opts := parOpts(t, string(PolicyChameleonOpt), 1)
+	sys, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.translationsStable() {
+		t.Fatal("the footprints alone must fit physical memory")
+	}
+	page := sys.os.Config().PageBytes
+	var need uint64
+	for _, src := range sys.cores.stream {
+		need += (src.Profile().MaxVAddr()+page-1)/page + 2
+	}
+	slack := sys.os.Config().TotalBytes - need*page
+	// Spread the slack over the cores' buffers, plus a page each: the
+	// buffers alone then overrun the slack.
+	opts.PhaseAllocBytes = slack/uint64(sys.cores.n()) + page
+	opts.PhaseEveryInstructions = 40_000
+	churn, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if churn.translationsStable() {
+		t.Errorf("translationsStable ignored the %d-byte churn buffer of each of %d cores (slack %d bytes)",
+			opts.PhaseAllocBytes, churn.cores.n(), slack)
+	}
+}
+
+// TestRunAheadSelection pins which inputs admit run-ahead: stable
+// translations with no AutoNUMA engine and no trace sink.
+func TestRunAheadSelection(t *testing.T) {
+	evict := parVariants[len(parVariants)-1]
+	if evict.name != "evict" {
+		t.Fatalf("last parVariant is %q, want evict", evict.name)
+	}
+	for _, tc := range []struct {
+		name   string
+		policy PolicyKind
+		mutate func(*Options)
+		want   bool
+	}{
+		{"stable", PolicyChameleonOpt, func(*Options) {}, true},
+		{"trace sink", PolicyChameleonOpt, func(o *Options) { o.TraceSink = &memSink{} }, false},
+		{"evictable", PolicyChameleonOpt, func(o *Options) { evict.mutate(t, o) }, false},
+		{"autonuma", PolicyNUMAFlat, func(o *Options) {
+			o.AutoNUMA = &osmodel.AutoNUMAConfig{EpochCycles: 1_000_000, Threshold: 0.8, ScanPages: 4096}
+		}, false},
+	} {
+		opts := parOpts(t, string(tc.policy), 1)
+		tc.mutate(&opts)
+		sys, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.runAhead != tc.want {
+			t.Errorf("%s: runAhead = %v, want %v", tc.name, sys.runAhead, tc.want)
+		}
+	}
+}

@@ -1,26 +1,27 @@
 package sim
 
 // coreHeap is a binary min-heap of runnable core indices ordered by
-// (time, id), where time aliases the struct-of-arrays clock slice. The
-// id tie-break makes the minimum unique, so heap selection is identical
-// to a first-strictly-smaller linear scan over the cores (pinned by
+// (key, id), where key aliases the struct-of-arrays commit-key slice
+// (coreSoA.key: the pre-step clock of each core's parked event). The id
+// tie-break makes the minimum unique, so heap selection is identical to
+// a first-strictly-smaller linear scan over the cores (pinned by
 // TestCoreHeapMatchesLinearScan).
 //
-// Only the scheduled core's clock ever advances, so the heap needs no
-// general decrease-key: after a step either the root sifts down (fix)
+// Only the scheduled core's key ever advances, so the heap needs no
+// general decrease-key: after a commit either the root sifts down (fix)
 // or, when the core exhausts its budget, it is popped. The index
 // storage is supplied by the caller (System.heapIdx) and reused across
 // execute passes, keeping the scheduler allocation-free.
 type coreHeap struct {
-	time []uint64 // aliases coreSoA.time; never written by the heap
-	idx  []int32
+	key []uint64 // aliases coreSoA.key; never written by the heap
+	idx []int32
 }
 
-// newCoreHeap builds a heap over cores 0..len(time)-1. storage is
+// newCoreHeap builds a heap over cores 0..len(key)-1. storage is
 // reused as the index backing array; pass nil to allocate fresh (tests).
-func newCoreHeap(time []uint64, storage []int32) coreHeap {
-	h := coreHeap{time: time, idx: storage[:0]}
-	for i := range time {
+func newCoreHeap(key []uint64, storage []int32) coreHeap {
+	h := coreHeap{key: key, idx: storage[:0]}
+	for i := range key {
 		h.idx = append(h.idx, int32(i))
 	}
 	for i := len(h.idx)/2 - 1; i >= 0; i-- {
@@ -31,11 +32,11 @@ func newCoreHeap(time []uint64, storage []int32) coreHeap {
 
 func (h *coreHeap) len() int { return len(h.idx) }
 
-// peek returns the core index with the smallest (time, id) without
+// peek returns the core index with the smallest (key, id) without
 // removing it.
 func (h *coreHeap) peek() int32 { return h.idx[0] }
 
-// fix restores heap order after the root core's clock advanced.
+// fix restores heap order after the root core's key advanced.
 func (h *coreHeap) fix() { h.siftDown(0) }
 
 // pop removes the root core (it finished its instruction budget).
@@ -48,11 +49,11 @@ func (h *coreHeap) pop() {
 	}
 }
 
-// less orders cores by (time, id): the global step order both engines
-// in this package — the heap loop and the parallel commit sequencer —
-// agree on.
+// less orders cores by (key, id): the global commit order both engines
+// in this package — the run-ahead loop and the parallel commit
+// sequencer — agree on.
 func (h *coreHeap) less(a, b int32) bool {
-	return h.time[a] < h.time[b] || (h.time[a] == h.time[b] && a < b)
+	return h.key[a] < h.key[b] || (h.key[a] == h.key[b] && a < b)
 }
 
 func (h *coreHeap) siftDown(i int) {

@@ -5,9 +5,14 @@
 // memory-system controller, with OS demand paging (and optional
 // AutoNUMA migration) in the translation path.
 //
-// The engine advances the core with the smallest local clock one
-// reference at a time, which keeps memory-system arrivals near time order
-// while avoiding a full event queue.
+// Every engine executes steps in one global order: (pre-step clock, core
+// id), which keeps memory-system arrivals near time order while avoiding
+// a full event queue. Only steps that touch shared state need that order.
+// A step that stays in a core's private state (its reference stream,
+// mapped-page translation, private caches) commutes with every other
+// core's steps, so the engines run such steps straight through and
+// order only the shared events: the sequential engine with a heap on one
+// goroutine, the parallel engine with a commit sequencer over workers.
 package sim
 
 import (
@@ -97,13 +102,16 @@ type Options struct {
 	// Seed makes the run deterministic.
 	Seed uint64
 	// Threads is the number of worker goroutines the run may shard its
-	// simulated cores across (0 or 1 selects the sequential engine).
-	// Workers run ahead through core-private state (reference
-	// generation, mapped-page translation, private cache levels) and
-	// park on shared-phase events (LLC, memory controller, page
-	// faults), which a sequencer commits in the scheduler's global
-	// (time, id) order — so results are bit-identical to the sequential
-	// engine at any thread count (see TestParallelEquivalence). Timeline
+	// simulated cores across (0 or 1 selects the sequential engine, which
+	// runs each core's private steps straight through on one goroutine
+	// and orders only shared events; it is the faster engine on every
+	// workload measured, see ThreadBudget). Workers run ahead through
+	// core-private state (reference generation, mapped-page translation,
+	// private cache levels) and park on shared-phase events (LLC, memory
+	// controller, page faults), which a sequencer commits in the
+	// scheduler's global (time, id) order — so results are bit-identical
+	// to the sequential engine at any thread count (see
+	// TestParallelEquivalence). Timeline
 	// sampling and trace capture run under parallelism (the sequencer
 	// samples and flushes captured references in commit order), and a
 	// possibly-evicting footprint runs in the engine's eviction-safe
@@ -175,10 +183,17 @@ type coreSoA struct {
 
 	// touchTotal/touchFast accumulate the stacked-node access counts of
 	// run-ahead TranslateMapped calls per core (a commutative sum the
-	// sequential path bumps inside osmodel directly); mergeTouches folds
-	// them into the OS at the end of every parallel pass.
+	// whole-step path bumps inside osmodel directly); mergeTouches folds
+	// them into the OS at the end of every pass.
 	touchTotal []uint64
 	touchFast  []uint64
+
+	// The parked event of each core (see stepEvent): its commit key (the
+	// pre-step clock the schedulers order by), the event, and the
+	// deferred shared-phase ops of its private walk.
+	key []uint64
+	ev  []stepEvent
+	ops [][]hier.SharedOp
 }
 
 func newCoreSoA(n int) coreSoA {
@@ -198,6 +213,9 @@ func newCoreSoA(n int) coreSoA {
 		phaseHeld:    make([]bool, n),
 		touchTotal:   make([]uint64, n),
 		touchFast:    make([]uint64, n),
+		key:          make([]uint64, n),
+		ev:           make([]stepEvent, n),
+		ops:          make([][]hier.SharedOp, n),
 	}
 }
 
@@ -218,6 +236,12 @@ type System struct {
 	// heapIdx is the scheduler heap's reusable index storage, sized at
 	// construction so execute passes allocate nothing.
 	heapIdx []int32
+	// runAhead lets the sequential engine run private prefixes ahead of
+	// the commit order (see execute). It holds when no other core's
+	// commit can change what a prefix reads: translations are stable,
+	// and no AutoNUMA engine or trace sink observes every step. Otherwise
+	// every step parks whole, in serial mode. Fixed at construction.
+	runAhead bool
 	// par is the parallel execution engine, non-nil when Options.Threads
 	// asked for more than one worker AND the run qualifies (no
 	// inherently serial feature — see fallback). execute routes through
@@ -430,6 +454,9 @@ func New(opts Options) (*System, error) {
 	var perProc uint64
 	s.cores = newCoreSoA(copies)
 	s.heapIdx = make([]int32, 0, copies)
+	for i := range s.cores.ops {
+		s.cores.ops[i] = make([]hier.SharedOp, 0, s.hier.MaxOpsPerWalk())
+	}
 	for i := 0; i < copies; i++ {
 		var src trace.Source
 		if len(opts.Sources) > 0 {
@@ -486,24 +513,31 @@ func New(opts Options) (*System, error) {
 			s.par = newParEngine(s, thr)
 		}
 	}
+	s.runAhead = !s.autoOn && !s.sinkOn && s.translationsStable()
 	return s, nil
 }
 
 // translationsStable reports whether run-ahead translation is trivially
 // safe: no page eviction can ever occur, because every process's whole
-// virtual span fits in physical memory simultaneously. Evictions are
-// the only cross-process page-table mutation, so under this bound the
-// parallel engine's lock-free TranslateMapped reads race with nothing
-// and it runs in its direct (stable) mode. When the bound does not
-// hold the engine no longer falls back: it runs in eviction-safe mode,
-// validating the osmodel page-table generation around each lock-free
-// translation and fencing workers across committed evictions (see
-// parallel.go's "Run-ahead translation safety" section).
+// virtual span — its reference span plus, under allocation churn, the
+// transient buffer phaseChurn maps past its footprint — fits in
+// physical memory simultaneously. Evictions are the only cross-process
+// page-table mutation, so under this bound a run-ahead TranslateMapped
+// read races with nothing: the parallel engine runs in its direct
+// (stable) mode, and the sequential engine may run ahead at all. When
+// the bound does not hold the parallel engine runs in eviction-safe
+// mode, validating the osmodel page-table generation around each
+// lock-free translation and fencing workers across committed evictions
+// (see parallel.go's "Run-ahead translation safety" section), and the
+// sequential engine runs in serial mode.
 func (s *System) translationsStable() bool {
 	page := s.os.Config().PageBytes
 	var need uint64
 	for _, src := range s.cores.stream {
 		need += (src.Profile().MaxVAddr()+page-1)/page + 2
+		if s.phaseOn {
+			need += (s.opts.PhaseAllocBytes+page-1)/page + 1
+		}
 	}
 	return need*page <= s.os.Config().TotalBytes
 }
@@ -514,10 +548,10 @@ func (s *System) ParallelEnabled() bool { return s.par != nil }
 
 // ThreadBudget is the Options.Threads a driver should hand a simulation
 // that runs alongside concurrent-1 others. A request of 0 or 1 selects
-// the sequential engine, the faster one on most workloads: on a 2-CPU
-// host, a 12-core chameleon-opt machine at scale 256 takes 1.02x (comd)
-// to 2.10x (mcf) as long at two threads as at one, and gains only on
-// miniGhost (0.80x; BenchmarkEngineByWorkload, BENCH_parallel.json).
+// the sequential engine, the faster one: on a 2-CPU host, a 12-core
+// chameleon-opt machine at scale 256 takes 1.38x (miniGhost) to 2.10x
+// (mcf) as long at two threads as at one on every workload measured
+// (BenchmarkEngineByWorkload, BENCH_parallel.json).
 // An explicit request is capped at GOMAXPROCS/concurrent so the
 // concurrent runs together never oversubscribe the host, and never
 // falls below 1.
