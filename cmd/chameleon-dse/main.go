@@ -64,7 +64,7 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   chameleon-dse expand -spec sweep.json [-json]
-  chameleon-dse run    -spec sweep.json [-instr N] [-warmup N] [-par N] [-threads N] [-json]
+  chameleon-dse run    -spec sweep.json [-instr N] [-warmup N] [-par N] [-json]
   chameleon-dse run    -spec sweep.json -server URL [-timeout 30m]
   chameleon-dse front  -result result.json [-json]
 `)
@@ -150,7 +150,6 @@ func cmdRun(args []string) error {
 		warmup   = fs.Uint64("warmup", 500_000, "warm-up instructions per core, per cell")
 		seed     = fs.Uint64("seed", 0, "default seed when the spec sweeps no seeds")
 		par      = fs.Int("par", 0, "concurrently evaluated cells (0 = GOMAXPROCS)")
-		threads  = fs.Int("threads", 1, "worker threads per cell simulation")
 		asJSON   = fs.Bool("json", false, "emit the full sweep result as JSON")
 		srv      = fs.String("server", "", "submit to this chamd base URL instead of running in-process")
 		timeout  = fs.Duration("timeout", 30*time.Minute, "overall deadline")
@@ -168,11 +167,11 @@ func cmdRun(args []string) error {
 
 	var res *chameleon.DSEResult
 	if *srv != "" {
-		res, err = runRemote(ctx, *srv, spec, *scale, *instr, *warmup, *seed, *par, *threads)
+		res, err = runRemote(ctx, *srv, spec, *scale, *instr, *warmup, *seed, *par)
 	} else {
 		o := chameleon.ExperimentOptions{
 			Scale: *scale, Instructions: *instr, Warmup: *warmup, Seed: *seed,
-			Parallelism: *par, Threads: *threads,
+			Parallelism: *par,
 			Progress: func(done, total int) {
 				fmt.Fprintf(os.Stderr, "\r%d/%d cells", done, total)
 			},
@@ -194,12 +193,12 @@ func cmdRun(args []string) error {
 
 // runRemote submits the sweep as a chamd dse job and waits for it.
 func runRemote(ctx context.Context, base string, spec chameleon.DSESpec,
-	scale, instr, warmup, seed uint64, par, threads int) (*chameleon.DSEResult, error) {
+	scale, instr, warmup, seed uint64, par int) (*chameleon.DSEResult, error) {
 	c := chameleon.NewClient(base)
 	st, err := c.Submit(ctx, chameleon.JobSpec{
 		Kind: chameleon.JobKindDSE, DSE: &spec,
 		Scale: scale, Instructions: instr, Warmup: warmup, Seed: seed,
-		Parallelism: par, Threads: threads,
+		Parallelism: par,
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@
 //	chameleon-sim -policy chameleon-opt -workload bwaves [-scale 256]
 //	              [-instr 500000] [-warmup 4000000] [-ratio 5] [-seed 42]
 //	              [-baseline-gb 20] [-autonuma 0.9] [-config machine.json]
-//	              [-threads 8]
 //
 // -config overlays a JSON configuration document on the scaled default
 // machine; use a "CacheLevels" array to run a different cache hierarchy
@@ -49,7 +48,6 @@ func main() {
 		counters   = flag.Bool("counters", false, "dump every simulation counter (the unified stats snapshot)")
 		configPath = flag.String("config", "", "JSON config overlay (e.g. a CacheLevels hierarchy) applied to the scaled default")
 		record     = flag.String("record", "", "tee the run's reference stream to this binary trace file (replay with -workload replay:<file>)")
-		threads    = flag.Int("threads", 1, "worker threads for the parallel engine (results are identical at any count)")
 		list       = flag.Bool("list", false, "print the registered policies (with their descriptors) and workload names, then exit")
 	)
 	flag.Parse()
@@ -65,7 +63,6 @@ func main() {
 		baselineGB: *baselineGB, autonuma: *autonuma,
 		energy: *energy, mix: *mix, groupAware: *groupAware,
 		counters: *counters, configPath: *configPath, record: *record,
-		threads: *threads,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "chameleon-sim:", err)
 		os.Exit(1)
@@ -110,7 +107,6 @@ type runCfg struct {
 	counters             bool
 	configPath           string
 	record               string
-	threads              int
 }
 
 func run(rc runCfg) error {
@@ -144,7 +140,6 @@ func run(rc runCfg) error {
 		Policy:             pk,
 		Seed:               rc.seed,
 		WarmupInstructions: rc.warmup,
-		Threads:            rc.threads,
 	}
 	// "replay:<file>.ctrace" replays a recorded trace; catalogue names
 	// attach the scaled synthetic profile.
@@ -205,11 +200,6 @@ func run(rc runCfg) error {
 	}
 
 	fmt.Printf("policy            %s\n", res.Policy)
-	if res.FallbackReason != "" {
-		fmt.Printf("engine            %s (fallback: %s)\n", res.Engine, res.FallbackReason)
-	} else {
-		fmt.Printf("engine            %s\n", res.Engine)
-	}
 	fmt.Printf("workload          %s (x%d cores)\n", res.Workload, len(res.Cores))
 	fmt.Printf("geomean IPC       %.4f\n", res.GeoMeanIPC)
 	fmt.Printf("stacked hit rate  %.2f%%\n", res.StackedHitRate*100)

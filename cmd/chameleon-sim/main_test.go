@@ -28,7 +28,7 @@ func TestRunThreeTierOverlay(t *testing.T) {
 	err := run(runCfg{
 		policyName: "hwc", wlName: "bwaves", scale: 1024,
 		instr: 20_000, warmup: 50_000, seed: 7,
-		configPath: path, energy: true, counters: true, threads: 1,
+		configPath: path, energy: true, counters: true,
 	})
 	if err != nil {
 		t.Fatalf("three-tier CLI run: %v", err)
@@ -46,7 +46,7 @@ func TestRunRejectsUnknownConfigKeys(t *testing.T) {
 	}
 	err := run(runCfg{
 		policyName: "chameleon-opt", wlName: "bwaves", scale: 1024,
-		instr: 10_000, warmup: 10_000, seed: 7, configPath: path, threads: 1,
+		instr: 10_000, warmup: 10_000, seed: 7, configPath: path,
 	})
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), `"Fast"`) {
 		t.Fatalf("err %v, want one naming %s and the Fast key", err, path)

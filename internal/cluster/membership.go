@@ -47,6 +47,27 @@ type Node struct {
 	State       NodeState `json:"state"`
 }
 
+// supersedes reports whether observation n replaces o, an observation
+// of the same node. A higher incarnation wins outright, and equal
+// incarnations take the worse state. The remaining ties break on the
+// state name and then on the address, so that every node keeps the
+// same entry whatever order the gossip arrives in. A node restarted
+// under the same ID on a new address produces such a tie; once it
+// hears the rumour that its old address is unreachable, it refutes it
+// with a higher incarnation.
+func (n Node) supersedes(o Node) bool {
+	if n.Incarnation != o.Incarnation {
+		return n.Incarnation > o.Incarnation
+	}
+	if r, q := n.State.rank(), o.State.rank(); r != q {
+		return r > q
+	}
+	if n.State != o.State {
+		return n.State > o.State
+	}
+	return n.Addr > o.Addr
+}
+
 // Digest is the gossip wire format: the sender's identity plus its
 // full versioned peer list (chamd clusters are small, so the digest
 // is the whole view — no delta encoding needed).
@@ -245,9 +266,10 @@ func (m *Membership) HandleGossip(d Digest) Digest {
 }
 
 // merge folds remote observations into the local view, returning
-// through OnChange when the ring-eligible set changed. Merge rules:
-// higher incarnation wins outright; equal incarnations take the worse
-// state; rumours about self are refuted by bumping our incarnation.
+// through OnChange when the ring-eligible set changed. Each peer keeps
+// the observation that supersedes all others (see Node.supersedes), so
+// merging is commutative and idempotent; rumours about self are refuted
+// by bumping our incarnation.
 func (m *Membership) merge(nodes []Node) {
 	m.mu.Lock()
 	before := ringKeyLocked(m.ringMembersLocked())
@@ -267,8 +289,7 @@ func (m *Membership) merge(nodes []Node) {
 		case !ok:
 			m.peers[rn.ID] = &peerEntry{Node: rn, since: now}
 			m.opts.Logf("cluster: learned %s (%s) %s inc=%d", rn.ID, rn.Addr, rn.State, rn.Incarnation)
-		case rn.Incarnation > cur.Incarnation,
-			rn.Incarnation == cur.Incarnation && rn.State.rank() > cur.State.rank():
+		case rn.supersedes(cur.Node):
 			if cur.State != rn.State {
 				m.opts.Logf("cluster: %s %s -> %s (inc %d -> %d)", rn.ID, cur.State, rn.State, cur.Incarnation, rn.Incarnation)
 			}

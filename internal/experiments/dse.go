@@ -12,12 +12,11 @@ import (
 
 // RunDSE executes a design-space sweep in-process, sharing the matrix
 // runner's conventions: Options supply the per-cell instruction and
-// warm-up budgets, bounded parallelism with the Parallelism × Threads
-// oversubscription clamp, context cancellation through every cell, and
-// joined per-cell errors. Options axes (Scale, Seed, Workloads,
-// Policies, CacheLevels, MemoryTiers) seed the corresponding sweep
-// axis when the spec leaves it empty, so existing experiment configs
-// lift directly into sweeps.
+// warm-up budgets, bounded parallelism, context cancellation through
+// every cell, and joined per-cell errors. Options axes (Scale, Seed,
+// Workloads, Policies, CacheLevels, MemoryTiers) seed the corresponding
+// sweep axis when the spec leaves it empty, so existing experiment
+// configs lift directly into sweeps.
 func RunDSE(ctx context.Context, o Options, spec dse.Spec) (*dse.Result, error) {
 	o = o.Defaults()
 	if len(spec.Scales) == 0 {
@@ -45,11 +44,10 @@ func RunDSE(ctx context.Context, o Options, spec dse.Spec) (*dse.Result, error) 
 		return nil, err
 	}
 
-	threads := sim.ThreadBudget(o.Threads, o.Parallelism)
 	ro := dse.RunOptions{
 		Parallelism: o.Parallelism,
 		Evaluate: func(ctx context.Context, c dse.Cell) (dse.Eval, error) {
-			res, err := o.runCell(ctx, spec, c, threads)
+			res, err := o.runCell(ctx, spec, c)
 			return dse.Eval{Result: res}, err
 		},
 	}
@@ -60,7 +58,7 @@ func RunDSE(ctx context.Context, o Options, spec dse.Spec) (*dse.Result, error) 
 }
 
 // runCell simulates one sweep cell on its own scaled machine.
-func (o Options) runCell(ctx context.Context, spec dse.Spec, c dse.Cell, threads int) (*sim.Result, error) {
+func (o Options) runCell(ctx context.Context, spec dse.Spec, c dse.Cell) (*sim.Result, error) {
 	cfg := config.Default(c.Scale)
 	if c.CacheVariant >= 0 {
 		cfg.CacheLevels = spec.CacheLevelVariants[c.CacheVariant]
@@ -84,7 +82,6 @@ func (o Options) runCell(ctx context.Context, spec dse.Spec, c dse.Cell, threads
 		Workload:           prof.Scale(c.Scale),
 		Seed:               c.Seed,
 		WarmupInstructions: o.Warmup,
-		Threads:            threads,
 	}
 	desc, err := policy.Lookup(c.Policy)
 	if err != nil {

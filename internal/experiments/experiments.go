@@ -55,17 +55,6 @@ type Options struct {
 	// values default to GOMAXPROCS (a negative value would otherwise
 	// panic constructing the semaphore channel).
 	Parallelism int
-	// Threads is the per-simulation worker-thread count handed to
-	// sim.Options.Threads (0 or 1 = sequential). Results are identical
-	// at any value; only wall-clock time changes — the parallel engine
-	// now covers timeline sampling, trace capture and evicting
-	// footprints, and each sim.Result reports the engine that ran it
-	// in Result.Engine. Every driver resolves the count through
-	// sim.ThreadBudget, so the matrix and sweeps never run Parallelism ×
-	// Threads past GOMAXPROCS — cell-level parallelism is the better
-	// lever while many cells are in flight, intra-run threads soak up
-	// what remains.
-	Threads int
 	// Progress, when non-nil, is called after each matrix cell
 	// finishes with the number of completed cells and the total.
 	// Calls are serialized under the matrix lock.
@@ -127,12 +116,6 @@ func (o Options) runOne(opts sim.Options) (*sim.Result, error) {
 func (o Options) runOneContext(ctx context.Context, opts sim.Options) (*sim.Result, error) {
 	opts.Seed = o.Seed
 	opts.WarmupInstructions = o.Warmup
-	if opts.Threads == 0 {
-		// Standalone drivers run one simulation at a time, so the whole
-		// machine is available; matrix cells arrive with Threads already
-		// clamped against their cell-level parallelism.
-		opts.Threads = sim.ThreadBudget(o.Threads, 1)
-	}
 	s, err := sim.New(opts)
 	if err != nil {
 		return nil, err
@@ -191,8 +174,6 @@ func RunMatrixContext(ctx context.Context, o Options) (*Matrix, error) {
 	if len(pols) == 0 {
 		pols = standardPolicies()
 	}
-	// Clamp intra-run threads against cell-level parallelism.
-	simThreads := sim.ThreadBudget(o.Threads, o.Parallelism)
 	matrixPols := make([]sim.PolicyKind, 0, len(pols)+1)
 	var jobs []job
 	for _, name := range o.Workloads {
@@ -201,7 +182,7 @@ func RunMatrixContext(ctx context.Context, o Options) (*Matrix, error) {
 			return nil, err
 		}
 		for _, pk := range pols {
-			so := sim.Options{Config: cfg, Policy: pk, Workload: prof, Threads: simThreads}
+			so := sim.Options{Config: cfg, Policy: pk, Workload: prof}
 			switch pk {
 			case sim.PolicyFlat:
 				so20 := so

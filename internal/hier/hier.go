@@ -88,10 +88,8 @@ type SharedOp struct {
 // Hierarchy is a constructed cache stack for a fixed set of cores. It
 // is not safe for concurrent use as a whole: the simulator advances one
 // core at a time, and the victim buffer returned by Access is reused.
-// The split walk (AccessPrivate/AccessShared) relaxes this: private
-// levels of distinct cores may be walked concurrently, as long as the
-// shared phase stays on a single goroutine (see the parallel engine in
-// internal/sim).
+// The split walk (AccessPrivate/AccessShared) lets the simulator walk a
+// core's private levels ahead of other cores' shared phases.
 type Hierarchy struct {
 	levels  []level
 	victims []Victim // scratch reused across Access/AccessShared calls

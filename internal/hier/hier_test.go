@@ -216,7 +216,7 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 
 // TestSplitWalkEquivalence: driving one hierarchy through the
 // monolithic Access and a twin through the explicit
-// AccessPrivate → AccessShared split (the parallel engine's usage,
+// AccessPrivate → AccessShared split (the run-ahead engine's usage,
 // skipping the shared phase when a private hit produced no deferred
 // ops) must agree step for step — stall, llcMiss, every victim — and
 // leave identical per-level statistics. Single-line sets make dirty

@@ -85,15 +85,6 @@ func replaySources(t *testing.T, base sim.Options, rec []byte) sim.Options {
 	return base
 }
 
-// normEngine clears the run-provenance fields for cross-engine result
-// comparisons: a Threads=8 run legitimately reports Engine "parallel"
-// while its Threads=1 twin reports "sequential".
-func normEngine(r *sim.Result) *sim.Result {
-	c := *r
-	c.Engine, c.FallbackReason = "", ""
-	return &c
-}
-
 // TestCaptureReplayDeterminism is the subsystem's headline gate: for
 // EVERY registered policy, record a run, replay the recording under
 // the same options, and require the replayed sim.Result to be
@@ -117,55 +108,6 @@ func TestCaptureReplayDeterminism(t *testing.T) {
 			}
 			if !bytes.Equal(rec, rerec) {
 				t.Error("re-capture during replay is not byte-identical to the original recording")
-			}
-		})
-	}
-}
-
-// TestCaptureReplayDeterminismThreaded extends the gate to the
-// parallel engine: with the commit sequencer flushing per-core sink
-// buffers in commit order, a Threads=8 capture must be byte-identical
-// to the Threads=1 capture of the same run, and replaying the threaded
-// recording — itself threaded, re-capturing as it goes — must
-// reproduce the original result and bytes exactly. The allocation-churn
-// phases of gateOpts are disabled here because they (deliberately)
-// force the sequential engine; timeline sampling stays on so the
-// threaded capture runs concurrently with sequencer-side sampling.
-func TestCaptureReplayDeterminismThreaded(t *testing.T) {
-	const scale = 512
-	const instr = 50_000
-	threadedOpts := func(t *testing.T, name string, threads int) sim.Options {
-		opts := gateOpts(t, name, scale)
-		opts.PhaseAllocBytes = 0
-		opts.PhaseEveryInstructions = 0
-		opts.Threads = threads
-		return opts
-	}
-	for _, name := range policy.Names() {
-		t.Run(name, func(t *testing.T) {
-			seqRes, seqRec := record(t, threadedOpts(t, name, 1), instr)
-			parRes, parRec := record(t, threadedOpts(t, name, 8), instr)
-			if parRes.Engine != sim.EngineParallel {
-				t.Fatalf("threaded capture ran on %q engine (reason %q), want parallel",
-					parRes.Engine, parRes.FallbackReason)
-			}
-			if !reflect.DeepEqual(normEngine(seqRes), normEngine(parRes)) {
-				t.Error("threaded capture run diverged from the sequential run")
-			}
-			if !bytes.Equal(seqRec, parRec) {
-				t.Error("threaded recording is not byte-identical to the sequential recording")
-			}
-
-			// Replay the threaded recording on the parallel engine,
-			// re-capturing as we go.
-			ropts := replaySources(t, threadedOpts(t, name, 8), parRec)
-			replayed, rerec := record(t, ropts, instr)
-			if !reflect.DeepEqual(normEngine(parRes), normEngine(replayed)) {
-				t.Errorf("threaded replay diverged from the recorded run:\noriginal: %+v\nreplayed: %+v",
-					parRes, replayed)
-			}
-			if !bytes.Equal(parRec, rerec) {
-				t.Error("threaded re-capture during replay is not byte-identical to the original recording")
 			}
 		})
 	}

@@ -17,11 +17,10 @@ const DefaultBlockRefs = 4096
 
 // Writer streams references into the binary trace format. It
 // implements trace.Sink, so attaching one to sim.Options.TraceSink
-// records a run as it executes — at any sim.Options.Threads count: the
-// parallel engine's sequencer calls Emit single-threaded in committed
-// step order, so the recorded bytes are identical to a sequential
-// capture (TestCaptureReplayDeterminismThreaded). After the initial
-// blocks reach their steady-state capacity, Emit allocates nothing.
+// records a run as it executes: the simulator calls Emit on one
+// goroutine in committed step order, so a replay re-captures the same
+// bytes (TestCaptureReplayDeterminism). After the initial blocks reach
+// their steady-state capacity, Emit allocates nothing.
 //
 // Usage: NewWriter, optionally set Meta/BlockRefs, Begin (the sim calls
 // this for you when used as a TraceSink), Emit references, Close.

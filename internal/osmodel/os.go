@@ -9,7 +9,6 @@ package osmodel
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"chameleon/internal/addr"
 	"chameleon/internal/rng"
@@ -159,16 +158,6 @@ type OS struct {
 	// access counters for stacked-node hit-rate reporting
 	fastTouches  uint64
 	totalTouches uint64
-
-	// pageGen is the page-table generation: it advances on every
-	// eviction, the only mutation that can invalidate another process's
-	// established translation. Lock-free readers (the parallel engine's
-	// run-ahead path) sample it around TranslateMappedQuiet, seqlock
-	// style, to detect a concurrent eviction; lastVictim records the
-	// frame the most recent eviction reclaimed so the committer can test
-	// run-ahead translations against it.
-	pageGen    atomic.Uint64
-	lastVictim uint32
 }
 
 // New builds the OS model. notifier may be nil (no hardware
@@ -426,8 +415,6 @@ func (o *OS) evict() uint32 {
 		p.resident--
 		m.proc = -1
 		o.stats.Evictions++
-		o.lastVictim = uint32(f)
-		o.pageGen.Add(1)
 		return uint32(f)
 	}
 	panic("osmodel: evict found no resident frame")
@@ -491,8 +478,8 @@ func (o *OS) Translate(p *Process, vaddr uint64, now uint64) (phys addr.Phys, st
 	return addr.Phys(uint64(frame)*o.cfg.PageBytes + vaddr%o.cfg.PageBytes), stall
 }
 
-// TranslateMapped is the lock-free read path of Translate for pages
-// that are already resident: it resolves the mapping, marks the frame
+// TranslateMapped is the read-only path of Translate for pages that
+// are already resident: it resolves the mapping, marks the frame
 // referenced, and reports whether the frame sits on the stacked node —
 // but it never grows the page table, never allocates or evicts a frame,
 // and never touches the OS-wide access counters or the AutoNUMA engine
@@ -500,13 +487,10 @@ func (o *OS) Translate(p *Process, vaddr uint64, now uint64) (phys addr.Phys, st
 // ok is false when the page is unmapped; the caller must then route the
 // access through the full Translate fault path.
 //
-// Concurrency contract (the parallel engine's run-ahead path): distinct
-// goroutines may call TranslateMapped for distinct processes while a
-// single committer goroutine runs Translate, PROVIDED no evictions can
-// occur (evictions are the only cross-process page-table mutation).
-// Under that no-eviction guarantee a process's table is written only at
-// its own core's commits, each frame's meta is written only by its
-// owning process, and this read path is data-race-free.
+// The simulator's run-ahead path calls it ahead of other cores' commits,
+// which is sound only while no eviction can occur: evictions are the
+// only cross-process page-table mutation, so without them a process's
+// table changes only at its own core's commits.
 func (o *OS) TranslateMapped(p *Process, vaddr uint64) (phys addr.Phys, onFast, ok bool) {
 	vpage := vaddr / o.cfg.PageBytes
 	if vpage >= uint64(len(p.table)) {
@@ -519,47 +503,6 @@ func (o *OS) TranslateMapped(p *Process, vaddr uint64) (phys addr.Phys, onFast, 
 	o.meta[frame].ref = true
 	return addr.Phys(uint64(frame)*o.cfg.PageBytes + vaddr%o.cfg.PageBytes), uint64(frame) < o.fastFrames, true
 }
-
-// TranslateMappedQuiet is TranslateMapped for callers that must not
-// mutate any shared state at all: it resolves the mapping and returns
-// the backing frame but does not set the frame's CLOCK reference bit.
-// The parallel engine's eviction-safe mode uses it so that reference
-// bits — which steer CLOCK victim selection — can be logged per core
-// and replayed by the sequencer in commit order (via MarkReferenced),
-// keeping eviction decisions bit-identical to the sequential engine
-// even while cores run ahead out of order.
-//
-// Concurrency contract: distinct goroutines may call it for distinct
-// processes concurrently with a committer running Translate, provided
-// the committer fences those goroutines out (quiesces them) around any
-// Translate that evicts; PageGen exposes the eviction generation the
-// readers validate, seqlock style.
-func (o *OS) TranslateMappedQuiet(p *Process, vaddr uint64) (phys addr.Phys, frame uint32, onFast, ok bool) {
-	vpage := vaddr / o.cfg.PageBytes
-	if vpage >= uint64(len(p.table)) {
-		return 0, 0, false, false
-	}
-	frame = p.table[vpage]
-	if frame == noFrame {
-		return 0, 0, false, false
-	}
-	return addr.Phys(uint64(frame)*o.cfg.PageBytes + vaddr%o.cfg.PageBytes), frame, uint64(frame) < o.fastFrames, true
-}
-
-// MarkReferenced sets a frame's CLOCK reference bit. It is the
-// sequencer-side replay of the bits TranslateMappedQuiet deliberately
-// did not set; applying the logged bits in commit order reproduces the
-// sequential engine's CLOCK state exactly.
-func (o *OS) MarkReferenced(frame uint32) { o.meta[frame].ref = true }
-
-// PageGen returns the page-table generation counter. It advances on
-// every eviction, so a reader that observes the same generation before
-// and after a lock-free translation knows no eviction raced with it.
-func (o *OS) PageGen() uint64 { return o.pageGen.Load() }
-
-// LastEvictedFrame returns the frame reclaimed by the most recent
-// eviction. Meaningful only when the caller observed PageGen advance.
-func (o *OS) LastEvictedFrame() uint32 { return o.lastVictim }
 
 // AddTouches merges access counts accumulated outside Translate (the
 // per-core tallies of TranslateMapped callers) into the stacked-node

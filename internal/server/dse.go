@@ -35,12 +35,11 @@ func (s *Server) runDSE(ctx context.Context, j *Job) (any, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	threads := sim.ThreadBudget(j.Spec.Threads, par)
 	res, err := j.Spec.DSE.Run(ctx, dse.RunOptions{
 		Parallelism: par,
 		Progress:    j.setDSEProgress,
 		Evaluate: func(ctx context.Context, c dse.Cell) (dse.Eval, error) {
-			return s.evalDSECell(ctx, j.Spec, c, threads)
+			return s.evalDSECell(ctx, j.Spec, c)
 		},
 	})
 	if err != nil {
@@ -52,9 +51,9 @@ func (s *Server) runDSE(ctx context.Context, j *Job) (any, error) {
 
 // cellSpec normalizes one sweep cell into the KindSim spec that keys
 // the content-addressed result cache. Shared simulation parameters
-// (instructions, warm-up, threads) come from the parent job; the
-// cell's variant indices select concrete hierarchy / tier overlays
-// from the sweep spec.
+// (instructions, warm-up) come from the parent job; the cell's variant
+// indices select concrete hierarchy / tier overlays from the sweep
+// spec.
 func cellSpec(parent JobSpec, c dse.Cell) (JobSpec, error) {
 	cs := JobSpec{
 		Kind:         KindSim,
@@ -65,7 +64,6 @@ func cellSpec(parent JobSpec, c dse.Cell) (JobSpec, error) {
 		Seed:         c.Seed,
 		Instructions: parent.Instructions,
 		Warmup:       parent.Warmup,
-		Threads:      parent.Threads,
 	}
 	if c.CacheVariant >= 0 {
 		cs.CacheLevels = parent.DSE.CacheLevelVariants[c.CacheVariant]
@@ -87,10 +85,9 @@ func decodeEval(b []byte, hash string, cached bool) (dse.Eval, error) {
 
 // evalDSECell resolves one sweep cell: local cache, then peer cache,
 // then execution on the cell's ring owner, then an inline local
-// simulation at the sweep's thread budget (also the fallback whenever
-// a peer path fails — a dead peer costs the sweep capacity, never a
-// cell).
-func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell, threads int) (dse.Eval, error) {
+// simulation (also the fallback whenever a peer path fails — a dead
+// peer costs the sweep capacity, never a cell).
+func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (dse.Eval, error) {
 	cs, err := cellSpec(parent, c)
 	if err != nil {
 		return dse.Eval{}, err
@@ -127,7 +124,6 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell, th
 	if err != nil {
 		return dse.Eval{}, err
 	}
-	o.Threads = threads
 	sys, err := sim.New(o)
 	if err != nil {
 		return dse.Eval{}, err

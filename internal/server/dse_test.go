@@ -6,13 +6,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"chameleon/internal/dse"
-	"chameleon/internal/sim"
 )
 
 // fastDSESpec is a small real sweep (2 policies × 2 workloads × 2
@@ -117,55 +115,22 @@ func TestDSERepeatSubmissionServedFromCache(t *testing.T) {
 }
 
 // TestDSEFrontDeterministicAcrossThreads runs the same sweep on two
-// separate servers (separate caches — Threads is excluded from cell
-// hashes, so one server would serve the second run from cache) with
-// different per-cell thread counts and different runner parallelism,
-// requiring byte-identical front JSON.
+// separate servers (separate caches, so the second run cannot be served
+// from the first's) with one and with four cells in flight, requiring
+// byte-identical front JSON.
 func TestDSEFrontDeterministicAcrossThreads(t *testing.T) {
 	spec1 := fastDSESpec()
-	spec1.Threads = 1
 	spec1.Parallelism = 1
 	s1 := newTestServer(t, Options{Workers: 1})
 	_, r1 := runDSEJob(t, s1, spec1)
 
 	spec2 := fastDSESpec()
-	spec2.Threads = 4
 	spec2.Parallelism = 4
 	s2 := newTestServer(t, Options{Workers: 1})
 	_, r2 := runDSEJob(t, s2, spec2)
 
 	if sig1, sig2 := r1.FrontSignature(), r2.FrontSignature(); sig1 != sig2 {
-		t.Errorf("front differs across thread counts:\n1 thread:  %s\n4 threads: %s", sig1, sig2)
-	}
-}
-
-// TestDSECellThreadBudget: inline sweep cells run on the sequential
-// engine unless the sweep asks for threads, and an explicit request is
-// clamped by the sweep's cell parallelism — on 4 procs, 4 cells in
-// flight leave each cell one thread. Each case gets its own server,
-// since threads is excluded from the cell hashes. The test pins
-// GOMAXPROCS, so it must not run in parallel with others.
-func TestDSECellThreadBudget(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, tc := range []struct {
-		name         string
-		threads, par int
-		engine       string
-	}{
-		{name: "default", threads: 0, par: 2, engine: sim.EngineSequential},
-		{name: "clamped", threads: 8, par: 4, engine: sim.EngineSequential},
-		{name: "explicit", threads: 8, par: 2, engine: sim.EngineParallel},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := newTestServer(t, Options{Workers: 1})
-			spec := fastDSESpec()
-			spec.Threads, spec.Parallelism = tc.threads, tc.par
-			runDSEJob(t, s, spec)
-			if n := engineRuns(s, tc.engine); n != 8 {
-				t.Errorf("sim_runs_by_engine[%s] = %d, want all 8 cells (map %s)",
-					tc.engine, n, s.Metrics().RunsByEngine.String())
-			}
-		})
+		t.Errorf("front differs across cell parallelism:\n1 cell:  %s\n4 cells: %s", sig1, sig2)
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -105,6 +106,26 @@ func TestHTTPCancel(t *testing.T) {
 	var out any
 	if err := c.Result(ctx, st.ID, &out); err == nil || !strings.Contains(err.Error(), "410") {
 		t.Fatalf("want HTTP 410 for canceled result, got %v", err)
+	}
+}
+
+// TestThreadsKeyRejected: the simulator has one engine, so a job spec
+// no longer has a threads key, and strict decoding rejects a spec that
+// still sends one with an error naming the key.
+func TestThreadsKeyRejected(t *testing.T) {
+	_, ts, _ := newHTTPServer(t, Options{Workers: 1})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"policy":"pom","workload":"bwaves","threads":8}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e apiError
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"threads"`) {
+		t.Fatalf("threads key: %d %q, want 400 naming the key", resp.StatusCode, e.Error)
 	}
 }
 

@@ -232,14 +232,6 @@ func (j *Job) setSimProgress(p sim.TimelinePoint) {
 	j.mu.Unlock()
 }
 
-// resetProgress clears the job's progress snapshot, e.g. before the
-// server reruns a collided parallel simulation sequentially.
-func (j *Job) resetProgress() {
-	j.mu.Lock()
-	j.progress = Progress{}
-	j.mu.Unlock()
-}
-
 // setMatrixProgress records completed matrix cells.
 func (j *Job) setMatrixProgress(done, total int) {
 	j.mu.Lock()

@@ -30,15 +30,9 @@ type Metrics struct {
 	CacheHits     expvar.Int
 	CacheMisses   expvar.Int
 	SimCycles     expvar.Int // simulated cycles completed, all jobs
-	// RunsByEngine counts completed simulations — sim jobs, inline DSE
-	// cells and matrix cells alike — keyed by sim.Result.Engine
-	// ("sequential" or "parallel").
-	RunsByEngine expvar.Map
-	// ParallelFallbacks counts simulations the parallel engine declined,
-	// keyed by sim.Result.FallbackReason (e.g. "alloc-phases",
-	// "autonuma", "eviction-collision"). A healthy fleet keeps this
-	// near zero; growth pinpoints which feature is serializing runs.
-	ParallelFallbacks expvar.Map
+	// SimRuns counts completed simulations: sim jobs, inline DSE cells
+	// and matrix cells alike.
+	SimRuns expvar.Int
 
 	// DSE sweep counters: cells actually simulated locally, cells
 	// served from the content-addressed cache (local or peer), cells
@@ -93,22 +87,16 @@ func (m *Metrics) SetClusterInfo(fn func() any) { m.clusterInfo = fn }
 
 // NewMetrics returns a zeroed metrics set anchored at now.
 func NewMetrics() *Metrics {
-	m := &Metrics{start: time.Now()}
-	m.RunsByEngine.Init()
-	m.ParallelFallbacks.Init()
-	return m
+	return &Metrics{start: time.Now()}
 }
 
-// ObserveRun records one completed simulation: its simulated cycles,
-// its unified snapshot, and its engine provenance. Every path that
-// runs a simulation reports through here.
+// ObserveRun records one completed simulation: the run itself, its
+// simulated cycles and its unified snapshot. Every path that runs a
+// simulation reports through here.
 func (m *Metrics) ObserveRun(r *sim.Result) {
+	m.SimRuns.Add(1)
 	m.SimCycles.Add(int64(r.MaxCycles))
 	m.ObserveSim(r)
-	m.RunsByEngine.Add(r.Engine, 1)
-	if r.FallbackReason != "" {
-		m.ParallelFallbacks.Add(r.FallbackReason, 1)
-	}
 }
 
 // ObserveQueueWait records one job's time-to-first-worker.
@@ -205,8 +193,7 @@ func (m *Metrics) Vars() *expvar.Map {
 		mp.Set("dse_cells_cached", &m.DSECellsCached)
 		mp.Set("dse_cells_pruned", &m.DSECellsPruned)
 		mp.Set("dse_cells_remote", &m.DSECellsRemote)
-		mp.Set("sim_runs_by_engine", &m.RunsByEngine)
-		mp.Set("sim_parallel_fallback_total", &m.ParallelFallbacks)
+		mp.Set("sim_runs_total", &m.SimRuns)
 		mp.Set("sim_cycles_total", &m.SimCycles)
 		mp.Set("sim_cycles_per_sec", expvar.Func(func() any { return m.CyclesPerSecond() }))
 		mp.Set("uptime_seconds", expvar.Func(func() any {

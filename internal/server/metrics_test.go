@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"chameleon/internal/sim"
 	"chameleon/internal/stats"
 )
 
@@ -71,33 +70,4 @@ func jsonKeyOrder(t *testing.T, raw []byte) []string {
 		}
 	}
 	return keys
-}
-
-// TestObserveRunEngineProvenance: every completed simulation reaches
-// sim_runs_by_engine under its Result.Engine, and its fallback reason,
-// if any, reaches sim_parallel_fallback_total.
-func TestObserveRunEngineProvenance(t *testing.T) {
-	m := NewMetrics()
-	m.ObserveRun(&sim.Result{Engine: sim.EngineParallel, MaxCycles: 10})
-	m.ObserveRun(&sim.Result{Engine: sim.EngineSequential, MaxCycles: 5})
-	m.ObserveRun(&sim.Result{Engine: sim.EngineSequential, FallbackReason: sim.FallbackAllocPhases})
-
-	var doc struct {
-		Engines   map[string]int64   `json:"sim_runs_by_engine"`
-		Fallbacks map[string]int64   `json:"sim_parallel_fallback_total"`
-		Cycles    int64              `json:"sim_cycles_total"`
-		Sim       map[string]float64 `json:"sim"`
-	}
-	if err := json.Unmarshal([]byte(m.Vars().String()), &doc); err != nil {
-		t.Fatalf("expvar map is not valid JSON: %v", err)
-	}
-	if doc.Engines[sim.EngineSequential] != 2 || doc.Engines[sim.EngineParallel] != 1 || len(doc.Engines) != 2 {
-		t.Errorf("sim_runs_by_engine = %v, want sequential 2, parallel 1", doc.Engines)
-	}
-	if doc.Fallbacks[sim.FallbackAllocPhases] != 1 || len(doc.Fallbacks) != 1 {
-		t.Errorf("sim_parallel_fallback_total = %v, want alloc-phases 1", doc.Fallbacks)
-	}
-	if doc.Cycles != 15 || doc.Sim["runs"] != 3 {
-		t.Errorf("sim_cycles_total = %d, sim.runs = %v, want 15 and 3", doc.Cycles, doc.Sim["runs"])
-	}
 }

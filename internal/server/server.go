@@ -336,29 +336,12 @@ func (s *Server) runSim(ctx context.Context, j *Job) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.Threads = sim.ThreadBudget(o.Threads, s.opts.Workers)
 	o.Progress = j.setSimProgress
 	sys, err := sim.New(o)
 	if err != nil {
 		return nil, err
 	}
 	res, err := sys.RunContext(ctx, j.Spec.Instructions)
-	if errors.Is(err, sim.ErrRunAheadCollision) {
-		// A committed eviction reclaimed a frame a run-ahead step had
-		// already translated against. The sim library won't replay on
-		// its own because our Progress callback already fired; the
-		// progress gauge is ours to reset, so rebuild and rerun
-		// sequentially — the result is the bit-exact sequential answer.
-		j.resetProgress()
-		o.Threads = 1
-		if sys, err = sim.New(o); err != nil {
-			return nil, err
-		}
-		if res, err = sys.RunContext(ctx, j.Spec.Instructions); err == nil {
-			res.Engine = sim.EngineSequential
-			res.FallbackReason = sim.FallbackEvictionCollision
-		}
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"expvar"
-	"runtime"
 	"testing"
 	"time"
 
@@ -82,106 +80,18 @@ func TestSubmitResultMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.GeoMeanIPC != want.GeoMeanIPC || got.MaxCycles != want.MaxCycles ||
-		got.StackedHitRate != want.StackedHitRate {
-		t.Fatalf("served result diverged: got IPC %v cycles %d hit %v, want IPC %v cycles %d hit %v",
-			got.GeoMeanIPC, got.MaxCycles, got.StackedHitRate,
-			want.GeoMeanIPC, want.MaxCycles, want.StackedHitRate)
-	}
-}
-
-// TestJobEngineDefault: a sim job that leaves threads unset runs on the
-// sequential engine (sim.ThreadBudget's default), while an explicit
-// request the host has room for runs on the parallel engine. Either
-// way the served result — timeline included, since every chamd job
-// attaches one — is JSON-identical to the same spec run directly at
-// Threads=1, up to the Engine provenance fields. Each case gets its own
-// server because threads is excluded from the cache hash. The test
-// pins GOMAXPROCS, so it must not run in parallel with others.
-func TestJobEngineDefault(t *testing.T) {
-	// The sequential reference: the same spec run directly at Threads=1.
-	spec, err := fastSpec(11).Normalize()
+	// Every field, the timeline every job attaches included.
+	gb, err := json.Marshal(&got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := spec.SimOptions()
+	wb, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Threads = 1
-	sys, err := sim.New(o)
-	if err != nil {
-		t.Fatal(err)
+	if string(gb) != string(wb) {
+		t.Errorf("served result JSON diverged from the direct run:\ndirect: %s\nserved: %s", wb, gb)
 	}
-	want, err := sys.Run(spec.Instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Engine != sim.EngineSequential {
-		t.Fatalf("reference run engine = %q, want sequential", want.Engine)
-	}
-	w := *want
-	w.Engine, w.FallbackReason = "", ""
-	wb, err := json.Marshal(&w)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		name           string
-		threads, procs int // procs 0 leaves GOMAXPROCS alone
-		engine         string
-	}{
-		{name: "default", threads: 0, engine: sim.EngineSequential},
-		{name: "explicit", threads: 8, procs: 4, engine: sim.EngineParallel},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if tc.procs > 0 {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
-			}
-			s := newTestServer(t, Options{Workers: 1})
-			spec := fastSpec(11)
-			spec.Threads = tc.threads
-			j, err := s.Submit(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := waitTerminal(t, j, 30*time.Second); st.State != StateDone {
-				t.Fatalf("state = %s (err %q), want done", st.State, st.Error)
-			}
-			body, err := j.Result()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got sim.Result
-			if err := json.Unmarshal(body, &got); err != nil {
-				t.Fatal(err)
-			}
-			if got.Engine != tc.engine || got.FallbackReason != "" {
-				t.Fatalf("served engine %q/%q, want %s", got.Engine, got.FallbackReason, tc.engine)
-			}
-			if n := engineRuns(s, tc.engine); n != 1 {
-				t.Errorf("sim_runs_by_engine[%s] = %d, want 1", tc.engine, n)
-			}
-			got.Engine, got.FallbackReason = "", ""
-			gb, err := json.Marshal(&got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(wb) != string(gb) {
-				t.Errorf("served result diverged from the sequential run:\nseq: %s\ngot: %s", wb, gb)
-			}
-		})
-	}
-}
-
-// engineRuns reads one key of the server's sim_runs_by_engine map.
-func engineRuns(s *Server, engine string) int64 {
-	v, _ := s.Metrics().RunsByEngine.Get(engine).(*expvar.Int)
-	if v == nil {
-		return 0
-	}
-	return v.Value()
 }
 
 func TestDuplicateSubmitHitsCache(t *testing.T) {
@@ -218,54 +128,6 @@ func TestDuplicateSubmitHitsCache(t *testing.T) {
 	}
 	if j3.Status().Cached {
 		t.Fatal("different seed must not hit the cache")
-	}
-}
-
-// TestThreadsExcludedFromHash: the parallel engine is bit-deterministic,
-// so the thread count is pure scheduling — two submissions differing
-// only in threads must share one content hash and one cache entry.
-func TestThreadsExcludedFromHash(t *testing.T) {
-	one := fastSpec(6)
-	one.Threads = 1
-	eight := fastSpec(6)
-	eight.Threads = 8
-	n1, err := one.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n8, err := eight.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1.Hash() != n8.Hash() {
-		t.Fatalf("threads changed the content hash: %s vs %s", n1.Hash(), n8.Hash())
-	}
-
-	if _, err := (JobSpec{Kind: KindSim, Policy: "flat", Workload: "bwaves", Threads: -1}).Normalize(); err == nil {
-		t.Fatal("negative threads must be rejected")
-	}
-
-	s := newTestServer(t, Options{Workers: 1})
-	j1, err := s.Submit(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, j1, 30*time.Second)
-	r1, err := j1.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := s.Submit(eight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := j2.Status()
-	if st.State != StateDone || !st.Cached {
-		t.Fatalf("threads=8 resubmission: state=%s cached=%v, want done from cache", st.State, st.Cached)
-	}
-	r2, _ := j2.Result()
-	if string(r1) != string(r2) {
-		t.Fatal("cached result differs across thread counts")
 	}
 }
 
@@ -551,10 +413,18 @@ func TestMatrixJobEndToEnd(t *testing.T) {
 			t.Errorf("matrix payload missing %s/bwaves (have %d policies)", policy, len(payload.Results))
 		}
 	}
-	// Matrix cells report their engine like sim jobs do; unset threads
-	// run every cell sequentially.
-	if n := engineRuns(s, sim.EngineSequential); n != 8 {
-		t.Errorf("sim_runs_by_engine[sequential] = %d, want 8 matrix cells", n)
+	// Matrix cells are counted like sim jobs.
+	var cycles int64
+	for _, rows := range payload.Results {
+		for _, r := range rows {
+			cycles += int64(r.MaxCycles)
+		}
+	}
+	if n := s.Metrics().SimRuns.Value(); n != 8 {
+		t.Errorf("sim_runs_total = %d, want 8 matrix cells", n)
+	}
+	if n := s.Metrics().SimCycles.Value(); n != cycles {
+		t.Errorf("sim_cycles_total = %d, want %d summed over the matrix cells", n, cycles)
 	}
 }
 

@@ -70,10 +70,10 @@ type JobSpec struct {
 	Parallelism int      `json:"parallelism,omitempty"`
 
 	// DSE fields (Kind == "dse"): the declarative sweep. Shared
-	// parameters below still apply per cell (Instructions, Warmup,
-	// Threads); the sweep's own axes supersede Policy/Workload/Ratio,
-	// and a top-level Scale or Seed seeds the corresponding axis when
-	// the sweep leaves it empty. Every expanded cell is normalized into
+	// parameters below still apply per cell (Instructions, Warmup); the
+	// sweep's own axes supersede Policy/Workload/Ratio, and a top-level
+	// Scale or Seed seeds the corresponding axis when the sweep leaves
+	// it empty. Every expanded cell is normalized into
 	// a KindSim spec whose hash keys the shared result cache, so repeat
 	// sweeps — and sweeps overlapping earlier sim jobs — are served from
 	// cache.
@@ -84,16 +84,6 @@ type JobSpec struct {
 	Instructions uint64 `json:"instructions,omitempty"`
 	Warmup       uint64 `json:"warmup,omitempty"` // 0 = default 4M; use 1 to disable
 	Seed         uint64 `json:"seed,omitempty"`
-	// Threads is the per-simulation worker-thread count handed to
-	// sim.Options.Threads (0 or 1 = the sequential engine, the faster
-	// one on most workloads). The parallel engine is bit-deterministic,
-	// so Threads changes wall-clock time only — it is validated here but
-	// excluded from the cache hash, and two submissions differing only
-	// in threads share one cache entry. The server resolves an explicit
-	// request through sim.ThreadBudget: against its worker pool for a
-	// sim job, against the sweep's cell parallelism for a DSE cell (see
-	// the sim_runs_by_engine metric).
-	Threads int `json:"threads,omitempty"`
 	// CacheLevels replaces the default three-level cache hierarchy with
 	// an explicit stack (ordered from the core outward; see
 	// config.CacheLevelConfig). Empty keeps the scaled default.
@@ -133,9 +123,6 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	}
 	if s.TimeoutMS < 0 {
 		return s, fmt.Errorf("timeout_ms must be non-negative, got %d", s.TimeoutMS)
-	}
-	if s.Threads < 0 {
-		return s, fmt.Errorf("threads must be non-negative, got %d", s.Threads)
 	}
 	if s.Ratio < 0 {
 		return s, fmt.Errorf("ratio must be non-negative, got %d", s.Ratio)
@@ -297,10 +284,6 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 func (s JobSpec) Hash() string {
 	s.TimeoutMS = 0
 	s.Parallelism = 0
-	// The parallel engine is bit-deterministic (TestParallelEquivalence),
-	// so the thread count is pure scheduling: submissions differing only
-	// in threads must share one cache entry.
-	s.Threads = 0
 	// A replay job is identified by the trace's content (TraceSHA256),
 	// not its filename: moving a recording keeps the cache warm.
 	s.TracePath = ""
@@ -342,7 +325,6 @@ func (s JobSpec) SimOptions() (sim.Options, error) {
 		Seed:                s.Seed,
 		WarmupInstructions:  s.Warmup,
 		TimelineEpochCycles: s.TimelineEpochCycles,
-		Threads:             s.Threads,
 	}
 	if s.TracePath != "" {
 		tr, err := memtrace.LoadFile(s.TracePath)
@@ -385,7 +367,6 @@ func (s JobSpec) MatrixOptions() experiments.Options {
 		Seed:         s.Seed,
 		Workloads:    s.Workloads,
 		Parallelism:  s.Parallelism,
-		Threads:      s.Threads,
 		CacheLevels:  s.CacheLevels,
 		MemoryTiers:  s.MemoryTiers,
 	}

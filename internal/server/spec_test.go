@@ -60,7 +60,7 @@ func TestSpecMachineValidation(t *testing.T) {
 func FuzzJobSpecNormalize(f *testing.F) {
 	for _, seed := range []string{
 		`{"policy":"pom","workload":"bwaves"}`,
-		`{"policy":"chameleon","workload":"mcf","ratio":3,"scale":1024,"threads":2}`,
+		`{"policy":"chameleon","workload":"mcf","ratio":3,"scale":1024}`,
 		`{"policy":"flat","workload":"lbm","baseline_gb":20,"ratio":-1}`,
 		`{"policy":"pom","workload":"bwaves","ratio":1048576}`,
 		`{"policy":"pom","workload":"bwaves","cache_levels":[{"Name":"L1","SizeBytes":32768,"Ways":4,"LineBytes":64,"LatencyCycles":4},{"Name":"LLC","SizeBytes":1048576,"Ways":16,"LineBytes":64,"LatencyCycles":30,"Shared":true}]}`,

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"math"
 	"reflect"
@@ -18,9 +17,9 @@ import (
 
 // pinnedDigests are SHA-256 digests of every integer counter of a
 // short run, per-tier device snapshots included (see resultDigest), per
-// policy and pinnedRow; both engines must produce it. They pin
-// simulation results across rewrites of the layers below the engines,
-// which the engine-versus-engine equivalence tests cannot see.
+// policy and pinnedRow. They pin simulation results across rewrites of
+// the engine and the layers below it, which the run-ahead-versus-serial
+// equivalence tests cannot see.
 // A change that legitimately alters simulated behaviour must re-record
 // them and say why. The cloverleaf-churn rows were recorded while the
 // simulator still carried its original inline L1/L2/L3 walk and
@@ -125,8 +124,8 @@ type pinnedRow struct {
 	// always config.Default(512)).
 	wlScale uint64
 	instr   uint64
-	// opts supplies the run settings; Config, Policy, Workload and
-	// Threads are filled in per subtest.
+	// opts supplies the run settings; Config, Policy and Workload are
+	// filled in per subtest.
 	opts Options
 }
 
@@ -138,8 +137,7 @@ var pinnedRows = []pinnedRow{
 		Seed: 11, WarmupInstructions: 20_000, BaselineBytes: 24 * config.GB / 512,
 	}},
 	// Allocation churn drives ISA notifications and mode switches
-	// mid-run under timeline sampling. At two threads churn keeps the
-	// run on the sequential engine (FallbackAllocPhases).
+	// mid-run under timeline sampling.
 	{name: "cloverleaf-churn", workload: "cloverleaf", wlScale: 512, instr: 100_000, opts: Options{
 		Seed:                   31,
 		WarmupInstructions:     300_000,
@@ -151,51 +149,48 @@ var pinnedRows = []pinnedRow{
 }
 
 // TestResultDigestsPinned runs every registered policy on every
-// pinnedRow on both engines and compares each result's integer-counter
-// digest with the recorded value.
+// pinnedRow and compares each result's integer-counter digest with the
+// recorded value. The threads1 suffix keeps the subtest names of the
+// records made while a parallel engine ran the same rows at two threads.
 func TestResultDigestsPinned(t *testing.T) {
 	const scale = 512
 	for _, kind := range PolicyNames() {
 		for _, row := range pinnedRows {
-			for _, threads := range []int{1, 2} {
-				key := kind + "/" + row.name
-				name := fmt.Sprintf("%s/threads%d", key, threads)
-				t.Run(name, func(t *testing.T) {
-					prof, err := workload.ByName(row.workload)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg := config.Default(scale)
-					desc, err := policy.Lookup(kind)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for cfg.NumTiers() < desc.RequiredTiers() {
-						cfg = cfg.WithNVMTier(32 * config.GB / scale)
-					}
-					opts := row.opts
-					opts.Config = cfg
-					opts.Policy = PolicyKind(kind)
-					opts.Workload = prof.Scale(row.wlScale)
-					opts.Threads = threads
-					sys, err := New(opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := sys.Run(row.instr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := resultDigest(res)
-					want, ok := pinnedDigests[key]
-					if !ok {
-						t.Fatalf("no pinned digest for %s (got %s)", key, got)
-					}
-					if got != want {
-						t.Errorf("digest %s, pinned %s", got, want)
-					}
-				})
-			}
+			key := kind + "/" + row.name
+			t.Run(key+"/threads1", func(t *testing.T) {
+				prof, err := workload.ByName(row.workload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := config.Default(scale)
+				desc, err := policy.Lookup(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for cfg.NumTiers() < desc.RequiredTiers() {
+					cfg = cfg.WithNVMTier(32 * config.GB / scale)
+				}
+				opts := row.opts
+				opts.Config = cfg
+				opts.Policy = PolicyKind(kind)
+				opts.Workload = prof.Scale(row.wlScale)
+				sys, err := New(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sys.Run(row.instr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := resultDigest(res)
+				want, ok := pinnedDigests[key]
+				if !ok {
+					t.Fatalf("no pinned digest for %s (got %s)", key, got)
+				}
+				if got != want {
+					t.Errorf("digest %s, pinned %s", got, want)
+				}
+			})
 		}
 	}
 }

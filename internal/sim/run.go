@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -88,17 +87,6 @@ type Result struct {
 	NUMATimeline []osmodel.EpochRecord
 	// Timeline is populated when Options.TimelineEpochCycles is set.
 	Timeline []TimelinePoint
-
-	// Engine reports which execution engine ran the simulation:
-	// EngineParallel when the commit-sequencer engine was active, else
-	// EngineSequential. Every simulation counter above is bit-identical
-	// either way; Engine is run provenance, not a metric.
-	Engine string
-	// FallbackReason is non-empty when Options.Threads requested
-	// parallelism but the run executed sequentially anyway (one of the
-	// Fallback* constants). Empty for parallel runs and for runs that
-	// never asked for threads.
-	FallbackReason string `json:",omitempty"`
 }
 
 // Run executes instrPerCore instructions on every core and returns the
@@ -114,46 +102,7 @@ func (s *System) Run(instrPerCore uint64) (*Result, error) {
 // references), so a deadline or an explicit cancel stops a runaway
 // simulation promptly. The returned error wraps ctx.Err() when the run
 // was cut short.
-//
-// A parallel pass can abort with ErrRunAheadCollision when a committed
-// eviction reclaims a frame a run-ahead step already translated
-// against (rare: the workload must evict AND the victim must be hot on
-// another core within the run-ahead window). When no side channel has
-// escaped the aborted run — no trace sink, no Progress callback, no
-// externally owned Sources — RunContext transparently replays the
-// whole run on a fresh sequential System built from the same options;
-// the result is the bit-exact sequential answer with
-// Result.FallbackReason set to FallbackEvictionCollision.
 func (s *System) RunContext(ctx context.Context, instrPerCore uint64) (*Result, error) {
-	res, err := s.runContext(ctx, instrPerCore)
-	if err != nil && errors.Is(err, ErrRunAheadCollision) && s.canRetrySequential() {
-		o := s.opts
-		o.Threads = 1
-		seq, nerr := New(o)
-		if nerr != nil {
-			return nil, err
-		}
-		res, err = seq.runContext(ctx, instrPerCore)
-		if err == nil {
-			res.Engine = EngineSequential
-			res.FallbackReason = FallbackEvictionCollision
-		}
-	}
-	return res, err
-}
-
-// canRetrySequential reports whether an aborted parallel run may be
-// replayed on a fresh System: only when the aborted pass produced no
-// externally visible side effects. A trace sink has already received
-// a partial capture, a Progress callback may have fired, and Sources
-// are stateful streams the aborted run partially consumed — any of
-// those makes a silent replay wrong, so the collision surfaces as an
-// error instead.
-func (s *System) canRetrySequential() bool {
-	return !s.sinkOn && s.opts.Progress == nil && len(s.opts.Sources) == 0
-}
-
-func (s *System) runContext(ctx context.Context, instrPerCore uint64) (*Result, error) {
 	if instrPerCore == 0 {
 		return nil, fmt.Errorf("sim: instruction budget must be positive")
 	}
@@ -203,7 +152,7 @@ func (s *System) runContext(ctx context.Context, instrPerCore uint64) (*Result, 
 		faults0[i] = c.faultCycles[i]
 	}
 	if s.opts.TimelineEpochCycles > 0 {
-		s.nextEpoch.Store(t0 + s.opts.TimelineEpochCycles)
+		s.nextEpoch = t0 + s.opts.TimelineEpochCycles
 	}
 	if err := s.execute(instrPerCore); err != nil {
 		return nil, err
@@ -212,13 +161,10 @@ func (s *System) runContext(ctx context.Context, instrPerCore uint64) (*Result, 
 }
 
 // sampleTimeline records a TimelinePoint when the given time crosses
-// the next epoch boundary. Called only from the goroutine that orders
-// step commits (the sequential loop or the parallel sequencer); the
-// atomic nextEpoch accesses publish the advancing bound to run-ahead
-// workers, which read it to decide whether a local step must park for
-// sampling.
+// the next epoch boundary. Only step commits call it, so samples fire
+// in commit order.
 func (s *System) sampleTimeline(now uint64) {
-	next := s.nextEpoch.Load()
+	next := s.nextEpoch
 	if next == 0 || now < next {
 		return
 	}
@@ -230,7 +176,7 @@ func (s *System) sampleTimeline(now uint64) {
 	for next <= now {
 		next += s.opts.TimelineEpochCycles
 	}
-	s.nextEpoch.Store(next)
+	s.nextEpoch = next
 	if s.opts.Progress != nil {
 		s.opts.Progress(p)
 	}
@@ -291,18 +237,8 @@ func (s *System) resetStats() {
 // time.
 const ctxCheckInterval = 4096
 
-// beginPass arms every core for one execute pass: budget further
-// instructions each. It is the budget-reset preamble shared by both
-// engines (sequential and parallel).
-func (s *System) beginPass(budget uint64) {
-	c := &s.cores
-	for i := range c.budget {
-		c.budget[i] = c.instr[i] + budget
-	}
-}
-
-// checkCancel is the shared cancellation probe: it polls the run
-// context once every ctxCheckInterval calls, counting via *steps.
+// checkCancel is the cancellation probe: it polls the run context once
+// every ctxCheckInterval calls, counting via *steps.
 func (s *System) checkCancel(steps *int) error {
 	if *steps++; *steps < ctxCheckInterval {
 		return nil
@@ -315,28 +251,23 @@ func (s *System) checkCancel(steps *int) error {
 }
 
 // execute runs every core for budget further instructions. It returns
-// a non-nil error only when the run context is canceled (or, on either
-// run-ahead engine, when a run invariant is violated).
+// a non-nil error only when the run context is canceled (or when a
+// run-ahead invariant is violated).
 //
-// With Options.Threads > 1 (and no sequential fallback, see System.par)
-// the pass runs on the parallel engine. Otherwise it runs here, on one
-// goroutine: an indexed min-heap holds every unfinished core under the
-// (key, id) commit position of its parked event. The loop takes the
-// minimum core, commits its event, runs the core's private prefixes
-// straight through (stepPrivate) until a step needs shared state or the
-// budget is spent, then parks the core under its new key (fix) or pops
-// it. Private prefixes commute across cores, so only shared events need
+// The pass runs on one goroutine: an indexed min-heap holds every
+// unfinished core under the (key, id) commit position of its parked
+// event. The loop takes the minimum core, commits its event, runs the
+// core's private prefixes straight through (stepPrivate) until a step
+// needs shared state or the budget is spent, then parks the core under
+// its new key (fix) or pops it. Private prefixes commute across cores, so only shared events need
 // ordering, and the heap moves once per shared event instead of once
 // per reference. When run-ahead is unsafe (System.runAhead) every step
 // parks whole as an evStep, which is exactly the one-reference-at-a-time
 // (time, id) order.
 func (s *System) execute(budget uint64) error {
-	if s.par != nil {
-		return s.executePar(budget)
-	}
-	s.beginPass(budget)
 	c := &s.cores
 	for i := range c.ev {
+		c.budget[i] = c.instr[i] + budget
 		// Nothing is parked yet: a no-op event lets the loop start every
 		// core the same way it resumes one.
 		c.ev[i] = stepEvent{kind: evSync}
@@ -346,7 +277,7 @@ func (s *System) execute(budget uint64) error {
 	steps := 0
 	for h.len() > 0 {
 		i := int(h.peek())
-		if err := s.commit(i, nil); err != nil {
+		if err := s.commit(i); err != nil {
 			return err
 		}
 		parked := false
@@ -356,7 +287,7 @@ func (s *System) execute(budget uint64) error {
 			}
 			key := c.time[i]
 			if s.runAhead {
-				parked = s.stepPrivate(i, key, nil)
+				parked = s.stepPrivate(i)
 			} else {
 				c.ev[i] = stepEvent{kind: evStep}
 				parked = true
@@ -374,6 +305,19 @@ func (s *System) execute(budget uint64) error {
 	}
 	s.mergeTouches()
 	return nil
+}
+
+// mergeTouches folds the run-ahead per-core mapped-translation tallies
+// into the OS counters. The counts are commutative sums, so merging
+// once per pass reproduces whole-step counting exactly.
+func (s *System) mergeTouches() {
+	c := &s.cores
+	for i := range c.touchTotal {
+		if c.touchTotal[i] != 0 {
+			s.os.AddTouches(c.touchTotal[i], c.touchFast[i])
+			c.touchTotal[i], c.touchFast[i] = 0, 0
+		}
+	}
 }
 
 // step executes one whole reference on core i: the allocation phase,
@@ -470,22 +414,20 @@ func (s *System) applyWalk(i int, p uint64, walkStall uint64, llcMiss bool, vict
 // once. Everything else — the shared cache levels, the memory-system
 // controller, the DRAM devices, page faults, allocation phases — parks
 // as a stepEvent under the step's commit key (the core's pre-step
-// clock) and runs when commit reaches it in (key, id) order. Both
-// engines use this one decomposition: the run-ahead sequential loop in
-// execute, and the parallel engine's workers and sequencer (see
-// parallel.go), which add rings, a fence and atomics around it.
+// clock) and runs when commit reaches it in (key, id) order (see
+// execute).
 
 // Event kinds (stepEvent.kind).
 const (
 	evStep  uint8 = iota // the whole step is shared: commit runs step
 	evWalk               // private walk spilled into the shared levels
-	evFault              // translation missed (or its generation went stale); full fault path needed
+	evFault              // translation missed; full fault path needed
 	evEpoch              // fully-local step that may cross a timeline epoch; sample, then retire
-	evSync               // no step at all: a pass start, or a parallel core whose side-channel rings must drain
+	evSync               // no step at all: a pass start
 )
 
 // stepEvent is one core's parked shared-phase event. Its commit key
-// lives beside it in coreSoA.key, where the schedulers compare it.
+// lives beside it in coreSoA.key, where the heap compares it.
 type stepEvent struct {
 	kind  uint8
 	write bool
@@ -501,17 +443,14 @@ type stepEvent struct {
 	stall uint64
 }
 
-// stepPrivate runs the core-local prefix of core i's next step, whose
-// commit key is key. It reports whether the step parked: c.ev[i] then
-// holds the event whose commit finishes the step, and c.time[i] is the
-// post-gap clock. Otherwise the step retired without touching shared
-// state. e is the parallel engine whose worker runs the prefix, or nil
-// on the sequential engine; it adds trace capture and the eviction-safe
-// translation protocol (parallel.go).
+// stepPrivate runs the core-local prefix of core i's next step. It
+// reports whether the step parked: c.ev[i] then holds the event whose
+// commit finishes the step, and c.time[i] is the post-gap clock.
+// Otherwise the step retired without touching shared state.
 //
 // Run-ahead needs translations no other core's commit can change, so
-// the sequential engine calls it only when System.runAhead holds.
-func (s *System) stepPrivate(i int, key uint64, e *parEngine) (parked bool) {
+// execute calls it only when System.runAhead holds.
+func (s *System) stepPrivate(i int) (parked bool) {
 	c := &s.cores
 	if s.phaseOn && s.phaseDue(i) {
 		// The boundary maps or frees memory (ISA-Alloc/Free): the whole
@@ -530,36 +469,16 @@ func (s *System) stepPrivate(i int, key uint64, e *parEngine) (parked bool) {
 		c.pendingValid[i] = false
 	} else {
 		ref := c.stream[i].Next()
-		if e != nil && e.capturing {
-			e.refs[i].push(key, ref)
-		}
 		c.instr[i] += ref.Gap
 		c.time[i] += ref.Gap * s.baseCPIx1000 / 1000
-		var ok, onFast bool
-		if e != nil && e.evictable {
-			// Seqlock-style validation: an eviction bumps the page-table
-			// generation, so a stable read brackets a translation no
-			// eviction raced with. The reference bit is logged, not set —
-			// the sequencer replays bits in commit order so CLOCK victim
-			// selection stays bit-identical.
-			gen := s.os.PageGen()
-			phys, frame, fast, mapped := s.os.TranslateMappedQuiet(c.proc[i], ref.VAddr)
-			onFast, ok = fast, mapped && s.os.PageGen() == gen
-			if ok {
-				e.touches[i].push(key, frame)
-			}
-			p = uint64(phys)
-		} else {
-			phys, fast, mapped := s.os.TranslateMapped(c.proc[i], ref.VAddr)
-			onFast, ok = fast, mapped
-			p = uint64(phys)
-		}
+		phys, onFast, ok := s.os.TranslateMapped(c.proc[i], ref.VAddr)
 		if !ok {
-			// Unmapped, or the translation went stale: the commit replays
-			// the fault path authoritatively at this step's position.
+			// Unmapped: the commit runs the fault path at this step's
+			// position.
 			c.ev[i] = stepEvent{kind: evFault, write: ref.Write, phys: ref.VAddr}
 			return true
 		}
+		p = uint64(phys)
 		c.touchTotal[i]++
 		if onFast {
 			c.touchFast[i]++
@@ -570,12 +489,12 @@ func (s *System) stepPrivate(i int, key uint64, e *parEngine) (parked bool) {
 	c.ops[i] = ops
 	if hit && len(ops) == 0 {
 		if s.timelineOn && !replay {
-			if next := s.nextEpoch.Load(); next != 0 && c.time[i] >= next {
-				// The step may cross an epoch boundary. The loaded bound
-				// can only lag the true one (only commits advance it, and
-				// only those that precede this step), so skipping the park
-				// is always sound and parking is at worst spurious: the
-				// commit re-checks and samples in exact step order.
+			if next := s.nextEpoch; next != 0 && c.time[i] >= next {
+				// The step may cross an epoch boundary. The bound can only
+				// lag the true one (only commits advance it, and only those
+				// that precede this step have run), so skipping the park is
+				// always sound and parking is at worst spurious: the commit
+				// re-checks and samples in exact step order.
 				c.ev[i] = stepEvent{kind: evEpoch, stall: stall}
 				return true
 			}
@@ -590,10 +509,8 @@ func (s *System) stepPrivate(i int, key uint64, e *parEngine) (parked bool) {
 // commit executes core i's parked event at its (key, id) position. It
 // is the only place shared simulation state (LLC, controller, devices,
 // OS tables) mutates during a run-ahead pass, and the only place
-// timeline samples are taken. e is the parallel engine whose sequencer
-// commits (nil on the sequential engine); its eviction-safe mode owns
-// faults that must evict.
-func (s *System) commit(i int, e *parEngine) error {
+// timeline samples are taken.
+func (s *System) commit(i int) error {
 	c := &s.cores
 	ev := &c.ev[i]
 	switch ev.kind {
@@ -610,20 +527,11 @@ func (s *System) commit(i int, e *parEngine) error {
 		c.time[i] += ev.stall
 		return nil
 	case evFault:
-		var phys, stall uint64
 		if s.os.FreeBytes() < s.os.Config().PageBytes {
-			if e == nil || !e.evictable {
-				return fmt.Errorf("sim: fault at core %d would evict a page, violating the translation-stability bound run-ahead relies on", i)
-			}
-			p, st, err := e.evictingTranslate(i, ev.phys)
-			if err != nil {
-				return err
-			}
-			phys, stall = p, st
-		} else {
-			p, st := s.os.Translate(c.proc[i], ev.phys, c.time[i])
-			phys, stall = uint64(p), st
+			return fmt.Errorf("sim: fault at core %d would evict a page, violating the translation-stability bound run-ahead relies on", i)
 		}
+		p, stall := s.os.Translate(c.proc[i], ev.phys, c.time[i])
+		phys := uint64(p)
 		if s.timelineOn {
 			// Whole-step order within a fault: translate, sample, then the
 			// stall (c.time[i] is still the post-gap clock here).
@@ -735,12 +643,6 @@ func (s *System) collect(start, instr0, faults0 []uint64) *Result {
 		r.NUMATimeline = s.auto.Timeline()
 	}
 	r.Timeline = s.timeline
-	if s.par != nil {
-		r.Engine = EngineParallel
-	} else {
-		r.Engine = EngineSequential
-		r.FallbackReason = s.fallback
-	}
 	s.collectTiers(r)
 	return r
 }

@@ -1,20 +1,105 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"chameleon/internal/config"
 	"chameleon/internal/osmodel"
+	"chameleon/internal/policy"
+	"chameleon/internal/trace"
 	"chameleon/internal/workload"
 )
+
+// baseOpts builds the standard options of the engine tests: the default
+// machine, a footprint small enough that run-ahead translation is
+// provably stable for every registered policy, and a policy-agnostic
+// baseline capacity.
+func baseOpts(t testing.TB, kind string) Options {
+	t.Helper()
+	const scale = 512
+	prof, err := workload.ByName("bwaves")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default(scale)
+	if desc, err := policy.Lookup(kind); err == nil {
+		for cfg.NumTiers() < desc.RequiredTiers() {
+			cfg = cfg.WithNVMTier(32 * config.GB / scale)
+		}
+	}
+	return Options{
+		Config:             cfg,
+		Policy:             PolicyKind(kind),
+		Workload:           prof.Scale(4 * scale),
+		Seed:               29,
+		WarmupInstructions: 100_000,
+		BaselineBytes:      24 * config.GB / scale,
+	}
+}
+
+// memSink records every emitted reference.
+type memSink struct {
+	cores []int
+	refs  []trace.Ref
+}
+
+func (m *memSink) Begin(string, []trace.Profile) error { return nil }
+func (m *memSink) Emit(core int, r trace.Ref) {
+	m.cores = append(m.cores, core)
+	m.refs = append(m.refs, r)
+}
+
+// variant is one feature dimension of an engine test, applied to
+// baseOpts.
+type variant struct {
+	name   string
+	mutate func(t testing.TB, o *Options)
+}
+
+// evictVariant oversubscribes physical memory so that CLOCK evicts on
+// nearly every measured-run fault: it shrinks every memory tier 4x,
+// skips prefaulting, and reshapes the reference stream into uniform
+// scatter bursts (no hot region, no stream, high miss rate, short
+// bursts), so the aggregate touched working set far exceeds physical
+// memory.
+var evictVariant = variant{name: "evict", mutate: func(t testing.TB, o *Options) {
+	prof, err := workload.ByName("bwaves")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Scale(768) keeps the footprint within the plausibility bound
+	// even for cache-mode policies whose OS-visible capacity excludes
+	// the fast tier.
+	o.Workload = prof.Scale(768)
+	o.Workload.StreamFrac = 0
+	o.Workload.HotFrac = 0
+	o.Workload.TargetLLCMPKI = 60
+	o.Workload.RefPKI = 150
+	o.Workload.BurstLines = 4
+	o.SkipPrefault = true
+	for i := range o.Config.MemoryTiers {
+		tier := &o.Config.MemoryTiers[i]
+		if tier.DRAM != nil {
+			tier.DRAM.CapacityBytes /= 4
+		}
+		if tier.NVM != nil {
+			tier.NVM.CapacityBytes /= 4
+		}
+		if tier.CXL != nil {
+			tier.CXL.CapacityBytes /= 4
+		}
+	}
+	o.BaselineBytes /= 4
+}}
 
 // runAheadVariants are the feature dimensions the sequential engine's
 // run-ahead must reproduce serial mode across: timeline sampling (the
 // evEpoch parks), allocation churn (the whole-step parks at phase
 // boundaries, here under sampling too), demand faulting (the evFault
 // commits) and a consolidated mix (per-core spans that differ).
-var runAheadVariants = []parVariant{
+var runAheadVariants = []variant{
 	{name: "base"},
 	{name: "timeline", mutate: func(_ testing.TB, o *Options) {
 		o.TimelineEpochCycles = 50_000
@@ -69,7 +154,7 @@ func TestRunAheadMatchesSerial(t *testing.T) {
 	for _, kind := range PolicyNames() {
 		for _, v := range runAheadVariants {
 			t.Run(kind+"/"+v.name, func(t *testing.T) {
-				opts := parOpts(t, kind, 1)
+				opts := baseOpts(t, kind)
 				if v.mutate != nil {
 					v.mutate(t, &opts)
 				}
@@ -108,7 +193,7 @@ func FuzzRunAheadMatchesSerial(f *testing.F) {
 	workloads := []string{"mcf", "lbm", "bwaves", "hpccg", "comd", "miniGhost"}
 	f.Fuzz(func(t *testing.T, seed uint64, policyPick, workloadPick uint8, churnEvery, epoch uint32) {
 		kind := policies[int(policyPick)%len(policies)]
-		opts := parOpts(t, kind, 1)
+		opts := baseOpts(t, kind)
 		prof, err := workload.ByName(workloads[int(workloadPick)%len(workloads)])
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +223,7 @@ func FuzzRunAheadMatchesSerial(f *testing.F) {
 // bound must count it. The footprints here fit physical memory with a
 // little slack, but footprint plus buffer does not.
 func TestTranslationsStableCountsChurnBuffer(t *testing.T) {
-	opts := parOpts(t, string(PolicyChameleonOpt), 1)
+	opts := baseOpts(t, string(PolicyChameleonOpt))
 	sys, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -169,10 +254,6 @@ func TestTranslationsStableCountsChurnBuffer(t *testing.T) {
 // TestRunAheadSelection pins which inputs admit run-ahead: stable
 // translations with no AutoNUMA engine and no trace sink.
 func TestRunAheadSelection(t *testing.T) {
-	evict := parVariants[len(parVariants)-1]
-	if evict.name != "evict" {
-		t.Fatalf("last parVariant is %q, want evict", evict.name)
-	}
 	for _, tc := range []struct {
 		name   string
 		policy PolicyKind
@@ -181,12 +262,12 @@ func TestRunAheadSelection(t *testing.T) {
 	}{
 		{"stable", PolicyChameleonOpt, func(*Options) {}, true},
 		{"trace sink", PolicyChameleonOpt, func(o *Options) { o.TraceSink = &memSink{} }, false},
-		{"evictable", PolicyChameleonOpt, func(o *Options) { evict.mutate(t, o) }, false},
+		{"evictable", PolicyChameleonOpt, func(o *Options) { evictVariant.mutate(t, o) }, false},
 		{"autonuma", PolicyNUMAFlat, func(o *Options) {
 			o.AutoNUMA = &osmodel.AutoNUMAConfig{EpochCycles: 1_000_000, Threshold: 0.8, ScanPages: 4096}
 		}, false},
 	} {
-		opts := parOpts(t, string(tc.policy), 1)
+		opts := baseOpts(t, string(tc.policy))
 		tc.mutate(&opts)
 		sys, err := New(opts)
 		if err != nil {
@@ -195,5 +276,48 @@ func TestRunAheadSelection(t *testing.T) {
 		if sys.runAhead != tc.want {
 			t.Errorf("%s: runAhead = %v, want %v", tc.name, sys.runAhead, tc.want)
 		}
+	}
+}
+
+// TestStepLoopDoesNotAllocate pins the engine's steady-state step loop
+// at zero allocations per reference, in run-ahead and in serial mode:
+// once the system is prefaulted and the scratch buffers have grown to
+// their working sizes, whole execute passes must not allocate. This is
+// the package-level regression gate behind BenchmarkStep's allocs/op
+// column.
+func TestStepLoopDoesNotAllocate(t *testing.T) {
+	for _, mode := range []struct {
+		name     string
+		runAhead bool
+	}{{"run-ahead", true}, {"serial", false}} {
+		t.Run(mode.name, func(t *testing.T) {
+			opts := baseOpts(t, string(PolicyChameleonOpt))
+			opts.WarmupInstructions = 0
+			sys, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sys.runAhead {
+				t.Fatal("options do not admit run-ahead")
+			}
+			sys.runAhead = mode.runAhead
+			sys.ran = true
+			sys.runCtx = context.Background()
+			if err := sys.prefault(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			// One warm pass settles caches, remap metadata and scratch buffers.
+			if err := sys.execute(100_000); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := sys.execute(20_000); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state execute pass allocated %.1f times, want 0", allocs)
+			}
+		})
 	}
 }

@@ -49,9 +49,8 @@ func (h *coreHeap) pop() {
 	}
 }
 
-// less orders cores by (key, id): the global commit order both engines
-// in this package — the run-ahead loop and the parallel commit
-// sequencer — agree on.
+// less orders cores by (key, id): the global commit order of the
+// simulator's steps.
 func (h *coreHeap) less(a, b int32) bool {
 	return h.key[a] < h.key[b] || (h.key[a] == h.key[b] && a < b)
 }

@@ -5,23 +5,22 @@
 // memory-system controller, with OS demand paging (and optional
 // AutoNUMA migration) in the translation path.
 //
-// Every engine executes steps in one global order: (pre-step clock, core
-// id), which keeps memory-system arrivals near time order while avoiding
-// a full event queue. Only steps that touch shared state need that order.
-// A step that stays in a core's private state (its reference stream,
-// mapped-page translation, private caches) commutes with every other
-// core's steps, so the engines run such steps straight through and
-// order only the shared events: the sequential engine with a heap on one
-// goroutine, the parallel engine with a commit sequencer over workers.
+// The simulator executes steps in one global order: (pre-step clock,
+// core id), which keeps memory-system arrivals near time order while
+// avoiding a full event queue. Only steps that touch shared state need
+// that order. A step that stays in a core's private state (its reference
+// stream, mapped-page translation, private caches) commutes with every
+// other core's steps, so the engine runs such steps straight through and
+// orders only the shared events, with a heap on one goroutine. One
+// simulation uses one goroutine; throughput comes from running many
+// simulations at once (matrix cells, DSE cells, chamd workers).
 package sim
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync/atomic"
 
 	"chameleon/internal/addr"
 	"chameleon/internal/config"
@@ -101,36 +100,14 @@ type Options struct {
 	PhaseEveryInstructions uint64
 	// Seed makes the run deterministic.
 	Seed uint64
-	// Threads is the number of worker goroutines the run may shard its
-	// simulated cores across (0 or 1 selects the sequential engine, which
-	// runs each core's private steps straight through on one goroutine
-	// and orders only shared events; it is the faster engine on every
-	// workload measured, see ThreadBudget). Workers run ahead through
-	// core-private state (reference generation, mapped-page translation,
-	// private cache levels) and park on shared-phase events (LLC, memory
-	// controller, page faults), which a sequencer commits in the
-	// scheduler's global (time, id) order — so results are bit-identical
-	// to the sequential engine at any thread count (see
-	// TestParallelEquivalence). Timeline
-	// sampling and trace capture run under parallelism (the sequencer
-	// samples and flushes captured references in commit order), and a
-	// possibly-evicting footprint runs in the engine's eviction-safe
-	// mode (page-table generation validation plus a commit fence; see
-	// parallel.go). The engine still falls back to sequential execution
-	// — reported via Result.Engine/Result.FallbackReason — for
-	// allocation-churn phases and AutoNUMA, whose per-step OS work is
-	// inherently serial.
+	// Deprecated: ignored; the simulator has one engine. The field
+	// remains only because cmd/chameleon-bench still sets it.
 	Threads int
 	// TraceSink, when non-nil, receives every per-core reference the
 	// run consumes — warm-up included — in consumption order, making
 	// the run recordable (see internal/memtrace.Writer). Begin is
-	// called once during New with the resolved per-core profiles.
-	// Concurrency contract: Emit is invoked only from the goroutine
-	// that sequences step commits, in commit order — under the parallel
-	// engine workers tee references into per-core rings and the
-	// sequencer flushes them in the scheduler's exact order — so
-	// single-goroutine sinks keep working unchanged, and re-capture
-	// stays byte-identical, at any thread count.
+	// called once during New with the resolved per-core profiles. Emit
+	// is invoked on the goroutine that calls Run, in commit order.
 	TraceSink trace.Sink `json:"-"`
 	// Sources supplies pre-built per-core reference streams: core i
 	// runs Sources[i], overriding the synthetic Workload/Mix/Copies
@@ -141,12 +118,9 @@ type Options struct {
 	Sources []trace.Source `json:"-"`
 	// Progress, when non-nil, receives every TimelinePoint as it is
 	// sampled during the measured run (requires TimelineEpochCycles).
-	// Concurrency contract: like TraceSink.Emit it is invoked only from
-	// the goroutine that sequences step commits, in commit order —
-	// under the parallel engine that is the sequencer goroutine, which
-	// samples epochs at the exact step positions the sequential engine
-	// would — so existing single-goroutine callbacks need no locking.
-	// Long-running or blocking callbacks slow the simulation down.
+	// Like TraceSink.Emit it is invoked on the goroutine that calls Run,
+	// in commit order. Long-running or blocking callbacks slow the
+	// simulation down.
 	Progress func(TimelinePoint) `json:"-"`
 }
 
@@ -154,9 +128,7 @@ type Options struct {
 // core id. The step loop touches time/instr/budget for every simulated
 // reference; keeping the hot fields in dense parallel slices puts the
 // whole scheduler working set on a handful of cache lines instead of
-// chasing one heap object per core, and gives the parallel engine
-// per-field ownership boundaries (workers mutate only their own cores'
-// entries).
+// chasing one heap object per core.
 type coreSoA struct {
 	stream []trace.Source
 	proc   []*osmodel.Process
@@ -189,7 +161,7 @@ type coreSoA struct {
 	touchFast  []uint64
 
 	// The parked event of each core (see stepEvent): its commit key (the
-	// pre-step clock the schedulers order by), the event, and the
+	// pre-step clock the heap orders by), the event, and the
 	// deferred shared-phase ops of its private walk.
 	key []uint64
 	ev  []stepEvent
@@ -236,21 +208,12 @@ type System struct {
 	// heapIdx is the scheduler heap's reusable index storage, sized at
 	// construction so execute passes allocate nothing.
 	heapIdx []int32
-	// runAhead lets the sequential engine run private prefixes ahead of
+	// runAhead lets the engine run private prefixes ahead of
 	// the commit order (see execute). It holds when no other core's
 	// commit can change what a prefix reads: translations are stable,
 	// and no AutoNUMA engine or trace sink observes every step. Otherwise
 	// every step parks whole, in serial mode. Fixed at construction.
 	runAhead bool
-	// par is the parallel execution engine, non-nil when Options.Threads
-	// asked for more than one worker AND the run qualifies (no
-	// inherently serial feature — see fallback). execute routes through
-	// it.
-	par *parEngine
-	// fallback records why a Threads>1 request fell back to the
-	// sequential engine ("" when parallel ran or was never requested);
-	// surfaced as Result.FallbackReason.
-	fallback string
 
 	// runName is the result's workload label, fixed at construction:
 	// the profile name, the "+"-joined mix, or a replayed trace's
@@ -273,35 +236,11 @@ type System struct {
 	autoOn     bool // AutoNUMA engine attached
 	sinkOn     bool // trace capture attached
 
-	// nextEpoch is the next timeline-epoch boundary. Atomic because the
-	// parallel engine's workers read it lock-free to decide whether a
-	// fully-local step must park for sequencer-side sampling; only the
-	// sampling goroutine (sequential loop or sequencer) advances it.
-	nextEpoch atomic.Uint64
+	// nextEpoch is the next timeline-epoch boundary; only commits
+	// advance it (sampleTimeline).
+	nextEpoch uint64
 	timeline  []TimelinePoint
 }
-
-// Result.Engine values.
-const (
-	EngineSequential = "sequential"
-	EngineParallel   = "parallel"
-)
-
-// Result.FallbackReason values: why a Threads>1 request ran on the
-// sequential engine anyway.
-const (
-	// FallbackAllocPhases: allocation-churn phases map and free memory
-	// on the hot path, an inherently serial OS mutation per step.
-	FallbackAllocPhases = "alloc-phases"
-	// FallbackAutoNUMA: the migration engine ticks on every step and
-	// mutates page placement, serialising the translation path.
-	FallbackAutoNUMA = "autonuma"
-	// FallbackEvictionCollision: a parallel pass aborted because a
-	// committed eviction reclaimed a frame a run-ahead step had already
-	// translated against, and the run was transparently replayed on the
-	// sequential engine (see RunContext).
-	FallbackEvictionCollision = "eviction-collision"
-)
 
 // TimelinePoint is one sample of the optional run timeline.
 type TimelinePoint struct {
@@ -499,20 +438,6 @@ func New(opts Options) (*System, error) {
 		}
 		s.sinkOn = true
 	}
-	// Parallel-engine gate, after sinkOn so the engine can latch its
-	// capture mode. Timeline sampling, trace capture and possibly
-	// -evicting footprints all run under parallelism now; only the two
-	// inherently serial features force the sequential engine.
-	if thr := min(opts.Threads, copies); thr > 1 {
-		switch {
-		case s.phaseOn:
-			s.fallback = FallbackAllocPhases
-		case s.autoOn:
-			s.fallback = FallbackAutoNUMA
-		default:
-			s.par = newParEngine(s, thr)
-		}
-	}
 	s.runAhead = !s.autoOn && !s.sinkOn && s.translationsStable()
 	return s, nil
 }
@@ -522,14 +447,9 @@ func New(opts Options) (*System, error) {
 // virtual span — its reference span plus, under allocation churn, the
 // transient buffer phaseChurn maps past its footprint — fits in
 // physical memory simultaneously. Evictions are the only cross-process
-// page-table mutation, so under this bound a run-ahead TranslateMapped
-// read races with nothing: the parallel engine runs in its direct
-// (stable) mode, and the sequential engine may run ahead at all. When
-// the bound does not hold the parallel engine runs in eviction-safe
-// mode, validating the osmodel page-table generation around each
-// lock-free translation and fencing workers across committed evictions
-// (see parallel.go's "Run-ahead translation safety" section), and the
-// sequential engine runs in serial mode.
+// page-table mutation, so under this bound no other core's commit can
+// change what a run-ahead TranslateMapped read returns, and the engine
+// may run ahead. When the bound does not hold it runs in serial mode.
 func (s *System) translationsStable() bool {
 	page := s.os.Config().PageBytes
 	var need uint64
@@ -540,26 +460,6 @@ func (s *System) translationsStable() bool {
 		}
 	}
 	return need*page <= s.os.Config().TotalBytes
-}
-
-// ParallelEnabled reports whether this run will use the parallel
-// engine (Options.Threads accepted and no sequential fallback applied).
-func (s *System) ParallelEnabled() bool { return s.par != nil }
-
-// ThreadBudget is the Options.Threads a driver should hand a simulation
-// that runs alongside concurrent-1 others. A request of 0 or 1 selects
-// the sequential engine, the faster one: on a 2-CPU host, a 12-core
-// chameleon-opt machine at scale 256 takes 1.38x (miniGhost) to 2.10x
-// (mcf) as long at two threads as at one on every workload measured
-// (BenchmarkEngineByWorkload, BENCH_parallel.json).
-// An explicit request is capped at GOMAXPROCS/concurrent so the
-// concurrent runs together never oversubscribe the host, and never
-// falls below 1.
-func ThreadBudget(requested, concurrent int) int {
-	if requested <= 1 {
-		return 1
-	}
-	return max(min(requested, runtime.GOMAXPROCS(0)/max(concurrent, 1)), 1)
 }
 
 // isaAdapter forwards OS notifications to the controller.

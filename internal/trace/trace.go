@@ -67,7 +67,7 @@ func (p Profile) Scale(div uint64) Profile {
 // itself, or the end of the hot region when HotRegionFrac pushes it
 // past the footprint (the hot region starts at footprint/4). Replayed
 // traces recorded from synthetic streams obey the same bound. The
-// parallel engine uses it to prove a run can never evict a page.
+// simulator uses it to prove a run can never evict a page.
 func (p Profile) MaxVAddr() uint64 {
 	hot := uint64(float64(p.FootprintBytes)*p.HotRegionFrac) &^ 63
 	if hot < 4096 {
@@ -104,9 +104,7 @@ type Source interface {
 // must not block or allocate. Emit-time failures latch inside the sink
 // and surface from its own close/flush API. Callers guarantee Emit is
 // invoked from a single goroutine at a time, in the simulation's
-// committed step order — sim's parallel engine buffers worker-side
-// references and has its sequencer flush them in that order — so
-// implementations need no locking.
+// committed step order, so implementations need no locking.
 type Sink interface {
 	Begin(runName string, cores []Profile) error
 	Emit(core int, r Ref)
