@@ -64,9 +64,11 @@ type Cache struct {
 	name      string
 	lineShift uint
 	sets      uint64
-	ways      int
-	lines     []uint64 // sets * ways packed line words, set-major, MRU first
-	stats     Stats
+	// setMask is sets-1 for a power-of-two set count (set masks), else 0 (set divides).
+	setMask uint64
+	ways    int
+	lines   []uint64 // sets * ways packed line words, set-major, MRU first
+	stats   Stats
 }
 
 // New builds a cache of sizeBytes organised as ways-associative sets of
@@ -92,13 +94,17 @@ func New(name string, sizeBytes, ways, lineBytes int) (*Cache, error) {
 	for l := lineBytes; l > 1; l >>= 1 {
 		shift++
 	}
-	return &Cache{
+	c := &Cache{
 		name:      name,
 		lineShift: shift,
 		sets:      uint64(sets),
 		ways:      ways,
 		lines:     make([]uint64, sets*ways),
-	}, nil
+	}
+	if sets&(sets-1) == 0 {
+		c.setMask = uint64(sets) - 1
+	}
+	return c, nil
 }
 
 // Name returns the cache's label.
@@ -116,7 +122,11 @@ func (c *Cache) Snapshot() stats.Snapshot { return c.stats.Snapshot() }
 // set returns addr's set and the valid line word addr would occupy.
 func (c *Cache) set(addr uint64) (set []uint64, key uint64) {
 	blk := addr >> c.lineShift
-	base := int(blk%c.sets) * c.ways
+	idx := blk & c.setMask
+	if c.setMask == 0 {
+		idx = blk % c.sets
+	}
+	base := int(idx) * c.ways
 	return c.lines[base : base+c.ways], blk<<blockShift | validBit
 }
 

@@ -9,6 +9,7 @@ package osmodel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"chameleon/internal/addr"
 	"chameleon/internal/rng"
@@ -148,12 +149,15 @@ type OS struct {
 	meta       []frameMeta
 	procs      []*Process
 	hand       uint64 // CLOCK hand
-	notifier   Notifier
-	rnd        *rng.RNG
-	inext      int // interleave cursor
-	stats      Stats
-	auto       *AutoNUMA
-	groups     *groupTracker // non-nil for AllocGroupAware
+	// An address's page is addr >> pageShift, its offset addr & pageMask.
+	pageShift uint
+	pageMask  uint64
+	notifier  Notifier
+	rnd       *rng.RNG
+	inext     int // interleave cursor
+	stats     Stats
+	auto      *AutoNUMA
+	groups    *groupTracker // non-nil for AllocGroupAware
 
 	// access counters for stacked-node hit-rate reporting
 	fastTouches  uint64
@@ -202,10 +206,12 @@ func New(cfg Config, notifier Notifier) (*OS, error) {
 		}
 	}
 	o := &OS{
-		cfg:      cfg,
-		frames:   cfg.TotalBytes / cfg.PageBytes,
-		notifier: notifier,
-		rnd:      rng.New(cfg.Seed),
+		cfg:       cfg,
+		frames:    cfg.TotalBytes / cfg.PageBytes,
+		notifier:  notifier,
+		rnd:       rng.New(cfg.Seed),
+		pageShift: uint(bits.TrailingZeros64(cfg.PageBytes)),
+		pageMask:  cfg.PageBytes - 1,
 	}
 	o.nodeStart = make([]uint64, len(nodeBytes)+1)
 	for i, nb := range nodeBytes {
@@ -271,12 +277,12 @@ func (o *OS) FreeBytes() uint64 {
 	for _, l := range o.free {
 		n += len(l)
 	}
-	return uint64(n) * o.cfg.PageBytes
+	return uint64(n) << o.pageShift
 }
 
 // FastFreeBytes returns unallocated memory on the stacked node.
 func (o *OS) FastFreeBytes() uint64 {
-	return uint64(len(o.free[0])) * o.cfg.PageBytes
+	return uint64(len(o.free[0])) << o.pageShift
 }
 
 // Nodes returns the number of NUMA nodes the space is carved into.
@@ -297,16 +303,15 @@ func (o *OS) nodeOf(frame uint32) int {
 // scans frame metadata, so callers should treat it as an end-of-run
 // accounting call, not a hot-path one.
 func (o *OS) ResidentBytesIn(lo, hi uint64) uint64 {
-	page := o.cfg.PageBytes
-	first := lo / page
-	last := min((hi+page-1)/page, o.frames)
+	first := lo >> o.pageShift
+	last := min((hi+o.pageMask)>>o.pageShift, o.frames)
 	var n uint64
 	for f := first; f < last; f++ {
 		if o.meta[f].proc >= 0 {
 			n++
 		}
 	}
-	return n * page
+	return n << o.pageShift
 }
 
 // StackedHitRate returns the fraction of translated accesses that
@@ -424,7 +429,7 @@ func (o *OS) notifyAlloc(now uint64, frame uint32) {
 	if o.notifier == nil || o.cfg.SegBytes == 0 {
 		return
 	}
-	base := uint64(frame) * o.cfg.PageBytes
+	base := uint64(frame) << o.pageShift
 	for off := uint64(0); off < o.cfg.PageBytes; off += o.cfg.SegBytes {
 		o.notifier.ISAAlloc(now, addr.Seg((base+off)/o.cfg.SegBytes))
 	}
@@ -434,7 +439,7 @@ func (o *OS) notifyFree(now uint64, frame uint32) {
 	if o.notifier == nil || o.cfg.SegBytes == 0 {
 		return
 	}
-	base := uint64(frame) * o.cfg.PageBytes
+	base := uint64(frame) << o.pageShift
 	for off := uint64(0); off < o.cfg.PageBytes; off += o.cfg.SegBytes {
 		o.notifier.ISAFree(now, addr.Seg((base+off)/o.cfg.SegBytes))
 	}
@@ -444,7 +449,7 @@ func (o *OS) notifyFree(now uint64, frame uint32) {
 // demand-paging on first touch. stall is the page-fault penalty (0,
 // or PageFaultCycles when the fault had to evict to the SSD).
 func (o *OS) Translate(p *Process, vaddr uint64, now uint64) (phys addr.Phys, stall uint64) {
-	vpage := vaddr / o.cfg.PageBytes
+	vpage := vaddr >> o.pageShift
 	for uint64(len(p.table)) <= vpage {
 		p.table = append(p.table, noFrame)
 	}
@@ -475,7 +480,7 @@ func (o *OS) Translate(p *Process, vaddr uint64, now uint64) (phys addr.Phys, st
 	if o.auto != nil {
 		stall += o.auto.record(frame, onFast)
 	}
-	return addr.Phys(uint64(frame)*o.cfg.PageBytes + vaddr%o.cfg.PageBytes), stall
+	return addr.Phys(uint64(frame)<<o.pageShift | vaddr&o.pageMask), stall
 }
 
 // TranslateMapped is the read-only path of Translate for pages that
@@ -492,7 +497,7 @@ func (o *OS) Translate(p *Process, vaddr uint64, now uint64) (phys addr.Phys, st
 // only cross-process page-table mutation, so without them a process's
 // table changes only at its own core's commits.
 func (o *OS) TranslateMapped(p *Process, vaddr uint64) (phys addr.Phys, onFast, ok bool) {
-	vpage := vaddr / o.cfg.PageBytes
+	vpage := vaddr >> o.pageShift
 	if vpage >= uint64(len(p.table)) {
 		return 0, false, false
 	}
@@ -501,7 +506,7 @@ func (o *OS) TranslateMapped(p *Process, vaddr uint64) (phys addr.Phys, onFast, 
 		return 0, false, false
 	}
 	o.meta[frame].ref = true
-	return addr.Phys(uint64(frame)*o.cfg.PageBytes + vaddr%o.cfg.PageBytes), uint64(frame) < o.fastFrames, true
+	return addr.Phys(uint64(frame)<<o.pageShift | vaddr&o.pageMask), uint64(frame) < o.fastFrames, true
 }
 
 // AddTouches merges access counts accumulated outside Translate (the
@@ -518,7 +523,7 @@ func (o *OS) AddTouches(total, fast uint64) {
 // number of major faults incurred.
 func (o *OS) Map(p *Process, vaddr, bytes uint64, now uint64) (majors uint64) {
 	end := vaddr + bytes
-	for va := vaddr &^ (o.cfg.PageBytes - 1); va < end; va += o.cfg.PageBytes {
+	for va := vaddr &^ o.pageMask; va < end; va += o.cfg.PageBytes {
 		if _, stall := o.Translate(p, va, now); stall > 0 {
 			majors++
 		}
@@ -531,8 +536,8 @@ func (o *OS) Map(p *Process, vaddr, bytes uint64, now uint64) (majors uint64) {
 // (Algorithm 2).
 func (o *OS) FreeRange(p *Process, vaddr, bytes uint64, now uint64) {
 	end := vaddr + bytes
-	for va := vaddr &^ (o.cfg.PageBytes - 1); va < end; va += o.cfg.PageBytes {
-		vpage := va / o.cfg.PageBytes
+	for va := vaddr &^ o.pageMask; va < end; va += o.cfg.PageBytes {
+		vpage := va >> o.pageShift
 		if vpage >= uint64(len(p.table)) {
 			continue
 		}
@@ -555,5 +560,5 @@ func (o *OS) FreeRange(p *Process, vaddr, bytes uint64, now uint64) {
 
 // FreeAll releases every mapping of the process.
 func (o *OS) FreeAll(p *Process, now uint64) {
-	o.FreeRange(p, 0, uint64(len(p.table))*o.cfg.PageBytes, now)
+	o.FreeRange(p, 0, uint64(len(p.table))<<o.pageShift, now)
 }

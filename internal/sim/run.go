@@ -11,6 +11,7 @@ import (
 	"chameleon/internal/osmodel"
 	"chameleon/internal/policy"
 	"chameleon/internal/stats"
+	"chameleon/internal/trace"
 )
 
 // CoreResult summarises one core's execution.
@@ -165,7 +166,7 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64) (*Result, 
 // in commit order.
 func (s *System) sampleTimeline(now uint64) {
 	next := s.nextEpoch
-	if next == 0 || now < next {
+	if now < next {
 		return
 	}
 	p := TimelinePoint{Cycle: now, StackedHitRate: s.ctrl.Stats().HitRate()}
@@ -237,19 +238,6 @@ func (s *System) resetStats() {
 // time.
 const ctxCheckInterval = 4096
 
-// checkCancel is the cancellation probe: it polls the run context once
-// every ctxCheckInterval calls, counting via *steps.
-func (s *System) checkCancel(steps *int) error {
-	if *steps++; *steps < ctxCheckInterval {
-		return nil
-	}
-	*steps = 0
-	if err := s.runCtx.Err(); err != nil {
-		return fmt.Errorf("sim: run canceled: %w", err)
-	}
-	return nil
-}
-
 // execute runs every core for budget further instructions. It returns
 // a non-nil error only when the run context is canceled (or when a
 // run-ahead invariant is violated).
@@ -257,13 +245,13 @@ func (s *System) checkCancel(steps *int) error {
 // The pass runs on one goroutine: an indexed min-heap holds every
 // unfinished core under the (key, id) commit position of its parked
 // event. The loop takes the minimum core, commits its event, runs the
-// core's private prefixes straight through (stepPrivate) until a step
+// core's private prefixes straight through (runPrivate) until a step
 // needs shared state or the budget is spent, then parks the core under
-// its new key (fix) or pops it. Private prefixes commute across cores, so only shared events need
-// ordering, and the heap moves once per shared event instead of once
-// per reference. When run-ahead is unsafe (System.runAhead) every step
-// parks whole as an evStep, which is exactly the one-reference-at-a-time
-// (time, id) order.
+// its new key (fix) or pops it. Private prefixes commute across cores,
+// so only shared events need ordering, and the heap moves once per
+// shared event instead of once per reference. When run-ahead is unsafe
+// (System.runAhead) every step parks whole as an evStep, which is
+// exactly the one-reference-at-a-time (time, id) order.
 func (s *System) execute(budget uint64) error {
 	c := &s.cores
 	for i := range c.ev {
@@ -280,23 +268,11 @@ func (s *System) execute(budget uint64) error {
 		if err := s.commit(i); err != nil {
 			return err
 		}
-		parked := false
-		for c.instr[i] < c.budget[i] {
-			if err := s.checkCancel(&steps); err != nil {
-				return err
-			}
-			key := c.time[i]
-			if s.runAhead {
-				parked = s.stepPrivate(i)
-			} else {
-				c.ev[i] = stepEvent{kind: evStep}
-				parked = true
-			}
-			if parked {
-				c.key[i] = key
-				break
-			}
+		parked, n, err := s.runPrivate(i, steps)
+		if err != nil {
+			return err
 		}
+		steps = n
 		if parked {
 			h.fix()
 		} else {
@@ -305,6 +281,91 @@ func (s *System) execute(budget uint64) error {
 	}
 	s.mergeTouches()
 	return nil
+}
+
+// runPrivate runs core i from its last commit until a step parks or
+// the budget is spent, keeping the core's state in locals until then. A
+// step whose core-local prefix (the reference, its gap, mapped-page
+// translation, the private cache levels) retires it never leaves the
+// loop; one that needs shared state parks its event in c.ev[i] under
+// its pre-step clock c.key[i], with c.time[i] the post-gap clock. steps
+// counts toward the next cancellation probe. When run-ahead is unsafe
+// (System.runAhead) every step parks whole as an evStep.
+func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error) {
+	c := &s.cores
+	instr, now, budget := c.instr[i], c.time[i], c.budget[i]
+	touches, fast := c.touchTotal[i], c.touchFast[i]
+	synth, src, proc := c.synth[i], c.stream[i], c.proc[i]
+	epoch := s.nextEpoch // only commits advance it
+	var ev stepEvent
+	var key uint64
+	for instr < budget {
+		if steps++; steps >= ctxCheckInterval {
+			steps = 0
+			if cerr := s.runCtx.Err(); cerr != nil {
+				err = fmt.Errorf("sim: run canceled: %w", cerr)
+				break
+			}
+		}
+		key = now
+		if !s.runAhead || s.phaseOn && s.phaseDue(i, instr) {
+			// Serial mode, or an allocation-phase boundary that maps or
+			// frees memory (ISA-Alloc/Free): the whole step runs at its
+			// commit position.
+			ev, parked = stepEvent{kind: evStep}, true
+			break
+		}
+		p, write, replay := c.pendingPhys[i], c.pendingWrite[i], c.pendingValid[i]
+		if replay {
+			// Replay the reference whose fault was committed. Like step's
+			// replay path this neither re-translates nor re-captures nor
+			// samples: the fault commit accounted for all three.
+			c.pendingValid[i] = false
+		} else {
+			var ref trace.Ref
+			if synth != nil {
+				ref = synth.Next()
+			} else {
+				ref = src.Next()
+			}
+			instr += ref.Gap
+			now += ref.Gap * s.baseCPIx1000 / 1000
+			phys, onFast, ok := s.os.TranslateMapped(proc, ref.VAddr)
+			if !ok {
+				// Unmapped: the commit runs the fault path at this step's
+				// position.
+				ev, parked = stepEvent{kind: evFault, write: ref.Write, phys: ref.VAddr}, true
+				break
+			}
+			p, write = uint64(phys), ref.Write
+			touches++
+			if onFast {
+				fast++
+			}
+		}
+		stall, hit, ops := s.hier.AccessPrivate(i, p, write, now, c.ops[i][:0])
+		if !hit || len(ops) != 0 {
+			c.ops[i] = ops
+			ev, parked = stepEvent{kind: evWalk, write: write, replay: replay, phys: p, stall: stall}, true
+			break
+		}
+		if now >= epoch && !replay {
+			// The step may cross an epoch boundary. The bound can only lag
+			// the true one (only commits advance it, and only those that
+			// precede this step have run), so skipping the park is always
+			// sound and parking is at worst spurious: the commit re-checks
+			// and samples in exact step order.
+			ev, parked = stepEvent{kind: evEpoch, stall: stall}, true
+			break
+		}
+		now += stall
+	}
+	if parked {
+		c.ev[i], c.key[i] = ev, key
+	}
+	c.instr[i], c.time[i] = instr, now
+	c.touchTotal[i], c.touchFast[i] = touches, fast
+	return parked, steps, err
 }
 
 // mergeTouches folds the run-ahead per-core mapped-translation tallies
@@ -408,14 +469,14 @@ func (s *System) applyWalk(i int, p uint64, walkStall uint64, llcMiss bool, vict
 // One simulated reference splits into a core-local prefix and a shared
 // suffix. The prefix — reference generation, the instruction gap,
 // mapped-page translation (osmodel.TranslateMapped) and the private
-// cache levels (hier.AccessPrivate) — touches only per-core state and
-// so commutes across cores. A step whose reference hits a private level
-// with no spill into the shared levels is entirely local and retires at
-// once. Everything else — the shared cache levels, the memory-system
-// controller, the DRAM devices, page faults, allocation phases — parks
-// as a stepEvent under the step's commit key (the core's pre-step
-// clock) and runs when commit reaches it in (key, id) order (see
-// execute).
+// cache levels (hier.AccessPrivate) — touches only per-core state, so
+// it commutes across cores; runPrivate runs it in one loop per core. A
+// step that hits a private level with no spill into the shared levels
+// retires in that loop. Everything else — the shared cache levels, the
+// memory-system controller, the DRAM devices, page faults, allocation
+// phases — parks as a stepEvent under the step's commit key (the core's
+// pre-step clock) and runs when commit reaches it in (key, id) order
+// (see execute).
 
 // Event kinds (stepEvent.kind).
 const (
@@ -441,69 +502,6 @@ type stepEvent struct {
 	phys uint64
 	// stall is the private-prefix stall accrued so far (evWalk, evEpoch).
 	stall uint64
-}
-
-// stepPrivate runs the core-local prefix of core i's next step. It
-// reports whether the step parked: c.ev[i] then holds the event whose
-// commit finishes the step, and c.time[i] is the post-gap clock.
-// Otherwise the step retired without touching shared state.
-//
-// Run-ahead needs translations no other core's commit can change, so
-// execute calls it only when System.runAhead holds.
-func (s *System) stepPrivate(i int) (parked bool) {
-	c := &s.cores
-	if s.phaseOn && s.phaseDue(i) {
-		// The boundary maps or frees memory (ISA-Alloc/Free): the whole
-		// step runs at its commit position.
-		c.ev[i] = stepEvent{kind: evStep}
-		return true
-	}
-	replay := c.pendingValid[i]
-	var p uint64
-	var write bool
-	if replay {
-		// Replay the reference whose fault was committed. Like step's
-		// replay path this neither re-translates nor re-captures nor
-		// samples: the fault commit accounted for all three.
-		p, write = c.pendingPhys[i], c.pendingWrite[i]
-		c.pendingValid[i] = false
-	} else {
-		ref := c.stream[i].Next()
-		c.instr[i] += ref.Gap
-		c.time[i] += ref.Gap * s.baseCPIx1000 / 1000
-		phys, onFast, ok := s.os.TranslateMapped(c.proc[i], ref.VAddr)
-		if !ok {
-			// Unmapped: the commit runs the fault path at this step's
-			// position.
-			c.ev[i] = stepEvent{kind: evFault, write: ref.Write, phys: ref.VAddr}
-			return true
-		}
-		p = uint64(phys)
-		c.touchTotal[i]++
-		if onFast {
-			c.touchFast[i]++
-		}
-		write = ref.Write
-	}
-	stall, hit, ops := s.hier.AccessPrivate(i, p, write, c.time[i], c.ops[i][:0])
-	c.ops[i] = ops
-	if hit && len(ops) == 0 {
-		if s.timelineOn && !replay {
-			if next := s.nextEpoch; next != 0 && c.time[i] >= next {
-				// The step may cross an epoch boundary. The bound can only
-				// lag the true one (only commits advance it, and only those
-				// that precede this step have run), so skipping the park is
-				// always sound and parking is at worst spurious: the commit
-				// re-checks and samples in exact step order.
-				c.ev[i] = stepEvent{kind: evEpoch, stall: stall}
-				return true
-			}
-		}
-		c.time[i] += stall
-		return false
-	}
-	c.ev[i] = stepEvent{kind: evWalk, write: write, replay: replay, phys: p, stall: stall}
-	return true
 }
 
 // commit executes core i's parked event at its (key, id) position. It
@@ -562,10 +560,10 @@ func (s *System) commit(i int) error {
 // letting Chameleon's segment groups switch modes mid-run.
 // Callers gate on System.phaseOn, so the options are known non-zero.
 func (s *System) phaseChurn(i int) {
-	if !s.phaseDue(i) {
+	c := &s.cores
+	if !s.phaseDue(i, c.instr[i]) {
 		return
 	}
-	c := &s.cores
 	c.phaseNext[i] += s.opts.PhaseEveryInstructions
 	base := c.stream[i].Profile().FootprintBytes
 	if c.phaseHeld[i] {
@@ -576,17 +574,18 @@ func (s *System) phaseChurn(i int) {
 	c.phaseHeld[i] = !c.phaseHeld[i]
 }
 
-// phaseDue reports whether core i's next step starts at an allocation
-// phase boundary. It reads and arms only core-private state (the first
-// boundary is set lazily, one period past the core's first step), so
-// the run-ahead prefix can ask it without ordering.
-func (s *System) phaseDue(i int) bool {
+// phaseDue reports whether core i's next step, at instruction count
+// instr, starts at an allocation phase boundary. It reads and arms only
+// core-private state (the first boundary is set lazily, one period past
+// the core's first step), so the run-ahead prefix can ask it without
+// ordering.
+func (s *System) phaseDue(i int, instr uint64) bool {
 	c := &s.cores
 	if c.phaseNext[i] == 0 {
-		c.phaseNext[i] = c.instr[i] + s.opts.PhaseEveryInstructions
+		c.phaseNext[i] = instr + s.opts.PhaseEveryInstructions
 		return false
 	}
-	return c.instr[i] >= c.phaseNext[i]
+	return instr >= c.phaseNext[i]
 }
 
 func (s *System) collect(start, instr0, faults0 []uint64) *Result {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"chameleon/internal/config"
 	"chameleon/internal/workload"
@@ -66,6 +67,36 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 	if _, err := sys.RunContext(ctx, 1<<40); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestRunContextDeadlineWithoutTimeline: with no timeline sampling no
+// Progress callback fires, so only the step loop's own cancellation
+// probe can stop a run. A deadline must end an effectively endless
+// run-ahead run promptly.
+func TestRunContextDeadlineWithoutTimeline(t *testing.T) {
+	o := testOptions(t)
+	// Prefaulting polls the context on its own; skipping it makes the
+	// deadline land in the step loop.
+	o.SkipPrefault = true
+	sys, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.runAhead {
+		t.Fatal("options do not admit run-ahead; the test would not reach the run-ahead loop")
+	}
+	const deadline = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	if _, err := sys.RunContext(ctx, 1<<40); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	// The probe runs every few thousand references; seconds of slack
+	// absorb a loaded or race-instrumented host.
+	if took := time.Since(start); took > deadline+5*time.Second {
+		t.Fatalf("RunContext returned %v after a %v deadline", took, deadline)
 	}
 }
 

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
 
 	"chameleon/internal/config"
+	"chameleon/internal/memtrace"
 	"chameleon/internal/osmodel"
 	"chameleon/internal/policy"
 	"chameleon/internal/trace"
@@ -94,11 +96,51 @@ var evictVariant = variant{name: "evict", mutate: func(t testing.TB, o *Options)
 	o.BaselineBytes /= 4
 }}
 
+// recordReplay captures the first instr instructions per core of o's
+// run (warm-up dropped) into memory with memtrace.Writer, then points o
+// at fresh replay cursors on the capture through Options.Sources. Replay sources
+// are not synthetic streams, so the step loop reaches them through the
+// trace.Source interface. The capture need not cover the run it feeds
+// (replay wraps around), so it is kept short. A cursor is consumed by
+// the run it feeds: record again for another run.
+func recordReplay(t testing.TB, o *Options, instr uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	w := memtrace.NewWriter(&buf)
+	rec := *o
+	rec.TraceSink = w
+	rec.WarmupInstructions = 0
+	sys, err := New(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(instr); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := memtrace.Parse(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Sources, err = tr.Sources(); err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range o.Sources {
+		if _, ok := src.(*trace.Stream); ok {
+			t.Fatalf("replay source %d is a synthetic stream", i)
+		}
+	}
+}
+
 // runAheadVariants are the feature dimensions the sequential engine's
 // run-ahead must reproduce serial mode across: timeline sampling (the
 // evEpoch parks), allocation churn (the whole-step parks at phase
 // boundaries, here under sampling too), demand faulting (the evFault
-// commits) and a consolidated mix (per-core spans that differ).
+// commits), a consolidated mix (per-core spans that differ) and a
+// recorded trace replayed through Options.Sources (the non-synthetic
+// Source.Next branch).
 var runAheadVariants = []variant{
 	{name: "base"},
 	{name: "timeline", mutate: func(_ testing.TB, o *Options) {
@@ -121,6 +163,9 @@ var runAheadVariants = []variant{
 			}
 			o.Mix = append(o.Mix, prof.Scale(4*512))
 		}
+	}},
+	{name: "replay", mutate: func(t testing.TB, o *Options) {
+		recordReplay(t, o, 50_000)
 	}},
 }
 
@@ -154,12 +199,17 @@ func TestRunAheadMatchesSerial(t *testing.T) {
 	for _, kind := range PolicyNames() {
 		for _, v := range runAheadVariants {
 			t.Run(kind+"/"+v.name, func(t *testing.T) {
-				opts := baseOpts(t, kind)
-				if v.mutate != nil {
-					v.mutate(t, &opts)
+				// Each run gets its own options: a replay's sources are
+				// cursors that the run they feed consumes.
+				opts := func() Options {
+					o := baseOpts(t, kind)
+					if v.mutate != nil {
+						v.mutate(t, &o)
+					}
+					return o
 				}
-				serial := runSequential(t, opts, 150_000, true)
-				ahead := runSequential(t, opts, 150_000, false)
+				serial := runSequential(t, opts(), 150_000, true)
+				ahead := runSequential(t, opts(), 150_000, false)
 				switch v.name {
 				case "timeline", "churn":
 					if len(serial.Timeline) == 0 {
@@ -183,15 +233,19 @@ func TestRunAheadMatchesSerial(t *testing.T) {
 
 // FuzzRunAheadMatchesSerial widens TestRunAheadMatchesSerial over
 // seeds, policies, workloads, churn periods and timeline epochs on a
-// 4-core slice of the default machine.
+// 4-core slice of the default machine, with synthetic streams or, when
+// replay is set, a short capture of the same streams replayed through
+// Options.Sources.
 func FuzzRunAheadMatchesSerial(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint32(0), uint32(0))
-	f.Add(uint64(7), uint8(3), uint8(2), uint32(15_000), uint32(30_000))
-	f.Add(uint64(31), uint8(6), uint8(5), uint32(8_000), uint32(0))
-	f.Add(uint64(99), uint8(7), uint8(1), uint32(0), uint32(8_000))
+	f.Add(uint64(1), uint8(0), uint8(0), uint32(0), uint32(0), false)
+	f.Add(uint64(7), uint8(3), uint8(2), uint32(15_000), uint32(30_000), false)
+	f.Add(uint64(31), uint8(6), uint8(5), uint32(8_000), uint32(0), false)
+	f.Add(uint64(99), uint8(7), uint8(1), uint32(0), uint32(8_000), false)
+	f.Add(uint64(5), uint8(4), uint8(3), uint32(12_000), uint32(20_000), true)
+	f.Add(uint64(64), uint8(1), uint8(0), uint32(0), uint32(0), true)
 	policies := PolicyNames()
 	workloads := []string{"mcf", "lbm", "bwaves", "hpccg", "comd", "miniGhost"}
-	f.Fuzz(func(t *testing.T, seed uint64, policyPick, workloadPick uint8, churnEvery, epoch uint32) {
+	f.Fuzz(func(t *testing.T, seed uint64, policyPick, workloadPick uint8, churnEvery, epoch uint32, replay bool) {
 		kind := policies[int(policyPick)%len(policies)]
 		opts := baseOpts(t, kind)
 		prof, err := workload.ByName(workloads[int(workloadPick)%len(workloads)])
@@ -209,11 +263,16 @@ func FuzzRunAheadMatchesSerial(f *testing.F) {
 		if e := uint64(epoch % 200_000); e >= 5_000 {
 			opts.TimelineEpochCycles = e
 		}
-		serial := runSequential(t, opts, 60_000, true)
-		ahead := runSequential(t, opts, 60_000, false)
+		serialOpts, aheadOpts := opts, opts
+		if replay {
+			recordReplay(t, &serialOpts, 20_000)
+			recordReplay(t, &aheadOpts, 20_000)
+		}
+		serial := runSequential(t, serialOpts, 60_000, true)
+		ahead := runSequential(t, aheadOpts, 60_000, false)
 		if !reflect.DeepEqual(serial, ahead) {
-			t.Errorf("%s/%s seed %d churn %d epoch %d: run-ahead diverged from serial mode",
-				kind, opts.Workload.Name, seed, opts.PhaseEveryInstructions, opts.TimelineEpochCycles)
+			t.Errorf("%s/%s seed %d churn %d epoch %d replay %v: run-ahead diverged from serial mode",
+				kind, opts.Workload.Name, seed, opts.PhaseEveryInstructions, opts.TimelineEpochCycles, replay)
 		}
 	})
 }

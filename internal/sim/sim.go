@@ -131,6 +131,7 @@ type Options struct {
 // chasing one heap object per core.
 type coreSoA struct {
 	stream []trace.Source
+	synth  []*trace.Stream // stream[i] when synthetic (else nil): a direct Next call
 	proc   []*osmodel.Process
 
 	time   []uint64
@@ -171,6 +172,7 @@ type coreSoA struct {
 func newCoreSoA(n int) coreSoA {
 	return coreSoA{
 		stream:       make([]trace.Source, n),
+		synth:        make([]*trace.Stream, n),
 		proc:         make([]*osmodel.Process, n),
 		time:         make([]uint64, n),
 		instr:        make([]uint64, n),
@@ -236,8 +238,8 @@ type System struct {
 	autoOn     bool // AutoNUMA engine attached
 	sinkOn     bool // trace capture attached
 
-	// nextEpoch is the next timeline-epoch boundary; only commits
-	// advance it (sampleTimeline).
+	// nextEpoch is the next timeline-epoch boundary (MaxUint64 outside
+	// sampled runs); only commits advance it (sampleTimeline).
 	nextEpoch uint64
 	timeline  []TimelinePoint
 }
@@ -297,6 +299,7 @@ func New(opts Options) (*System, error) {
 		baseCPIx1000: uint64(math.Round(cfg.CPU.BaseCPI * 1000)),
 		phaseOn:      opts.PhaseEveryInstructions > 0 && opts.PhaseAllocBytes > 0,
 		timelineOn:   opts.TimelineEpochCycles > 0,
+		nextEpoch:    math.MaxUint64,
 	}
 
 	desc, err := policy.Lookup(string(opts.Policy))
@@ -413,6 +416,7 @@ func New(opts Options) (*System, error) {
 		}
 		perProc = max(perProc, src.Profile().FootprintBytes)
 		s.cores.stream[i] = src
+		s.cores.synth[i], _ = src.(*trace.Stream)
 		s.cores.proc[i] = s.os.NewProcess()
 	}
 	if uint64(copies)*perProc > osCfg.TotalBytes*4 {

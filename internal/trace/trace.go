@@ -113,7 +113,7 @@ type Sink interface {
 // Stream generates the reference stream for one process.
 type Stream struct {
 	prof Profile
-	rnd  *rng.RNG
+	rnd  rng.RNG // by value: Next reaches its state without a pointer hop
 
 	coldProb   float64 // probability that a ref bypasses the hot set
 	gapMean    uint64  // mean instructions between refs
@@ -152,7 +152,7 @@ func NewStream(p Profile, seed uint64) (*Stream, error) {
 	}
 	s := &Stream{
 		prof:       p,
-		rnd:        rng.New(seed),
+		rnd:        *rng.New(seed),
 		coldProb:   p.TargetLLCMPKI / p.RefPKI,
 		gapMean:    uint64(1000 / p.RefPKI),
 		hotBytes:   hot,
