@@ -12,10 +12,14 @@
 package chameleon_test
 
 import (
+	"context"
+	"strconv"
+	"strings"
 	"testing"
 
 	"chameleon"
 	"chameleon/internal/experiments"
+	"chameleon/internal/stats"
 )
 
 // benchOpts are sized so that one iteration of each benchmark stays in
@@ -47,6 +51,49 @@ func benchMatrix(b *testing.B, o experiments.Options) *experiments.Matrix {
 	return m
 }
 
+// benchFigure renders the named figure once per iteration through the
+// reproduction's runner.
+func benchFigure(b *testing.B, o experiments.Options, name string) *stats.Table {
+	b.Helper()
+	var fig experiments.Figure
+	for _, f := range experiments.Figures {
+		if f.Name == name {
+			fig = f
+		}
+	}
+	var t *stats.Table
+	for i := 0; i < b.N; i++ {
+		tabs, err := experiments.Run(context.Background(), o, fig)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t = tabs[0]
+	}
+	return t
+}
+
+// tableValue reads the numeric cell in the row whose first column is
+// row and the column headed col.
+func tableValue(b *testing.B, t *stats.Table, row, col string) float64 {
+	b.Helper()
+	lines := strings.Split(strings.TrimSpace(t.CSV()), "\n")
+	header := strings.Split(lines[0], ",")
+	for _, l := range lines[1:] {
+		cells := strings.Split(l, ",")
+		for i, h := range header {
+			if cells[0] == row && h == col {
+				v, err := strconv.ParseFloat(cells[i], 64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return v
+			}
+		}
+	}
+	b.Fatalf("no cell %s/%s", row, col)
+	return 0
+}
+
 func BenchmarkTable2(b *testing.B) {
 	o := benchOpts("bwaves")
 	m := benchMatrix(b, o)
@@ -65,25 +112,12 @@ func BenchmarkFig2a(b *testing.B) {
 }
 
 func BenchmarkFig2b(b *testing.B) {
-	o := benchOpts("bwaves")
-	for i := 0; i < b.N; i++ {
-		auto, err := experiments.RunAutoNUMA(o, []float64{0.9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(auto[0.9]["bwaves"].StackedHitRate*100, "autonuma-hit%")
-	}
+	t := benchFigure(b, benchOpts("bwaves"), "fig2b")
+	b.ReportMetric(tableValue(b, t, "bwaves", "thresh-90%"), "autonuma-hit%")
 }
 
 func BenchmarkFig2c(b *testing.B) {
-	o := benchOpts("cloverleaf")
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig2c(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = t.String()
-	}
+	_ = benchFigure(b, benchOpts("cloverleaf"), "fig2c").String()
 }
 
 func BenchmarkFig3(b *testing.B) {
@@ -96,23 +130,11 @@ func BenchmarkFig3(b *testing.B) {
 }
 
 func BenchmarkFig4(b *testing.B) {
-	o := benchOpts("GemsFDTD")
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig4(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = t.String()
-	}
+	_ = benchFigure(b, benchOpts("GemsFDTD"), "fig4").String()
 }
 
 func BenchmarkFig5(b *testing.B) {
-	o := benchOpts("GemsFDTD")
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5(o); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchFigure(b, benchOpts("GemsFDTD"), "fig5")
 }
 
 func BenchmarkFig15(b *testing.B) {
@@ -157,33 +179,13 @@ func BenchmarkFig19(b *testing.B) {
 }
 
 func BenchmarkFig20(b *testing.B) {
-	o := benchOpts("bwaves")
-	var m *experiments.Matrix
-	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = experiments.RunMatrix(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		auto, err := experiments.RunAutoNUMA(o, []float64{0.7, 0.8, 0.9})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = experiments.Fig20(m, auto).String()
-	}
-	base := m.Results[chameleon.PolicyNUMAFlat]["bwaves"].GeoMeanIPC
-	b.ReportMetric(m.Results[chameleon.PolicyChameleonOpt]["bwaves"].GeoMeanIPC/base, "opt-ipc/first-touch")
+	t := benchFigure(b, benchOpts("bwaves"), "fig20")
+	base := tableValue(b, t, "bwaves", "first-touch")
+	b.ReportMetric(tableValue(b, t, "bwaves", "chameleon-opt")/base, "opt-ipc/first-touch")
 }
 
 func BenchmarkFig21(b *testing.B) {
-	o := benchOpts("bwaves")
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig21(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = t.String()
-	}
+	_ = benchFigure(b, benchOpts("bwaves"), "fig21").String()
 }
 
 func BenchmarkFig22(b *testing.B) {
@@ -195,14 +197,7 @@ func BenchmarkFig22(b *testing.B) {
 }
 
 func BenchmarkFig23(b *testing.B) {
-	o := benchOpts("bwaves")
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig23(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = t.String()
-	}
+	_ = benchFigure(b, benchOpts("bwaves"), "fig23").String()
 }
 
 func BenchmarkOverhead(b *testing.B) {

@@ -8,11 +8,13 @@
 //	            [-scale N] [-instr N] [-warmup N] [-workloads a,b,c] [-csv]
 //
 // Results are printed as aligned tables (or CSV with -csv). Scale 1 is
-// the paper's full-size 4 GB + 20 GB machine; the default scale of 256
-// finishes the whole suite in a few minutes on one core.
+// the paper's full-size 4 GB + 20 GB machine. At the default scale of
+// 256 the whole suite (354 unique simulations, -parallel at a time)
+// takes about 3.6 minutes on a 2-CPU host (BENCH_repro.json).
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -21,7 +23,6 @@ import (
 	"time"
 
 	"chameleon/internal/experiments"
-	"chameleon/internal/sim"
 	"chameleon/internal/stats"
 )
 
@@ -70,125 +71,37 @@ func writeCSV(dir, name string, t *stats.Table) error {
 	return os.WriteFile(filepath.Join(dir, slug+".csv"), []byte(t.CSV()), 0o644)
 }
 
+// run plans the selected figures, simulates their unique cells once and
+// prints the tables in evaluation order.
 func run(exp string, o experiments.Options, csv bool, outDir string) error {
-	emit := func(name string, t *stats.Table) {
-		fmt.Printf("== %s ==\n", name)
+	var figs []experiments.Figure
+	for _, f := range experiments.Figures {
+		if exp == "all" || exp == f.Name {
+			figs = append(figs, f)
+		}
+	}
+	if len(figs) == 0 {
+		return fmt.Errorf("unknown experiment %q", exp)
+	}
+	start := time.Now()
+	fmt.Fprintf(os.Stderr, "running %s (scale %d, %d workloads)...\n", exp, o.Scale, len(o.Workloads))
+	o.Progress = func(done, total int) { fmt.Fprintf(os.Stderr, "\rcells %d/%d", done, total) }
+	tables, err := experiments.Run(context.Background(), o, figs...)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "\ndone in %s\n", time.Since(start).Round(time.Second))
+	for i, f := range figs {
+		fmt.Printf("== %s ==\n", f.Title)
 		if csv {
-			fmt.Print(t.CSV())
+			fmt.Print(tables[i].CSV())
 		} else {
-			fmt.Print(t.String())
+			fmt.Print(tables[i].String())
 		}
 		fmt.Println()
-		if err := writeCSV(outDir, name, t); err != nil {
+		if err := writeCSV(outDir, f.Title, tables[i]); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: writing csv:", err)
 		}
-	}
-	want := func(name string) bool { return exp == "all" || exp == name }
-
-	var matrix *experiments.Matrix
-	needMatrix := false
-	for _, n := range []string{"table2", "fig2a", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig22"} {
-		if want(n) {
-			needMatrix = true
-		}
-	}
-	if needMatrix {
-		start := time.Now()
-		fmt.Fprintf(os.Stderr, "running policy x workload matrix (scale %d, %d workloads)...\n", o.Scale, len(o.Workloads))
-		var err error
-		matrix, err = experiments.RunMatrix(o)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "matrix done in %s\n", time.Since(start).Round(time.Second))
-	}
-
-	if want("table1") {
-		emit("Table I: simulated configuration", experiments.Table1(o))
-	}
-	if want("table2") {
-		emit("Table II: workload characteristics (measured)", experiments.Table2(matrix))
-	}
-	if want("fig2a") {
-		emit("Figure 2a: first-touch NUMA allocator stacked-DRAM hit rate", experiments.Fig2a(matrix))
-	}
-	var autoRes map[float64]map[string]*sim.Result
-	if want("fig2b") || want("fig20") {
-		fmt.Fprintln(os.Stderr, "running AutoNUMA threshold sweep...")
-		r, err := experiments.RunAutoNUMA(o, []float64{0.7, 0.8, 0.9})
-		if err != nil {
-			return err
-		}
-		autoRes = r
-	}
-	if want("fig2b") {
-		emit("Figure 2b: AutoNUMA stacked-DRAM hit rates", experiments.Fig2b(o, autoRes))
-	}
-	if want("fig2c") {
-		t, err := experiments.Fig2c(o)
-		if err != nil {
-			return err
-		}
-		emit("Figure 2c: cloverleaf AutoNUMA timeline (90% threshold)", t)
-	}
-	if want("fig3") {
-		t, err := experiments.Fig3(o)
-		if err != nil {
-			return err
-		}
-		emit("Figure 3: free memory over the workload sequence", t)
-	}
-	if want("fig4") {
-		t, err := experiments.Fig4(o)
-		if err != nil {
-			return err
-		}
-		emit("Figure 4: execution-time improvement vs capacity", t)
-	}
-	if want("fig5") {
-		t, err := experiments.Fig5(o)
-		if err != nil {
-			return err
-		}
-		emit("Figure 5: page faults and CPU utilisation vs capacity", t)
-	}
-	if want("fig15") {
-		emit("Figure 15: stacked-DRAM hit rate", experiments.Fig15(matrix))
-	}
-	if want("fig16") {
-		emit("Figure 16: cache-mode segment-group share", experiments.Fig16(matrix))
-	}
-	if want("fig17") {
-		emit("Figure 17: segment swaps normalised to PoM", experiments.Fig17(matrix))
-	}
-	if want("fig18") {
-		emit("Figure 18: IPC normalised to the 20 GB baseline", experiments.Fig18(matrix))
-	}
-	if want("fig19") {
-		emit("Figure 19: average memory access latency (cycles)", experiments.Fig19(matrix))
-	}
-	if want("fig20") {
-		emit("Figure 20: IPC vs OS-based placement", experiments.Fig20(matrix, autoRes))
-	}
-	if want("fig21") {
-		t, err := experiments.Fig21(o)
-		if err != nil {
-			return err
-		}
-		emit("Figure 21: cache-mode share vs capacity ratio (Chameleon-Opt)", t)
-	}
-	if want("fig22") {
-		emit("Figure 22: Polymorphic Memory comparison", experiments.Fig22(matrix))
-	}
-	if want("fig23") {
-		t, err := experiments.Fig23(o)
-		if err != nil {
-			return err
-		}
-		emit("Figure 23: sensitivity IPC at 1:3 and 1:7 ratios", t)
-	}
-	if want("overhead") {
-		emit("Section VI-F: ISA-Alloc/ISA-Free overhead analysis", experiments.Overhead())
 	}
 	return nil
 }

@@ -90,48 +90,25 @@ func sweepWorkloads(o Options) []string {
 	return out
 }
 
-// capacitySweep runs the capacity-study workloads on flat systems of
-// each capacity and returns the raw results[capacityGB][workload].
-func capacitySweep(o Options) (map[uint64]map[string]*sim.Result, error) {
-	o = o.Defaults()
-	cfg := o.Config()
-	out := map[uint64]map[string]*sim.Result{}
+// capacityColumns are the flat systems of the capacity study of
+// Figures 4 and 5, one per capacity point.
+func capacityColumns(Options) []column {
+	var cols []column
 	for _, gb := range CapacityPoints {
-		out[gb] = map[string]*sim.Result{}
-		for _, wl := range sweepWorkloads(o) {
-			prof, err := o.profile(wl)
-			if err != nil {
-				return nil, err
-			}
-			res, err := o.runOne(sim.Options{
-				Config:        cfg,
-				Policy:        sim.PolicyFlat,
-				Workload:      prof,
-				BaselineBytes: gb * config.GB / o.Scale,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("capacity %dGB/%s: %w", gb, wl, err)
-			}
-			out[gb][wl] = res
-		}
+		cols = append(cols, column{policy: sim.PolicyFlat, baseline: gb})
 	}
-	return out, nil
+	return cols
 }
 
-// Fig4 reproduces the execution-time improvement over the 16 GB system
+// fig4 reproduces the execution-time improvement over the 16 GB system
 // as capacity grows (equation 1 of the paper; the paper's averages
 // rise from 29.5 % at 18 GB to 75.4 % at 24 GB and saturate).
-func Fig4(o Options) (*stats.Table, error) {
-	sweep, err := capacitySweep(o)
-	if err != nil {
-		return nil, err
-	}
+func fig4(o Options, res [][]*sim.Result) (*stats.Table, error) {
 	header := []string{"workload"}
 	for _, gb := range CapacityPoints[1:] {
 		header = append(header, fmt.Sprintf("%dGB-imp%%", gb))
 	}
-	t := stats.NewTable(header...)
-	sums := make([]float64, len(CapacityPoints)-1)
+	t := newSummed(header...)
 	execTime := func(r *sim.Result) float64 {
 		times := make([]float64, len(r.Cores))
 		for i, c := range r.Cores {
@@ -139,37 +116,25 @@ func Fig4(o Options) (*stats.Table, error) {
 		}
 		return stats.GeoMean(times)
 	}
-	wls := sweepWorkloads(o.Defaults())
-	for _, wl := range wls {
-		base := execTime(sweep[16][wl])
-		row := []any{wl}
-		for i, gb := range CapacityPoints[1:] {
-			imp := (base - execTime(sweep[gb][wl])) / base * 100
-			sums[i] += imp
-			row = append(row, imp)
+	for j, wl := range sweepWorkloads(o) {
+		base := execTime(res[j][0])
+		var imps []float64
+		for _, r := range res[j][1:] {
+			imps = append(imps, (base-execTime(r))/base*100)
 		}
-		t.AddRow(row...)
+		t.add([]any{wl}, imps...)
 	}
-	avg := []any{"Average"}
-	for _, s := range sums {
-		avg = append(avg, s/float64(len(wls)))
-	}
-	t.AddRow(avg...)
-	return t, nil
+	return t.summary(stats.Mean, "Average"), nil
 }
 
-// Fig5 reproduces page faults and CPU utilisation versus capacity:
+// fig5 reproduces page faults and CPU utilisation versus capacity:
 // faults fall and utilisation rises towards 100 % as the footprint
 // fits.
-func Fig5(o Options) (*stats.Table, error) {
-	sweep, err := capacitySweep(o)
-	if err != nil {
-		return nil, err
-	}
+func fig5(o Options, res [][]*sim.Result) (*stats.Table, error) {
 	t := stats.NewTable("workload", "capacity-GB", "major-faults", "cpu-util%")
-	for _, wl := range sweepWorkloads(o.Defaults()) {
-		for _, gb := range CapacityPoints {
-			r := sweep[gb][wl]
+	for j, wl := range sweepWorkloads(o) {
+		for i, gb := range CapacityPoints {
+			r := res[j][i]
 			t.AddRow(wl, gb, r.OS.MajorFaults, r.CPUUtilization*100)
 		}
 	}

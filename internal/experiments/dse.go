@@ -10,7 +10,7 @@ import (
 	"chameleon/internal/workload"
 )
 
-// RunDSE executes a design-space sweep in-process, sharing the matrix
+// RunDSE executes a design-space sweep in-process, sharing the figure
 // runner's conventions: Options supply the per-cell instruction and
 // warm-up budgets, bounded parallelism, context cancellation through
 // every cell, and joined per-cell errors. Options axes (Scale, Seed,
@@ -90,9 +90,5 @@ func (o Options) runCell(ctx context.Context, spec dse.Spec, c dse.Cell) (*sim.R
 	if desc.RequiresBaseline {
 		so.BaselineBytes = 24 * config.GB / c.Scale
 	}
-	sys, err := sim.New(so)
-	if err != nil {
-		return nil, err
-	}
-	return sys.RunContext(ctx, o.Instructions)
+	return o.simulate(ctx, so)
 }

@@ -1,7 +1,11 @@
-// Package experiments contains one driver per table and figure of the
-// paper's evaluation (§III and §VI). Each driver returns a stats.Table
-// whose rows mirror the corresponding figure; cmd/experiments renders
-// them and EXPERIMENTS.md records paper-vs-measured values.
+// Package experiments reproduces the tables and figures of the paper's
+// evaluation (§III and §VI). Figures holds one entry per table and
+// figure: the simulations it needs, declared as a grid of workloads x
+// machine variants before anything runs, and a render step that turns
+// their results into a stats.Table whose rows mirror the figure. Run
+// simulates each unique cell of the selected figures once and renders
+// them; cmd/experiments prints the tables and EXPERIMENTS.md records
+// paper-vs-measured values.
 //
 // The drivers run on a scaled-down machine (capacities and footprints
 // divided by Options.Scale with all ratios preserved) so the full suite
@@ -11,10 +15,8 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"chameleon/internal/config"
 	"chameleon/internal/sim"
@@ -55,9 +57,10 @@ type Options struct {
 	// values default to GOMAXPROCS (a negative value would otherwise
 	// panic constructing the semaphore channel).
 	Parallelism int
-	// Progress, when non-nil, is called after each matrix cell
-	// finishes with the number of completed cells and the total.
-	// Calls are serialized under the matrix lock.
+	// Progress, when non-nil, is called after each simulation finishes
+	// with the number of completed cells and the total: the unique
+	// cells of a run (a matrix, a set of figures or a DSE sweep).
+	// Calls are serialized.
 	Progress func(done, total int) `json:"-"`
 }
 
@@ -107,22 +110,6 @@ func (o Options) profile(name string) (trace.Profile, error) {
 	return p.Scale(o.Scale), nil
 }
 
-// runOne builds and runs a single simulation.
-func (o Options) runOne(opts sim.Options) (*sim.Result, error) {
-	return o.runOneContext(context.Background(), opts)
-}
-
-// runOneContext builds and runs a single cancellable simulation.
-func (o Options) runOneContext(ctx context.Context, opts sim.Options) (*sim.Result, error) {
-	opts.Seed = o.Seed
-	opts.WarmupInstructions = o.Warmup
-	s, err := sim.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.RunContext(ctx, o.Instructions)
-}
-
 // Matrix holds one result per (policy, workload) pair.
 type Matrix struct {
 	Opts     Options
@@ -131,33 +118,52 @@ type Matrix struct {
 	Results map[sim.PolicyKind]map[string]*sim.Result
 }
 
-// standardPolicies is the set used by the main evaluation figures.
-func standardPolicies() []sim.PolicyKind {
-	return []sim.PolicyKind{
-		sim.PolicyFlat, // run twice: 20 GB and 24 GB handled separately
-		sim.PolicyNUMAFlat,
-		sim.PolicyAlloy,
-		sim.PolicyPoM,
-		sim.PolicyPolymorphic,
-		sim.PolicyChameleon,
-		sim.PolicyChameleonOpt,
-	}
-}
-
-// job names one simulation of the matrix.
-type job struct {
-	policy   sim.PolicyKind
-	tag      string // result key qualifier for flat baselines
-	workload string
-	opts     sim.Options
-}
-
 // The 20 GB flat baseline is stored under PolicyFlat, the 24 GB one
 // under policyFlat24 (a matrix-only key, not a registered design).
 const policyFlat24 sim.PolicyKind = "flat-24"
 
-// RunMatrix executes every policy on every selected workload, reusing
-// one run across all the figures that need it (15-20 and 22).
+// matrixColumns are the matrix's machine variants: the selected
+// policies (by default the paper's evaluation designs), with flat
+// expanded to its 20 GB and 24 GB baselines.
+func matrixColumns(o Options) []column {
+	pols := o.Policies
+	if len(pols) == 0 {
+		pols = []sim.PolicyKind{sim.PolicyFlat, sim.PolicyNUMAFlat, sim.PolicyAlloy, sim.PolicyPoM,
+			sim.PolicyPolymorphic, sim.PolicyChameleon, sim.PolicyChameleonOpt}
+	}
+	var cols []column
+	for _, pk := range pols {
+		if pk == sim.PolicyFlat {
+			cols = append(cols, column{policy: pk, baseline: 20}, column{policy: pk, baseline: 24})
+		} else {
+			cols = append(cols, column{policy: pk})
+		}
+	}
+	return cols
+}
+
+// newMatrix files a grid whose rows begin with matrixColumns under
+// their policies.
+func newMatrix(o Options, res [][]*sim.Result) *Matrix {
+	m := &Matrix{Opts: o, Results: map[sim.PolicyKind]map[string]*sim.Result{}}
+	for _, c := range matrixColumns(o) {
+		pk := c.policy
+		if c.baseline == 24 {
+			pk = policyFlat24
+		}
+		m.Policies = append(m.Policies, pk)
+		m.Results[pk] = map[string]*sim.Result{}
+	}
+	for j, row := range res {
+		for i, pk := range m.Policies {
+			m.Results[pk][o.Workloads[j]] = row[i]
+		}
+	}
+	return m
+}
+
+// RunMatrix executes every policy on every selected workload: the
+// cells behind Table II and Figures 2a, 15-20 and 22.
 func RunMatrix(o Options) (*Matrix, error) {
 	return RunMatrixContext(context.Background(), o)
 }
@@ -168,97 +174,16 @@ func RunMatrix(o Options) (*Matrix, error) {
 // every failure is reported, joined into one error.
 func RunMatrixContext(ctx context.Context, o Options) (*Matrix, error) {
 	o = o.Defaults()
-	cfg := o.Config()
-
-	pols := o.Policies
-	if len(pols) == 0 {
-		pols = standardPolicies()
+	res, err := o.run(ctx, []Figure{{Name: "matrix", columns: matrixColumns}})
+	if err != nil {
+		return nil, err
 	}
-	matrixPols := make([]sim.PolicyKind, 0, len(pols)+1)
-	var jobs []job
-	for _, name := range o.Workloads {
-		prof, err := o.profile(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, pk := range pols {
-			so := sim.Options{Config: cfg, Policy: pk, Workload: prof}
-			switch pk {
-			case sim.PolicyFlat:
-				so20 := so
-				so20.BaselineBytes = 20 * config.GB / o.Scale
-				jobs = append(jobs, job{sim.PolicyFlat, "20", name, so20})
-				so24 := so
-				so24.BaselineBytes = 24 * config.GB / o.Scale
-				jobs = append(jobs, job{policyFlat24, "24", name, so24})
-			default:
-				jobs = append(jobs, job{pk, "", name, so})
-			}
-		}
-	}
-	for _, pk := range pols {
-		matrixPols = append(matrixPols, pk)
-		if pk == sim.PolicyFlat {
-			matrixPols = append(matrixPols, policyFlat24)
-		}
-	}
-
-	m := &Matrix{Opts: o, Policies: matrixPols,
-		Results: map[sim.PolicyKind]map[string]*sim.Result{}}
-	var mu sync.Mutex
-	var errs []error
-	done := 0
-	sem := make(chan struct{}, o.Parallelism)
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		if ctx.Err() != nil {
-			// Don't launch cells that would fail immediately; the
-			// cancellation itself is reported below.
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j job) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, err := o.runOneContext(ctx, j.opts)
-			mu.Lock()
-			defer mu.Unlock()
-			done++
-			if err != nil {
-				errs = append(errs, fmt.Errorf("%v/%s: %w", j.policy, j.workload, err))
-			} else {
-				if m.Results[j.policy] == nil {
-					m.Results[j.policy] = map[string]*sim.Result{}
-				}
-				m.Results[j.policy][j.workload] = res
-			}
-			if o.Progress != nil {
-				o.Progress(done, len(jobs))
-			}
-		}(j)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, err)
-	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	return m, nil
-}
-
-// PolicyKey returns the stable wire name for a matrix policy column;
-// the two flat baselines are distinguished by capacity.
-func PolicyKey(pk sim.PolicyKind) string {
-	if pk == sim.PolicyFlat {
-		return "flat-20"
-	}
-	return pk.String()
+	return newMatrix(o, res[0]), nil
 }
 
 // ByName re-keys the results by policy wire name, for JSON consumers
-// that cannot use integer PolicyKind keys.
+// that cannot use integer PolicyKind keys; the two flat baselines are
+// "flat-20" and "flat-24".
 func (m *Matrix) ByName() map[string]map[string]*sim.Result {
 	out := make(map[string]map[string]*sim.Result, len(m.Results))
 	for pk, rows := range m.Results {
@@ -266,7 +191,10 @@ func (m *Matrix) ByName() map[string]map[string]*sim.Result {
 		for wl, r := range rows {
 			inner[wl] = r
 		}
-		out[PolicyKey(pk)] = inner
+		if pk == sim.PolicyFlat {
+			pk = "flat-20"
+		}
+		out[pk.String()] = inner
 	}
 	return out
 }

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"chameleon/internal/stats"
 )
 
 // tiny returns options small enough for unit testing the drivers.
@@ -40,6 +43,10 @@ func TestMatrixAndMainFigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	table2, err := Table2(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Every policy has a result for every workload.
 	for _, pk := range m.Policies {
 		for _, wl := range o.Workloads {
@@ -56,7 +63,7 @@ func TestMatrixAndMainFigures(t *testing.T) {
 		"fig19":  Fig19(m),
 		"fig22":  Fig22(m),
 		"fig2a":  Fig2a(m),
-		"table2": Table2(m),
+		"table2": table2,
 	} {
 		s := table.String()
 		if !strings.Contains(s, "bwaves") {
@@ -109,10 +116,7 @@ func TestFig3FreeMemoryVaries(t *testing.T) {
 func TestFig4ImprovementMonotoneIsh(t *testing.T) {
 	o := tiny("GemsFDTD")
 	o.Instructions = 30_000
-	tab, err := Fig4(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runFig(t, o, "fig4")
 	s := tab.String()
 	if !strings.Contains(s, "GemsFDTD") {
 		t.Fatalf("missing workload:\n%s", s)
@@ -131,10 +135,7 @@ func TestFig4ImprovementMonotoneIsh(t *testing.T) {
 func TestFig5FaultsDropWithCapacity(t *testing.T) {
 	o := tiny("GemsFDTD")
 	o.Instructions = 30_000
-	tab, err := Fig5(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runFig(t, o, "fig5")
 	lines := strings.Split(strings.TrimSpace(tab.CSV()), "\n")
 	var f16, f24 float64
 	for _, l := range lines[1:] {
@@ -154,10 +155,7 @@ func TestFig5FaultsDropWithCapacity(t *testing.T) {
 func TestFig21RatioShape(t *testing.T) {
 	o := tiny("bwaves")
 	o.Instructions = 30_000
-	tab, err := Fig21(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runFig(t, o, "fig21")
 	lines := strings.Split(strings.TrimSpace(tab.CSV()), "\n")
 	avg := strings.Split(lines[len(lines)-1], ",")
 	var r3, r7 float64
@@ -170,11 +168,7 @@ func TestFig21RatioShape(t *testing.T) {
 
 func TestAutoNUMAAndFig2b(t *testing.T) {
 	o := tiny("bwaves")
-	auto, err := RunAutoNUMA(o, []float64{0.7, 0.8, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := Fig2b(o, auto)
+	tab := runFig(t, o, "fig2b")
 	if !strings.Contains(tab.String(), "bwaves") {
 		t.Error("fig2b missing workload")
 	}
@@ -208,6 +202,28 @@ func TestTable1Renders(t *testing.T) {
 			t.Errorf("table 1 missing %q:\n%s", want, s)
 		}
 	}
+}
+
+// figure looks a figure up by its -exp name.
+func figure(t testing.TB, name string) Figure {
+	t.Helper()
+	for _, f := range Figures {
+		if f.Name == name {
+			return f
+		}
+	}
+	t.Fatalf("no figure %q", name)
+	return Figure{}
+}
+
+// runFig renders one figure through Run.
+func runFig(t *testing.T, o Options, name string) *stats.Table {
+	t.Helper()
+	tabs, err := Run(context.Background(), o, figure(t, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tabs[0]
 }
 
 // fmtSscan parses a float cell from a CSV row.

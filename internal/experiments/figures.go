@@ -4,58 +4,75 @@ import (
 	"fmt"
 
 	"chameleon/internal/config"
-	"chameleon/internal/osmodel"
 	"chameleon/internal/sim"
 	"chameleon/internal/stats"
 )
+
+// summed is a table whose numeric columns close with a summary row,
+// such as a figure's Average or GeoMean row.
+type summed struct {
+	*stats.Table
+	cols [][]float64
+}
+
+func newSummed(header ...string) *summed { return &summed{Table: stats.NewTable(header...)} }
+
+// add appends a row of the lead cells then vals, keeping vals for the
+// summary.
+func (t *summed) add(lead []any, vals ...float64) {
+	for i, v := range vals {
+		if i == len(t.cols) {
+			t.cols = append(t.cols, nil)
+		}
+		t.cols[i] = append(t.cols[i], v)
+		lead = append(lead, v)
+	}
+	t.AddRow(lead...)
+}
+
+// summary appends the lead cells then agg of each column added since
+// the last summary, and returns the table.
+func (t *summed) summary(agg func([]float64) float64, lead ...any) *stats.Table {
+	for _, c := range t.cols {
+		lead = append(lead, agg(c))
+	}
+	t.AddRow(lead...)
+	t.cols = nil
+	return t.Table
+}
 
 // Fig15 reproduces the stacked-DRAM hit-rate comparison (Alloy Cache,
 // PoM, Chameleon, Chameleon-Opt). Paper averages: 62.4 %, 81 %,
 // 84.6 %, 89.4 %.
 func Fig15(m *Matrix) *stats.Table {
-	t := stats.NewTable("workload", "alloy", "pom", "chameleon", "chameleon-opt")
-	kinds := []sim.PolicyKind{sim.PolicyAlloy, sim.PolicyPoM, sim.PolicyChameleon, sim.PolicyChameleonOpt}
-	sums := make([]float64, len(kinds))
+	t := newSummed("workload", "alloy", "pom", "chameleon", "chameleon-opt")
 	for _, wl := range m.Opts.Workloads {
-		row := []any{wl}
-		for i, k := range kinds {
-			hr := m.Metric(k, wl, "stacked_hit_rate") * 100
-			sums[i] += hr
-			row = append(row, hr)
+		var vals []float64
+		for _, k := range []sim.PolicyKind{sim.PolicyAlloy, sim.PolicyPoM, sim.PolicyChameleon, sim.PolicyChameleonOpt} {
+			vals = append(vals, m.Metric(k, wl, "stacked_hit_rate")*100)
 		}
-		t.AddRow(row...)
+		t.add([]any{wl}, vals...)
 	}
-	avg := []any{"Average"}
-	for _, s := range sums {
-		avg = append(avg, s/float64(len(m.Opts.Workloads)))
-	}
-	t.AddRow(avg...)
-	return t
+	return t.summary(stats.Mean, "Average")
 }
 
 // Fig16 reproduces the cache-mode vs PoM-mode segment-group
 // distribution for Chameleon and Chameleon-Opt. Paper averages: 9.2 %
 // and 40.6 % of groups in cache mode.
 func Fig16(m *Matrix) *stats.Table {
-	t := stats.NewTable("workload", "chameleon-cache%", "chameleon-opt-cache%")
-	var s1, s2 float64
+	t := newSummed("workload", "chameleon-cache%", "chameleon-opt-cache%")
 	for _, wl := range m.Opts.Workloads {
-		c := m.Metric(sim.PolicyChameleon, wl, "cache_mode_fraction") * 100
-		o := m.Metric(sim.PolicyChameleonOpt, wl, "cache_mode_fraction") * 100
-		s1 += c
-		s2 += o
-		t.AddRow(wl, c, o)
+		t.add([]any{wl},
+			m.Metric(sim.PolicyChameleon, wl, "cache_mode_fraction")*100,
+			m.Metric(sim.PolicyChameleonOpt, wl, "cache_mode_fraction")*100)
 	}
-	n := float64(len(m.Opts.Workloads))
-	t.AddRow("Average", s1/n, s2/n)
-	return t
+	return t.summary(stats.Mean, "Average")
 }
 
 // Fig17 reproduces segment swaps normalised to PoM. Paper averages:
 // Chameleon 0.856, Chameleon-Opt 0.569.
 func Fig17(m *Matrix) *stats.Table {
-	t := stats.NewTable("workload", "pom", "chameleon", "chameleon-opt")
-	var s1, s2 float64
+	t := newSummed("workload", "pom", "chameleon", "chameleon-opt")
 	for _, wl := range m.Opts.Workloads {
 		base := m.Metric(sim.PolicyPoM, wl, "ctrl.swaps")
 		c := m.Metric(sim.PolicyChameleon, wl, "ctrl.swaps")
@@ -64,13 +81,19 @@ func Fig17(m *Matrix) *stats.Table {
 		if base > 0 {
 			nc, no = c/base, o/base
 		}
-		s1 += nc
-		s2 += no
-		t.AddRow(wl, 1.0, nc, no)
+		t.add([]any{wl, 1.0}, nc, no)
 	}
-	n := float64(len(m.Opts.Workloads))
-	t.AddRow("Average", 1.0, s1/n, s2/n)
-	return t
+	return t.summary(stats.Mean, "Average", 1.0)
+}
+
+// normalizedIPC returns each kind's IPC on wl over the 20 GB baseline's.
+func (m *Matrix) normalizedIPC(wl string, kinds ...sim.PolicyKind) []float64 {
+	base := m.Metric(sim.PolicyFlat, wl, "ipc_geomean")
+	var vals []float64
+	for _, k := range kinds {
+		vals = append(vals, m.Metric(k, wl, "ipc_geomean")/base)
+	}
+	return vals
 }
 
 // Fig18 reproduces the normalised-IPC comparison across the two flat
@@ -78,294 +101,159 @@ func Fig17(m *Matrix) *stats.Table {
 // the 20 GB DDR3 baseline). Paper geomeans: 24 GB 1.356, PoM 1.852,
 // Chameleon 1.968, Chameleon-Opt 2.063.
 func Fig18(m *Matrix) *stats.Table {
-	t := stats.NewTable("workload", "flat20", "flat24", "alloy", "pom", "chameleon", "chameleon-opt")
-	kinds := []sim.PolicyKind{policyFlat24, sim.PolicyAlloy, sim.PolicyPoM, sim.PolicyChameleon, sim.PolicyChameleonOpt}
-	geos := make([][]float64, len(kinds))
+	t := newSummed("workload", "flat20", "flat24", "alloy", "pom", "chameleon", "chameleon-opt")
 	for _, wl := range m.Opts.Workloads {
-		base := m.Metric(sim.PolicyFlat, wl, "ipc_geomean")
-		row := []any{wl, 1.0}
-		for i, k := range kinds {
-			v := m.Metric(k, wl, "ipc_geomean") / base
-			geos[i] = append(geos[i], v)
-			row = append(row, v)
-		}
-		t.AddRow(row...)
+		t.add([]any{wl, 1.0}, m.normalizedIPC(wl, policyFlat24, sim.PolicyAlloy, sim.PolicyPoM,
+			sim.PolicyChameleon, sim.PolicyChameleonOpt)...)
 	}
-	avg := []any{"GeoMean", 1.0}
-	for _, g := range geos {
-		avg = append(avg, stats.GeoMean(g))
-	}
-	t.AddRow(avg...)
-	return t
+	return t.summary(stats.GeoMean, "GeoMean", 1.0)
 }
 
 // Fig19 reproduces the average memory access latency (CPU cycles) for
 // PoM, Chameleon and Chameleon-Opt.
 func Fig19(m *Matrix) *stats.Table {
-	t := stats.NewTable("workload", "pom", "chameleon", "chameleon-opt")
-	kinds := []sim.PolicyKind{sim.PolicyPoM, sim.PolicyChameleon, sim.PolicyChameleonOpt}
-	geos := make([][]float64, len(kinds))
+	t := newSummed("workload", "pom", "chameleon", "chameleon-opt")
 	for _, wl := range m.Opts.Workloads {
-		row := []any{wl}
-		for i, k := range kinds {
-			v := m.Metric(k, wl, "amat_cycles")
-			geos[i] = append(geos[i], v)
-			row = append(row, v)
+		var vals []float64
+		for _, k := range []sim.PolicyKind{sim.PolicyPoM, sim.PolicyChameleon, sim.PolicyChameleonOpt} {
+			vals = append(vals, m.Metric(k, wl, "amat_cycles"))
 		}
-		t.AddRow(row...)
+		t.add([]any{wl}, vals...)
 	}
-	avg := []any{"GeoMean"}
-	for _, g := range geos {
-		avg = append(avg, stats.GeoMean(g))
-	}
-	t.AddRow(avg...)
-	return t
+	return t.summary(stats.GeoMean, "GeoMean")
 }
 
-// Fig20 compares Chameleon against the OS-based placements (normalised
+// fig20 compares Chameleon against the OS-based placements (normalised
 // to the 20 GB baseline): first-touch NUMA allocation and AutoNUMA at
 // three thresholds. Paper: Chameleon +28.7 %/+19.1 % over
 // first-touch/AutoNUMA, Chameleon-Opt +34.8 %/+24.9 %.
-func Fig20(m *Matrix, auto map[float64]map[string]*sim.Result) *stats.Table {
-	t := stats.NewTable("workload", "flat20", "flat24", "first-touch",
+func fig20(o Options, res [][]*sim.Result) (*stats.Table, error) {
+	m := newMatrix(o, res)
+	t := newSummed("workload", "flat20", "flat24", "first-touch",
 		"autonuma-70", "autonuma-80", "autonuma-90", "chameleon", "chameleon-opt")
-	var geoCols [][]float64
-	addGeo := func(col int, v float64) {
-		for len(geoCols) <= col {
-			geoCols = append(geoCols, nil)
-		}
-		geoCols[col] = append(geoCols[col], v)
-	}
-	for _, wl := range m.Opts.Workloads {
+	for j, wl := range o.Workloads {
 		base := m.Metric(sim.PolicyFlat, wl, "ipc_geomean")
-		row := []any{wl, 1.0}
-		col := 0
-		for _, v := range []float64{
-			m.Metric(policyFlat24, wl, "ipc_geomean") / base,
-			m.Metric(sim.PolicyNUMAFlat, wl, "ipc_geomean") / base,
-			auto[0.7][wl].GeoMeanIPC / base,
-			auto[0.8][wl].GeoMeanIPC / base,
-			auto[0.9][wl].GeoMeanIPC / base,
-			m.Metric(sim.PolicyChameleon, wl, "ipc_geomean") / base,
-			m.Metric(sim.PolicyChameleonOpt, wl, "ipc_geomean") / base,
-		} {
-			row = append(row, v)
-			addGeo(col, v)
-			col++
+		vals := m.normalizedIPC(wl, policyFlat24, sim.PolicyNUMAFlat)
+		for _, r := range res[j][len(m.Policies):] {
+			vals = append(vals, r.GeoMeanIPC/base)
 		}
-		t.AddRow(row...)
+		vals = append(vals, m.normalizedIPC(wl, sim.PolicyChameleon, sim.PolicyChameleonOpt)...)
+		t.add([]any{wl, 1.0}, vals...)
 	}
-	avg := []any{"GeoMean", 1.0}
-	for _, g := range geoCols {
-		avg = append(avg, stats.GeoMean(g))
-	}
-	t.AddRow(avg...)
-	return t
+	return t.summary(stats.GeoMean, "GeoMean", 1.0), nil
 }
 
 // Fig22 reproduces the Polymorphic Memory comparison (normalised IPC
 // over the 20 GB baseline). Paper: Chameleon +10.5 % and Chameleon-Opt
 // +15.8 % over Polymorphic Memory.
 func Fig22(m *Matrix) *stats.Table {
-	t := stats.NewTable("workload", "flat20", "flat24", "polymorphic", "chameleon", "chameleon-opt")
-	kinds := []sim.PolicyKind{policyFlat24, sim.PolicyPolymorphic, sim.PolicyChameleon, sim.PolicyChameleonOpt}
-	geos := make([][]float64, len(kinds))
+	t := newSummed("workload", "flat20", "flat24", "polymorphic", "chameleon", "chameleon-opt")
 	for _, wl := range m.Opts.Workloads {
-		base := m.Metric(sim.PolicyFlat, wl, "ipc_geomean")
-		row := []any{wl, 1.0}
-		for i, k := range kinds {
-			v := m.Metric(k, wl, "ipc_geomean") / base
-			geos[i] = append(geos[i], v)
-			row = append(row, v)
-		}
-		t.AddRow(row...)
+		t.add([]any{wl, 1.0}, m.normalizedIPC(wl, policyFlat24, sim.PolicyPolymorphic,
+			sim.PolicyChameleon, sim.PolicyChameleonOpt)...)
 	}
-	avg := []any{"GeoMean", 1.0}
-	for _, g := range geos {
-		avg = append(avg, stats.GeoMean(g))
-	}
-	t.AddRow(avg...)
-	return t
+	return t.summary(stats.GeoMean, "GeoMean", 1.0)
 }
 
 // Fig2a reproduces the first-touch NUMA allocator's stacked-DRAM hit
 // rate (paper average: 18.5 %).
 func Fig2a(m *Matrix) *stats.Table {
-	t := stats.NewTable("workload", "hit-rate%")
-	sum := 0.0
+	t := newSummed("workload", "hit-rate%")
 	for _, wl := range m.Opts.Workloads {
-		hr := m.Metric(sim.PolicyNUMAFlat, wl, "stacked_hit_rate") * 100
-		sum += hr
-		t.AddRow(wl, hr)
+		t.add([]any{wl}, m.Metric(sim.PolicyNUMAFlat, wl, "stacked_hit_rate")*100)
 	}
-	t.AddRow("Average", sum/float64(len(m.Opts.Workloads)))
-	return t
+	return t.summary(stats.Mean, "Average")
 }
 
-// RunAutoNUMA produces the AutoNUMA results for Figures 2b/2c and 20:
-// one NUMA-flat run per workload per threshold.
-func RunAutoNUMA(o Options, thresholds []float64) (map[float64]map[string]*sim.Result, error) {
-	o = o.Defaults()
-	cfg := o.Config()
-	out := map[float64]map[string]*sim.Result{}
-	for _, th := range thresholds {
-		out[th] = map[string]*sim.Result{}
-		for _, wl := range o.Workloads {
-			prof, err := o.profile(wl)
-			if err != nil {
-				return nil, err
-			}
-			// The paper's 10M-cycle scan epochs assume 500M-instruction
-			// runs; scale the epoch so a run of this length spans a
-			// comparable number of epochs.
-			epoch := (o.Warmup + o.Instructions) / 8
-			if epoch < 100_000 {
-				epoch = 100_000
-			}
-			res, err := o.runOne(sim.Options{
-				Config:   cfg,
-				Policy:   sim.PolicyNUMAFlat,
-				Workload: prof,
-				AutoNUMA: &osmodel.AutoNUMAConfig{
-					EpochCycles: epoch,
-					Threshold:   th,
-					ScanPages:   4096,
-				},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("autonuma %.2f/%s: %w", th, wl, err)
-			}
-			out[th][wl] = res
-		}
+// autoNUMAColumns are the NUMA-flat runs of Figures 2b and 20, with
+// AutoNUMA at the 70/80/90 % numa_period_threshold values.
+func autoNUMAColumns(Options) []column {
+	var cols []column
+	for _, th := range []float64{0.7, 0.8, 0.9} {
+		cols = append(cols, column{policy: sim.PolicyNUMAFlat, autoNUMA: th})
 	}
-	return out, nil
+	return cols
 }
 
-// Fig2b reproduces the AutoNUMA stacked-DRAM hit rates at the 70/80/90%
+// fig2b reproduces the AutoNUMA stacked-DRAM hit rates at the 70/80/90%
 // thresholds (paper average ~64.4 %, rising with the threshold).
-func Fig2b(o Options, auto map[float64]map[string]*sim.Result) *stats.Table {
-	o = o.Defaults()
-	t := stats.NewTable("workload", "thresh-70%", "thresh-80%", "thresh-90%")
-	sums := make([]float64, 3)
-	ths := []float64{0.7, 0.8, 0.9}
-	for _, wl := range o.Workloads {
-		row := []any{wl}
-		for i, th := range ths {
-			hr := auto[th][wl].StackedHitRate * 100
-			sums[i] += hr
-			row = append(row, hr)
+func fig2b(o Options, res [][]*sim.Result) (*stats.Table, error) {
+	t := newSummed("workload", "thresh-70%", "thresh-80%", "thresh-90%")
+	for j, wl := range o.Workloads {
+		var vals []float64
+		for _, r := range res[j] {
+			vals = append(vals, r.StackedHitRate*100)
 		}
-		t.AddRow(row...)
+		t.add([]any{wl}, vals...)
 	}
-	avg := []any{"Average"}
-	for _, s := range sums {
-		avg = append(avg, s/float64(len(o.Workloads)))
-	}
-	t.AddRow(avg...)
-	return t
+	return t.summary(stats.Mean, "Average"), nil
 }
 
-// Fig2c reproduces the cloverleaf AutoNUMA timeline: migrated pages and
+// fig2c reproduces the cloverleaf AutoNUMA timeline: migrated pages and
 // cumulative hit rate per 10M-cycle epoch at the 90 % threshold.
-func Fig2c(o Options) (*stats.Table, error) {
-	o = o.Defaults()
-	o.Workloads = []string{"cloverleaf"}
-	auto, err := RunAutoNUMA(o, []float64{0.9})
-	if err != nil {
-		return nil, err
-	}
+func fig2c(_ Options, res [][]*sim.Result) (*stats.Table, error) {
 	t := stats.NewTable("epoch", "migrations", "enomem", "hit-rate%")
-	for _, rec := range auto[0.9]["cloverleaf"].NUMATimeline {
+	for _, rec := range res[0][0].NUMATimeline {
 		t.AddRow(rec.Epoch, rec.Migrations, rec.Failed, rec.HitRate*100)
 	}
 	return t, nil
 }
 
-// Fig21 reproduces the mode-distribution sensitivity to the
-// stacked:off-chip capacity ratio for Chameleon-Opt (paper: 33 % cache
-// mode at 1:3, 40.6 % at 1:5, 48.7 % at 1:7).
-func Fig21(o Options) (*stats.Table, error) {
-	o = o.Defaults()
-	t := stats.NewTable("workload", "1:3-cache%", "1:5-cache%", "1:7-cache%")
-	sums := make([]float64, 3)
-	ratios := []int{3, 5, 7}
-	for _, wl := range o.Workloads {
-		prof, err := o.profile(wl)
-		if err != nil {
-			return nil, err
-		}
-		row := []any{wl}
-		for i, ratio := range ratios {
-			cfg, err := o.Config().WithRatio(ratio)
-			if err != nil {
-				return nil, err
-			}
-			res, err := o.runOne(sim.Options{Config: cfg, Policy: sim.PolicyChameleonOpt, Workload: prof})
-			if err != nil {
-				return nil, fmt.Errorf("fig21 %d/%s: %w", ratio, wl, err)
-			}
-			frac := res.CacheModeFraction * 100
-			sums[i] += frac
-			row = append(row, frac)
-		}
-		t.AddRow(row...)
+// fig21Columns are Chameleon-Opt at the 1:3, 1:5 and 1:7
+// stacked:off-chip ratios.
+func fig21Columns(Options) []column {
+	var cols []column
+	for _, r := range []int{3, 5, 7} {
+		cols = append(cols, column{policy: sim.PolicyChameleonOpt, ratio: r})
 	}
-	avg := []any{"Average"}
-	for _, s := range sums {
-		avg = append(avg, s/float64(len(o.Workloads)))
-	}
-	t.AddRow(avg...)
-	return t, nil
+	return cols
 }
 
-// Fig23 reproduces the sensitivity of normalised IPC to the capacity
+// fig21 reproduces the mode-distribution sensitivity to the
+// stacked:off-chip capacity ratio for Chameleon-Opt (paper: 33 % cache
+// mode at 1:3, 40.6 % at 1:5, 48.7 % at 1:7).
+func fig21(o Options, res [][]*sim.Result) (*stats.Table, error) {
+	t := newSummed("workload", "1:3-cache%", "1:5-cache%", "1:7-cache%")
+	for j, wl := range o.Workloads {
+		r := res[j]
+		t.add([]any{wl}, r[0].CacheModeFraction*100, r[1].CacheModeFraction*100, r[2].CacheModeFraction*100)
+	}
+	return t.summary(stats.Mean, "Average"), nil
+}
+
+// fig23Ratios are the capacity ratios of Figure 23. At each ratio a
+// workload runs the two flat baselines (20 and 24 GB), then PoM,
+// Chameleon and Chameleon-Opt.
+var fig23Ratios = []int{3, 7}
+
+func fig23Columns(Options) []column {
+	var cols []column
+	for _, r := range fig23Ratios {
+		cols = append(cols, column{policy: sim.PolicyFlat, baseline: 20, ratio: r},
+			column{policy: sim.PolicyFlat, baseline: 24, ratio: r}, column{policy: sim.PolicyPoM, ratio: r},
+			column{policy: sim.PolicyChameleon, ratio: r}, column{policy: sim.PolicyChameleonOpt, ratio: r})
+	}
+	return cols
+}
+
+// fig23 reproduces the sensitivity of normalised IPC to the capacity
 // ratio (paper: at 1:3 Chameleon/Chameleon-Opt beat PoM by 5.9 %/7.6 %;
 // at 1:7 by 8.1 %/12.4 %).
-func Fig23(o Options) (*stats.Table, error) {
-	o = o.Defaults()
-	t := stats.NewTable("ratio", "workload", "flat20", "flat24", "pom", "chameleon", "chameleon-opt")
-	for _, ratio := range []int{3, 7} {
-		cfg, err := o.Config().WithRatio(ratio)
-		if err != nil {
-			return nil, err
+func fig23(o Options, res [][]*sim.Result) (*stats.Table, error) {
+	t := newSummed("ratio", "workload", "flat20", "flat24", "pom", "chameleon", "chameleon-opt")
+	for r, ratio := range fig23Ratios {
+		label := fmt.Sprintf("1:%d", ratio)
+		for j, wl := range o.Workloads {
+			cell := res[j][5*r:][:5]
+			var vals []float64
+			for _, c := range cell[1:] {
+				vals = append(vals, c.GeoMeanIPC/cell[0].GeoMeanIPC)
+			}
+			t.add([]any{label, wl, 1.0}, vals...)
 		}
-		kinds := []sim.PolicyKind{sim.PolicyPoM, sim.PolicyChameleon, sim.PolicyChameleonOpt}
-		geos := make([][]float64, len(kinds)+1)
-		for _, wl := range o.Workloads {
-			prof, err := o.profile(wl)
-			if err != nil {
-				return nil, err
-			}
-			base, err := o.runOne(sim.Options{Config: cfg, Policy: sim.PolicyFlat, Workload: prof,
-				BaselineBytes: 20 * config.GB / o.Scale})
-			if err != nil {
-				return nil, err
-			}
-			b24, err := o.runOne(sim.Options{Config: cfg, Policy: sim.PolicyFlat, Workload: prof,
-				BaselineBytes: 24 * config.GB / o.Scale})
-			if err != nil {
-				return nil, err
-			}
-			row := []any{fmt.Sprintf("1:%d", ratio), wl, 1.0, b24.GeoMeanIPC / base.GeoMeanIPC}
-			geos[0] = append(geos[0], b24.GeoMeanIPC/base.GeoMeanIPC)
-			for i, k := range kinds {
-				res, err := o.runOne(sim.Options{Config: cfg, Policy: k, Workload: prof})
-				if err != nil {
-					return nil, err
-				}
-				v := res.GeoMeanIPC / base.GeoMeanIPC
-				geos[i+1] = append(geos[i+1], v)
-				row = append(row, v)
-			}
-			t.AddRow(row...)
-		}
-		avg := []any{fmt.Sprintf("1:%d", ratio), "GeoMean", 1.0}
-		for _, g := range geos {
-			avg = append(avg, stats.GeoMean(g))
-		}
-		t.AddRow(avg...)
+		t.summary(stats.GeoMean, label, "GeoMean", 1.0)
 	}
-	return t, nil
+	return t.Table, nil
 }
 
 // Table1 renders the simulated configuration. The cache rows follow
@@ -409,19 +297,21 @@ func Table1(o Options) *stats.Table {
 
 // Table2 measures each workload's achieved LLC-MPKI and footprint in
 // the simulator, against the Table II targets.
-func Table2(m *Matrix) *stats.Table {
+func Table2(m *Matrix) (*stats.Table, error) {
 	t := stats.NewTable("workload", "target-MPKI", "measured-MPKI", "footprint-GB(x scale)")
 	for _, wl := range m.Opts.Workloads {
+		prof, err := m.Opts.profile(wl)
+		if err != nil {
+			return nil, err
+		}
 		res := m.get(sim.PolicyFlat, wl)
 		var mpki float64
 		for _, c := range res.Cores {
 			mpki += c.MPKI
 		}
 		mpki /= float64(len(res.Cores))
-		prof, _ := m.Opts.profile(wl)
 		fullGB := float64(prof.FootprintBytes*12) * float64(m.Opts.Scale) / float64(config.GB)
-		target, _ := m.Opts.profile(wl)
-		t.AddRow(wl, target.TargetLLCMPKI, mpki, fullGB)
+		t.AddRow(wl, prof.TargetLLCMPKI, mpki, fullGB)
 	}
-	return t
+	return t, nil
 }

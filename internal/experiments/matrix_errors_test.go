@@ -18,20 +18,24 @@ func TestMatrixJoinsAllErrors(t *testing.T) {
 	// Scale 3 is not a power of two, so every cell's sim.New fails on
 	// config validation. All cells — not just the first — must be
 	// reported.
+	// The fig23 case runs the same failure through a non-matrix figure.
 	o := tiny("bwaves", "GemsFDTD")
 	o.Scale = 3
-	_, err := RunMatrix(o)
-	if err == nil {
-		t.Fatal("invalid scale should fail every cell")
-	}
-	msg := err.Error()
-	for _, wl := range []string{"bwaves", "GemsFDTD"} {
-		if !strings.Contains(msg, wl) {
-			t.Errorf("joined error missing cell for %s:\n%s", wl, msg)
+	_, matrixErr := RunMatrix(o)
+	_, fig23Err := Run(context.Background(), o, figure(t, "fig23"))
+	for name, err := range map[string]error{"matrix": matrixErr, "fig23": fig23Err} {
+		if err == nil {
+			t.Fatalf("%s: invalid scale should fail every cell", name)
 		}
-	}
-	if n := strings.Count(msg, "\n"); n < 3 {
-		t.Errorf("expected many joined cell errors, got %d newline-separated:\n%s", n, msg)
+		msg := err.Error()
+		for _, wl := range []string{"bwaves", "GemsFDTD"} {
+			if !strings.Contains(msg, wl) {
+				t.Errorf("%s: joined error missing cell for %s:\n%s", name, wl, msg)
+			}
+		}
+		if n := strings.Count(msg, "\n"); n < 3 {
+			t.Errorf("%s: expected many joined cell errors, got %d newline-separated:\n%s", name, n, msg)
+		}
 	}
 }
 
@@ -40,7 +44,10 @@ func TestMatrixContextCanceled(t *testing.T) {
 	cancel()
 	o := tiny("bwaves")
 	if _, err := RunMatrixContext(ctx, o); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+		t.Fatalf("matrix: want context.Canceled, got %v", err)
+	}
+	if _, err := Run(ctx, o, figure(t, "fig23")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("fig23: want context.Canceled, got %v", err)
 	}
 }
 

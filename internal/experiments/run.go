@@ -1,0 +1,223 @@
+package experiments
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"sync"
+
+	"chameleon/internal/config"
+	"chameleon/internal/osmodel"
+	"chameleon/internal/sim"
+	"chameleon/internal/stats"
+)
+
+// A Figure is one table of the evaluation. It declares the simulations
+// it needs before anything runs, as a grid: each of its workloads on
+// each of its columns. Run simulates each unique cell once and hands
+// every figure its grid of results, one row per workload.
+type Figure struct {
+	Name  string // the cmd/experiments -exp selector
+	Title string
+
+	columns   func(o Options) []column // nil: no simulations
+	workloads func(o Options) []string // nil: o.Workloads
+	render    func(o Options, res [][]*sim.Result) (*stats.Table, error)
+}
+
+// A column is one machine variant a figure runs its workloads on.
+type column struct {
+	policy   sim.PolicyKind
+	baseline uint64  // flat-baseline capacity in (unscaled) GB; 0 for none
+	ratio    int     // stacked:off-chip capacity ratio; 0 keeps the machine's
+	autoNUMA float64 // AutoNUMA threshold; 0 runs without AutoNUMA
+}
+
+// Figures is the paper's evaluation, in the order it is printed.
+var Figures = []Figure{
+	{"table1", "Table I: simulated configuration", nil, nil,
+		func(o Options, _ [][]*sim.Result) (*stats.Table, error) { return Table1(o), nil }},
+	{"table2", "Table II: workload characteristics (measured)", matrixColumns, nil,
+		func(o Options, res [][]*sim.Result) (*stats.Table, error) { return Table2(newMatrix(o, res)) }},
+	{"fig2a", "Figure 2a: first-touch NUMA allocator stacked-DRAM hit rate", matrixColumns, nil, onMatrix(Fig2a)},
+	{"fig2b", "Figure 2b: AutoNUMA stacked-DRAM hit rates", autoNUMAColumns, nil, fig2b},
+	{"fig2c", "Figure 2c: cloverleaf AutoNUMA timeline (90% threshold)",
+		func(Options) []column { return []column{{policy: sim.PolicyNUMAFlat, autoNUMA: 0.9}} },
+		func(Options) []string { return []string{"cloverleaf"} }, fig2c},
+	{"fig3", "Figure 3: free memory over the workload sequence", nil, nil,
+		func(o Options, _ [][]*sim.Result) (*stats.Table, error) { return Fig3(o) }},
+	{"fig4", "Figure 4: execution-time improvement vs capacity", capacityColumns, sweepWorkloads, fig4},
+	{"fig5", "Figure 5: page faults and CPU utilisation vs capacity", capacityColumns, sweepWorkloads, fig5},
+	{"fig15", "Figure 15: stacked-DRAM hit rate", matrixColumns, nil, onMatrix(Fig15)},
+	{"fig16", "Figure 16: cache-mode segment-group share", matrixColumns, nil, onMatrix(Fig16)},
+	{"fig17", "Figure 17: segment swaps normalised to PoM", matrixColumns, nil, onMatrix(Fig17)},
+	{"fig18", "Figure 18: IPC normalised to the 20 GB baseline", matrixColumns, nil, onMatrix(Fig18)},
+	{"fig19", "Figure 19: average memory access latency (cycles)", matrixColumns, nil, onMatrix(Fig19)},
+	{"fig20", "Figure 20: IPC vs OS-based placement",
+		func(o Options) []column { return append(matrixColumns(o), autoNUMAColumns(o)...) }, nil, fig20},
+	{"fig21", "Figure 21: cache-mode share vs capacity ratio (Chameleon-Opt)", fig21Columns, nil, fig21},
+	{"fig22", "Figure 22: Polymorphic Memory comparison", matrixColumns, nil, onMatrix(Fig22)},
+	{"fig23", "Figure 23: sensitivity IPC at 1:3 and 1:7 ratios", fig23Columns, nil, fig23},
+	{"overhead", "Section VI-F: ISA-Alloc/ISA-Free overhead analysis", nil, nil,
+		func(Options, [][]*sim.Result) (*stats.Table, error) { return Overhead(), nil }},
+}
+
+// onMatrix adapts a figure rendered from the policy x workload matrix.
+func onMatrix(f func(*Matrix) *stats.Table) func(Options, [][]*sim.Result) (*stats.Table, error) {
+	return func(o Options, res [][]*sim.Result) (*stats.Table, error) { return f(newMatrix(o, res)), nil }
+}
+
+// Run renders figs: it simulates every unique cell the figures declare
+// once (see run), then renders each figure in order.
+func Run(ctx context.Context, o Options, figs ...Figure) ([]*stats.Table, error) {
+	o = o.Defaults()
+	res, err := o.run(ctx, figs)
+	if err != nil {
+		return nil, err
+	}
+	tables := make([]*stats.Table, len(figs))
+	for i, f := range figs {
+		if tables[i], err = f.render(o, res[i]); err != nil {
+			return nil, fmt.Errorf("%s: %w", f.Name, err)
+		}
+	}
+	return tables, nil
+}
+
+// cells declares f's grid: a row per workload, a cell per column.
+func (o Options) cells(f Figure) ([][]sim.Options, error) {
+	if f.columns == nil {
+		return nil, nil
+	}
+	wls := o.Workloads
+	if f.workloads != nil {
+		wls = f.workloads(o)
+	}
+	cols, rows := f.columns(o), make([][]sim.Options, len(wls))
+	for j, wl := range wls {
+		prof, err := o.profile(wl)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range cols {
+			so := sim.Options{Config: o.Config(), Policy: c.policy, Workload: prof,
+				Seed: o.Seed, WarmupInstructions: o.Warmup}
+			if c.ratio > 0 {
+				if so.Config, err = so.Config.WithRatio(c.ratio); err != nil {
+					return nil, err
+				}
+			}
+			if c.baseline > 0 {
+				so.BaselineBytes = c.baseline * config.GB / o.Scale
+			}
+			if c.autoNUMA > 0 {
+				// The paper's 10M-cycle scan epochs assume 500M-instruction
+				// runs; scale the epoch so a run of this length spans a
+				// comparable number of epochs.
+				epoch := max((o.Warmup+o.Instructions)/8, 100_000)
+				so.AutoNUMA = &osmodel.AutoNUMAConfig{EpochCycles: epoch, Threshold: c.autoNUMA, ScanPages: 4096}
+			}
+			rows[j] = append(rows[j], so)
+		}
+	}
+	return rows, nil
+}
+
+// cellKey identifies a simulation: the SHA-256 of its options' JSON.
+// Run-time hooks (trace sinks, sources, progress) are excluded from the
+// JSON; the reproduction's cells set none of them.
+func cellKey(so sim.Options) ([sha256.Size]byte, error) {
+	b, err := json.Marshal(so)
+	return sha256.Sum256(b), err
+}
+
+// run is the one runner behind every simulation of the reproduction.
+// It declares every figure's cells, drops duplicates by cellKey,
+// simulates each unique cell once with at most o.Parallelism in
+// flight, and returns each figure's grid of results. A failed cell does
+// not stop its peers: every failure, and a context error, is joined
+// into one error. Progress counts unique cells.
+func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, error) {
+	index := map[[sha256.Size]byte]int{}
+	var unique []sim.Options
+	var slots [][]**sim.Result // per unique cell, the grid slots it fills
+	grids := make([][][]*sim.Result, len(figs))
+	for i, f := range figs {
+		rows, err := o.cells(f)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", f.Name, err)
+		}
+		grids[i] = make([][]*sim.Result, len(rows))
+		for j, row := range rows {
+			grids[i][j] = make([]*sim.Result, len(row))
+			for k, c := range row {
+				key, err := cellKey(c)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", f.Name, err)
+				}
+				u, ok := index[key]
+				if !ok {
+					u = len(unique)
+					index[key] = u
+					unique = append(unique, c)
+					slots = append(slots, nil)
+				}
+				slots[u] = append(slots[u], &grids[i][j][k])
+			}
+		}
+	}
+
+	var (
+		mu   sync.Mutex
+		errs []error
+		done int
+		wg   sync.WaitGroup
+	)
+	sem := make(chan struct{}, o.Parallelism)
+	for u, c := range unique {
+		if ctx.Err() != nil {
+			// Don't launch cells that would fail immediately; the
+			// cancellation itself is reported below.
+			break
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			r, err := o.simulate(ctx, c)
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			for _, slot := range slots[u] {
+				*slot = r
+			}
+			if err != nil {
+				errs = append(errs, fmt.Errorf("%v/%s: %w", c.Policy, c.Workload.Name, err))
+			}
+			if o.Progress != nil {
+				o.Progress(done, len(unique))
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		errs = append(errs, err)
+	}
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
+	}
+	return grids, nil
+}
+
+// simulate builds and runs one cell for o.Instructions per core. Every
+// simulation in this package, DSE cells included, goes through it.
+func (o Options) simulate(ctx context.Context, so sim.Options) (*sim.Result, error) {
+	s, err := sim.New(so)
+	if err != nil {
+		return nil, err
+	}
+	return s.RunContext(ctx, o.Instructions)
+}

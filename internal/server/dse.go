@@ -37,7 +37,7 @@ func (s *Server) runDSE(ctx context.Context, j *Job) (any, error) {
 	}
 	res, err := j.Spec.DSE.Run(ctx, dse.RunOptions{
 		Parallelism: par,
-		Progress:    j.setDSEProgress,
+		Progress:    j.setCellProgress,
 		Evaluate: func(ctx context.Context, c dse.Cell) (dse.Eval, error) {
 			return s.evalDSECell(ctx, j.Spec, c)
 		},

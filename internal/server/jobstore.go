@@ -232,16 +232,8 @@ func (j *Job) setSimProgress(p sim.TimelinePoint) {
 	j.mu.Unlock()
 }
 
-// setMatrixProgress records completed matrix cells.
-func (j *Job) setMatrixProgress(done, total int) {
-	j.mu.Lock()
-	j.progress.DoneCells = done
-	j.progress.TotalCells = total
-	j.mu.Unlock()
-}
-
-// setDSEProgress records a sweep's live cell accounting.
-func (j *Job) setDSEProgress(done, cached, pruned, total int) {
+// setCellProgress records a sweep's or a matrix's live cell accounting.
+func (j *Job) setCellProgress(done, cached, pruned, total int) {
 	j.mu.Lock()
 	j.progress.DoneCells = done
 	j.progress.CachedCells = cached

@@ -358,7 +358,7 @@ type matrixPayload struct {
 // runMatrix executes a full evaluation-matrix job.
 func (s *Server) runMatrix(ctx context.Context, j *Job) (any, error) {
 	o := j.Spec.MatrixOptions()
-	o.Progress = j.setMatrixProgress
+	o.Progress = func(done, total int) { j.setCellProgress(done, 0, 0, total) }
 	m, err := experiments.RunMatrixContext(ctx, o)
 	if err != nil {
 		return nil, err

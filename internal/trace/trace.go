@@ -120,7 +120,6 @@ type Stream struct {
 	streamPtr  uint64  // sequential cursor (line granularity)
 	hotBytes   uint64  // size of the upper hot region
 	hotBase    uint64  // start of the hot region
-	cacheHot   uint64  // tiny per-core region that stays cache-resident
 	totalLines uint64
 
 	// current burst state
@@ -134,6 +133,8 @@ type Stream struct {
 // segBytes is the generator's notion of a spatial-locality granule,
 // matching the paper's 2 KB segment.
 const segBytes = 2048
+
+const cacheHot = 16 << 10 // the per-core region warm references land in; fits in L1
 
 // NewStream builds a generator; distinct seeds give statistically
 // independent but reproducible copies (the paper's rate mode).
@@ -157,7 +158,6 @@ func NewStream(p Profile, seed uint64) (*Stream, error) {
 		gapMean:    uint64(1000 / p.RefPKI),
 		hotBytes:   hot,
 		hotBase:    (p.FootprintBytes / 4) &^ 63,
-		cacheHot:   16 << 10, // fits in L1
 		totalLines: p.FootprintBytes >> 6,
 		burstMean:  burst,
 	}
@@ -183,7 +183,7 @@ func (s *Stream) Next() Ref {
 		va, transient = s.coldRef()
 	} else {
 		// Warm reference: lands in a tiny cache-resident region.
-		va = s.rnd.Uint64n(s.cacheHot) &^ 63
+		va = s.rnd.Uint64n(cacheHot) &^ 63
 	}
 	// Writes concentrate on re-referenced (warm/hot/stream) data;
 	// transient one-shot reads are read-mostly, as in real codes where

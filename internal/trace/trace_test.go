@@ -121,7 +121,7 @@ func TestColdFractionMatchesTarget(t *testing.T) {
 	cold := 0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		if s.Next().VAddr >= s.cacheHot {
+		if s.Next().VAddr >= cacheHot {
 			cold++
 		}
 	}
@@ -177,7 +177,7 @@ func TestBurstStaysInSegment(t *testing.T) {
 	changes, colds := 0, 0
 	for i := 0; i < 50000; i++ {
 		r := s.Next()
-		if r.VAddr < s.cacheHot {
+		if r.VAddr < cacheHot {
 			continue // warm ref
 		}
 		colds++
@@ -231,7 +231,7 @@ func TestHotShareOfColdTraffic(t *testing.T) {
 	hot, cold := 0, 0
 	for i := 0; i < 300000; i++ {
 		r := s.Next()
-		if r.VAddr < s.cacheHot {
+		if r.VAddr < cacheHot {
 			continue
 		}
 		cold++
@@ -257,7 +257,7 @@ func TestTransientWritesRarer(t *testing.T) {
 	var hotW, hotN, trW, trN int
 	for i := 0; i < 300000; i++ {
 		r := s.Next()
-		if r.VAddr < s.cacheHot {
+		if r.VAddr < cacheHot {
 			continue
 		}
 		inHot := r.VAddr >= s.hotBase && r.VAddr < s.hotBase+s.hotBytes
