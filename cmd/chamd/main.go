@@ -163,9 +163,13 @@ func run(addr string, opts server.Options, cl *cluster.Cluster, grace time.Durat
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
-	// Stop accepting connections first, then drain the job pool.
+	// Stop accepting connections and drain the job pool together: the
+	// drain releases held status reads (?wait=), which the HTTP
+	// shutdown would otherwise wait out.
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Shutdown(ctx) }()
 	httpErr := httpSrv.Shutdown(ctx)
-	drainErr := srv.Shutdown(ctx)
+	drainErr := <-drained
 	if drainErr != nil {
 		log.Printf("chamd: drain cut short: %v", drainErr)
 	}

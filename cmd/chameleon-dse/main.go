@@ -204,7 +204,7 @@ func runRemote(ctx context.Context, base string, spec chameleon.DSESpec,
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "job %s submitted\n", st.ID)
-	fin, err := c.Wait(ctx, st.ID, 500*time.Millisecond)
+	fin, err := c.Wait(ctx, st.ID)
 	if err != nil {
 		return nil, err
 	}

@@ -214,47 +214,45 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 	return st, err
 }
 
-// Status fetches a job's current status, polling the executing node
-// directly for forwarded jobs (the forwarding server's local ID is
-// restored in the response). If the executing node is unreachable the
-// route is dropped and the original server answers from its mirror.
-func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
+// routed runs a request on job id's executing node when known (a
+// forwarded job), and on the base server otherwise or if that node is
+// unreachable: the route is then dropped and the forwarding server
+// answers from its mirror.
+func (c *Client) routed(ctx context.Context, method, id, suffix string, out any) error {
 	if r, ok := c.route(id); ok {
-		var st JobStatus
-		if err := c.doOnce(ctx, http.MethodGet, r.addr+"/v1/jobs/"+r.id, nil, &st); err == nil {
-			st.ID = id // present the caller's handle, not the remote one
-			return st, nil
+		if err := c.doOnce(ctx, method, r.addr+"/v1/jobs/"+r.id+suffix, nil, out); err == nil {
+			return nil
 		}
-		c.setRoute(id, jobRoute{}) // node gone: fall back to the proxy
+		c.setRoute(id, jobRoute{})
 	}
+	return c.do(ctx, method, "/v1/jobs/"+id+suffix, nil, out)
+}
+
+// Status fetches a job's current status, from the executing node for
+// forwarded jobs (with the caller's job ID restored).
+func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
+	return c.status(ctx, id, "")
+}
+
+// status is Status with an optional query (a held read's ?wait=).
+func (c *Client) status(ctx context.Context, id, query string) (JobStatus, error) {
 	var st JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
+	err := c.routed(ctx, http.MethodGet, id, query, &st)
 	if err == nil {
+		st.ID = id // present the caller's handle, not the remote one
 		c.noteRoute(st)
 	}
 	return st, err
 }
 
-// Wait polls until the job reaches a terminal state (every poll
-// interval; 0 defaults to 100ms) or ctx expires.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobStatus, error) {
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
+// Wait blocks until the job reaches a terminal state or ctx expires.
+// Each round is one status read that the server holds open until the
+// job ends (up to maxStatusWait).
+func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
+		st, err := c.status(ctx, id, "?wait="+maxStatusWait.String())
+		if err != nil || st.State.Terminal() {
 			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-t.C:
 		}
 	}
 }
@@ -262,13 +260,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (JobSt
 // Result decodes a done job's result into out (for sim jobs, a
 // *sim.Result), fetching from the executing node when known.
 func (c *Client) Result(ctx context.Context, id string, out any) error {
-	if r, ok := c.route(id); ok {
-		if err := c.doOnce(ctx, http.MethodGet, r.addr+"/v1/jobs/"+r.id+"/result", nil, out); err == nil {
-			return nil
-		}
-		c.setRoute(id, jobRoute{})
-	}
-	return c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, out)
+	return c.routed(ctx, http.MethodGet, id, "/result", out)
 }
 
 // SimResult fetches a done sim job's result.
@@ -281,15 +273,9 @@ func (c *Client) SimResult(ctx context.Context, id string) (*sim.Result, error) 
 }
 
 // Cancel cancels a queued or running job, on the executing node when
-// known (the forwarding server's mirror then converges via its poll).
+// known (the forwarding server's mirror then follows the owner's end).
 func (c *Client) Cancel(ctx context.Context, id string) error {
-	if r, ok := c.route(id); ok {
-		if err := c.doOnce(ctx, http.MethodDelete, r.addr+"/v1/jobs/"+r.id, nil, nil); err == nil {
-			return nil
-		}
-		c.setRoute(id, jobRoute{})
-	}
-	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, nil)
+	return c.routed(ctx, http.MethodDelete, id, "", nil)
 }
 
 // DSEResult fetches and decodes a done DSE job's sweep result.

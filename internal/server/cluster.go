@@ -17,100 +17,168 @@ import (
 // reachable.
 const replication = 2
 
-// peerCallTimeout bounds one peer HTTP round-trip (status polls,
+// peerCallTimeout bounds one peer HTTP round-trip (status reads,
 // cache lookups, claims). Forwards share it: a forward that cannot
 // reach the owner quickly falls back to running locally.
 const peerCallTimeout = 5 * time.Second
 
-// --- routing: forward a submit to the ring owner ----------------------
+// --- routing: run a job on its ring owner ------------------------------
+
+// ringOwners returns hash's ring owner and replica, and whether this
+// node is one of them.
+func (s *Server) ringOwners(hash string) ([]cluster.Node, bool) {
+	owners := s.cl.Owners(hash, replication)
+	for _, o := range owners {
+		if o.ID == s.selfID() {
+			return owners, true
+		}
+	}
+	return owners, false
+}
+
+// eachPeerOwner calls call on each live ring owner other than this
+// node, in ring order and under peerCallTimeout, until call reports
+// done. An owner whose call fails is reported to the failure detector.
+func (s *Server) eachPeerOwner(ctx context.Context, owners []cluster.Node, call func(context.Context, cluster.Node) (done bool, err error)) {
+	for _, o := range owners {
+		if o.ID == s.selfID() || !s.cl.Alive(o.ID) {
+			continue
+		}
+		cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
+		done, err := call(cctx, o)
+		cancel()
+		if err != nil {
+			s.cl.Membership().MarkFailed(o.ID)
+		} else if done {
+			return
+		}
+	}
+}
+
+// submitToOwner posts a normalized spec to the first reachable ring
+// owner other than this node, with the single-hop loop guard so the
+// owner runs it itself. ok=false means no owner took the job.
+func (s *Server) submitToOwner(ctx context.Context, spec JobSpec, owners []cluster.Node) (owner cluster.Node, st JobStatus, ok bool) {
+	s.eachPeerOwner(ctx, owners, func(ctx context.Context, o cluster.Node) (bool, error) {
+		err := cluster.DoJSONHeader(ctx, s.cl.HTTPClient(), http.MethodPost,
+			o.Addr+"/v1/jobs", map[string]string{cluster.ForwardedHeader: s.selfID()}, spec, &st)
+		owner, ok = o, err == nil
+		return ok, err
+	})
+	return owner, st, ok
+}
+
+// awaitPeerJob follows job st.ID on the peer at addr until it ends.
+// Each round is one status read that the peer holds open until the
+// job ends, for half the peer client's timeout; progress (if set) sees
+// every non-terminal status. It returns the latest status, the result
+// bytes of a done job, and the first error.
+func (s *Server) awaitPeerJob(ctx context.Context, addr string, st JobStatus, progress func(Progress)) (JobStatus, []byte, error) {
+	hc := s.cl.HTTPClient()
+	hold := min(hc.Timeout, peerCallTimeout) / 2
+	if hold <= 0 {
+		hold = peerCallTimeout / 2
+	}
+	url := addr + "/v1/jobs/" + st.ID
+	for !st.State.Terminal() {
+		cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
+		var next JobStatus
+		err := cluster.DoJSON(cctx, hc, http.MethodGet, url+"?wait="+hold.String(), nil, &next)
+		cancel()
+		if err != nil {
+			return st, nil, err
+		}
+		if st = next; progress != nil && !st.State.Terminal() {
+			progress(st.Progress)
+		}
+	}
+	if st.State != StateDone {
+		return st, nil, nil
+	}
+	cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
+	defer cancel()
+	b, ok, err := cluster.GetBytes(cctx, hc, url+"/result")
+	if err == nil && !ok {
+		err = fmt.Errorf("GET %s/result: not found", url)
+	}
+	return st, b, err
+}
 
 // forward proxies a normalized submission to the first reachable
 // owner and returns a local mirror job tracking the remote execution.
 // ok=false means no owner was reachable and the caller should run the
 // job locally.
-func (s *Server) forward(norm JobSpec, hash string, now time.Time, owners []cluster.Node) (*Job, bool) {
-	self := s.selfID()
-	for _, owner := range owners {
-		if owner.ID == self || !s.cl.Alive(owner.ID) {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		var remote JobStatus
-		err := cluster.DoJSONHeader(ctx, s.cl.HTTPClient(), http.MethodPost,
-			owner.Addr+"/v1/jobs", map[string]string{cluster.ForwardedHeader: self}, norm, &remote)
-		cancel()
-		if err != nil {
-			s.cl.Membership().MarkFailed(owner.ID)
-			continue
-		}
-		s.metrics.JobsForwarded.Add(1)
-		j := s.store.NewJob(norm, now)
-		if !j.markRemote(owner.ID, owner.Addr, remote.ID, now) {
-			return j, true // raced terminal; nothing else to do
-		}
-		if remote.State.Terminal() {
-			// The owner served it from cache (or failed fast): resolve
-			// the mirror immediately so the caller gets a finished job.
-			s.resolveRemote(j, remote)
-		}
-		return j, true
+func (s *Server) forward(norm JobSpec, now time.Time, owners []cluster.Node) (*Job, bool) {
+	owner, remote, ok := s.submitToOwner(context.Background(), norm, owners)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	s.metrics.JobsForwarded.Add(1)
+	j := s.store.NewJob(norm, now)
+	if !j.markRemote(owner.ID, owner.Addr, remote.ID, now) {
+		return j, true // raced terminal; nothing else to do
+	}
+	if remote.State.Terminal() {
+		// The owner served it from cache (or failed fast): resolve
+		// the mirror now so the caller gets a finished job.
+		if st, b, err := s.awaitPeerJob(context.Background(), owner.Addr, remote, nil); err == nil {
+			s.resolveRemote(j, st, b)
+			return j, true
+		}
+	}
+	go s.followRemote(j, remote)
+	return j, true
 }
 
-// resolveRemote applies a terminal remote status to a local mirror,
-// fetching result bytes for done jobs. A failed fetch leaves the
-// mirror in StateRemote for the next poll.
-func (s *Server) resolveRemote(j *Job, st JobStatus) {
+// followRemote keeps a mirror in step with its owner's job: progress
+// while it runs, the owner's end once it ends. It returns once the
+// mirror leaves StateRemote (done, canceled or re-enqueued) or the
+// server drains. An unreachable owner is reported to the failure
+// detector and retried after sweepInterval; sweepDead re-enqueues the
+// mirror once the owner is declared dead.
+func (s *Server) followRemote(j *Job, st JobStatus) {
+	node, addr, _ := j.remoteRef()
+	ctx, cancel := context.WithCancel(s.draining)
+	defer cancel()
+	go func() { // a canceled mirror stops following at once
+		select {
+		case <-j.Done():
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	for j.State() == StateRemote {
+		var b []byte
+		var err error
+		if st, b, err = s.awaitPeerJob(ctx, addr, st, j.setProgress); err == nil {
+			if j.State() == StateRemote { // not re-enqueued while the read was held
+				s.resolveRemote(j, st, b)
+			}
+			continue
+		}
+		if ctx.Err() == nil {
+			s.cl.Membership().MarkFailed(node)
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(sweepInterval):
+		}
+	}
+}
+
+// resolveRemote applies the owner's end of a job to its local mirror;
+// b holds the result bytes of a done job.
+func (s *Server) resolveRemote(j *Job, st JobStatus, b []byte) {
 	now := time.Now()
 	switch st.State {
 	case StateDone:
-		_, addr, rid := j.remoteRef()
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		b, ok, err := cluster.GetBytes(ctx, s.cl.HTTPClient(), addr+"/v1/jobs/"+rid+"/result")
-		cancel()
-		if err != nil || !ok {
-			return
-		}
 		s.cache.Put(j.Hash, b)
 		if j.finishFromPeer(StateDone, b, "", st.Cached, now) {
 			s.metrics.JobsRemoteDone.Add(1)
 		}
 	case StateFailed, StateCanceled:
 		j.finishFromPeer(st.State, nil, st.Error, false, now)
-	}
-}
-
-// pollRemotes refreshes every remote mirror from its owner: progress
-// while running, result bytes once done. Unreachable owners are
-// reported to the failure detector; the mirror stays remote until the
-// owner is declared dead (then sweepDead re-enqueues it locally).
-func (s *Server) pollRemotes() {
-	for _, j := range s.store.Snapshot() {
-		if j.State() != StateRemote {
-			continue
-		}
-		node, addr, rid := j.remoteRef()
-		if node == "" {
-			continue
-		}
-		if !s.cl.Alive(node) {
-			s.reenqueueLocal(j)
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		var st JobStatus
-		err := cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodGet, addr+"/v1/jobs/"+rid, nil, &st)
-		cancel()
-		if err != nil {
-			s.cl.Membership().MarkFailed(node)
-			continue
-		}
-		if st.State.Terminal() {
-			s.resolveRemote(j, st)
-		} else {
-			j.setProgress(st.Progress)
-		}
 	}
 }
 
@@ -162,42 +230,22 @@ func (s *Server) cancelRemote(addr, rid string) {
 
 // peerCacheGet consults the ring owner and replica (excluding self)
 // for hash before simulating locally.
-func (s *Server) peerCacheGet(hash string, owners []cluster.Node) ([]byte, bool) {
-	self := s.selfID()
-	for _, o := range owners {
-		if o.ID == self || !s.cl.Alive(o.ID) {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		b, ok, err := cluster.GetBytes(ctx, s.cl.HTTPClient(), o.Addr+cluster.CachePath+hash)
-		cancel()
-		if err != nil {
-			s.cl.Membership().MarkFailed(o.ID)
-			continue
-		}
-		if ok {
-			return b, true
-		}
-	}
-	return nil, false
+func (s *Server) peerCacheGet(hash string, owners []cluster.Node) (b []byte, ok bool) {
+	s.eachPeerOwner(context.Background(), owners, func(ctx context.Context, o cluster.Node) (bool, error) {
+		var err error
+		b, ok, err = cluster.GetBytes(ctx, s.cl.HTTPClient(), o.Addr+cluster.CachePath+hash)
+		return ok, err
+	})
+	return b, ok
 }
 
 // writeBackResult pushes freshly computed result bytes to the ring
 // owner and replica (excluding self). Best effort: the result is
 // already served locally; replication only widens the cache.
 func (s *Server) writeBackResult(hash string, b []byte) {
-	self := s.selfID()
-	for _, o := range s.cl.Owners(hash, replication) {
-		if o.ID == self || !s.cl.Alive(o.ID) {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		err := cluster.PutBytes(ctx, s.cl.HTTPClient(), o.Addr+cluster.CachePath+hash, b)
-		cancel()
-		if err != nil {
-			s.cl.Membership().MarkFailed(o.ID)
-		}
-	}
+	s.eachPeerOwner(context.Background(), s.cl.Owners(hash, replication), func(ctx context.Context, o cluster.Node) (bool, error) {
+		return false, cluster.PutBytes(ctx, s.cl.HTTPClient(), o.Addr+cluster.CachePath+hash, b)
+	})
 }
 
 // --- work stealing ----------------------------------------------------
@@ -243,7 +291,7 @@ func (s *Server) idleCapacity() int {
 // jobstore, so a job runs exactly once cluster-wide), runs them
 // locally, and reports results back to the owner.
 func (s *Server) stealOnce() {
-	if s.cl == nil || s.draining.Load() {
+	if s.cl == nil || s.draining.Err() != nil {
 		return
 	}
 	budget := s.idleCapacity()
@@ -340,7 +388,7 @@ func (s *Server) reportComplete(og originRef, req completeRequest) {
 			return // the owner saw the report and rejected it (job gone/terminal)
 		}
 		select {
-		case <-s.stop:
+		case <-s.draining.Done():
 			return
 		case <-time.After(time.Duration(attempt+1) * 100 * time.Millisecond):
 		}
@@ -350,37 +398,28 @@ func (s *Server) reportComplete(og originRef, req completeRequest) {
 
 // --- background loops and diagnostics ---------------------------------
 
-// startClusterLoops runs the mirror-poll/death-sweep loop and the
-// work-stealing loop until Shutdown.
+// startClusterLoops runs the dead-node sweep and the work-stealing
+// scan until Shutdown.
 func (s *Server) startClusterLoops() {
-	s.loopWG.Add(2)
-	go func() {
-		defer s.loopWG.Done()
-		t := time.NewTicker(s.opts.RemotePoll)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.pollRemotes()
-				s.sweepDead()
+	for _, loop := range []struct {
+		every time.Duration
+		run   func()
+	}{{sweepInterval, s.sweepDead}, {stealInterval, s.stealOnce}} {
+		s.loopWG.Add(1)
+		go func() {
+			defer s.loopWG.Done()
+			t := time.NewTicker(loop.every)
+			defer t.Stop()
+			for {
+				select {
+				case <-s.draining.Done():
+					return
+				case <-t.C:
+					loop.run()
+				}
 			}
-		}
-	}()
-	go func() {
-		defer s.loopWG.Done()
-		t := time.NewTicker(s.opts.StealInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.stealOnce()
-			}
-		}
-	}()
+		}()
+	}
 }
 
 // clusterInfo renders the live cluster summary for /debug/vars.
@@ -461,7 +500,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleQueue(w http.ResponseWriter, _ *http.Request) {
 	var out []stealableJob
-	if !s.draining.Load() {
+	if s.draining.Err() == nil {
 		for _, j := range s.store.Snapshot() {
 			// Trace replays read a node-local file; they cannot move.
 			if j.State() == StateQueued && j.Spec.TracePath == "" {

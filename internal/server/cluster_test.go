@@ -52,8 +52,8 @@ type clusterNode struct {
 }
 
 // newServerCluster builds n nodes, each seeded with node 0, with the
-// background cluster loops disabled (tests call pollRemotes /
-// sweepDead / stealOnce / GossipOnce / Tick at deterministic points).
+// background cluster loops disabled (tests call sweepDead / stealOnce
+// / GossipOnce / Tick at deterministic points).
 func newServerCluster(t *testing.T, n int, clock *fakeClock, workers func(i int) int) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, n)
@@ -88,10 +88,12 @@ func newServerCluster(t *testing.T, n int, clock *fakeClock, workers func(i int)
 		nd.srv.Start()
 		nd := nd
 		t.Cleanup(func() {
-			nd.srv.Close()
+			// Drain first: it releases held status reads, which the
+			// HTTP server's Close would otherwise wait out.
 			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 			defer cancel()
 			_ = nd.s.Shutdown(ctx)
+			nd.srv.Close()
 		})
 	}
 	return nodes
@@ -138,20 +140,22 @@ func findSpec(t *testing.T, cl *cluster.Cluster, base func(uint64) JobSpec, pred
 	return JobSpec{}
 }
 
-// driveUntilTerminal pumps a node's remote-mirror poll until j ends.
+// driveUntilTerminal pumps a node's dead-node sweep until j ends; a
+// mirror's follower resolves it once its owner's job ends.
 func driveUntilTerminal(t *testing.T, nd *clusterNode, j *Job, timeout time.Duration) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		nd.s.pollRemotes()
+	deadline := time.After(timeout)
+	for {
 		nd.s.sweepDead()
-		if j.State().Terminal() {
+		select {
+		case <-j.Done():
 			return j.Status()
+		case <-deadline:
+			t.Fatalf("job %s not terminal after %s (state %s)", j.ID, timeout, j.State())
+			return JobStatus{}
+		case <-time.After(5 * time.Millisecond):
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("job %s not terminal after %s (state %s)", j.ID, timeout, j.State())
-	return JobStatus{}
 }
 
 func sumJobsDone(nodes []*clusterNode) int64 {
@@ -326,11 +330,19 @@ func TestClusterWorkStealing(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 
 	// Wedge a's worker, then queue a fast job a owns (no forwarding).
+	// The wedge must be running first: a still-queued wedge is stolen
+	// too, and a's freed worker then runs the fast job itself.
 	wedge := findSpec(t, a.cl, slowSpec, func(owners []string) bool {
 		return owners[0] == a.id || owners[1] == a.id
 	})
-	if _, err := a.s.Submit(wedge); err != nil {
+	jw, err := a.s.Submit(wedge)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); jw.State() != StateRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("wedge never started: %s", jw.State())
+		}
 	}
 	spec := findSpec(t, a.cl, fastSpec, func(owners []string) bool {
 		return owners[0] == a.id || owners[1] == a.id

@@ -4,23 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"runtime"
-	"time"
 
 	"chameleon/internal/cluster"
 	"chameleon/internal/config"
 	"chameleon/internal/dse"
 	"chameleon/internal/sim"
-)
-
-// Status-poll pacing for a sweep cell executing on a ring peer: start
-// fast so short cells return promptly, then back off exponentially to
-// the cap so long cells don't drown a large sweep in idle HTTP chatter
-// (a 10 s cell costs ~13 polls instead of ~66 at a fixed 150 ms).
-const (
-	dseRemotePollStart = 150 * time.Millisecond
-	dseRemotePollCap   = time.Second
 )
 
 // runDSE executes a design-space sweep job. Every expanded cell
@@ -98,13 +87,7 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (d
 		return decodeEval(b, hash, true)
 	}
 	if s.clustered() {
-		owners := s.cl.Owners(hash, replication)
-		selfOwned := false
-		for _, o := range owners {
-			if o.ID == s.selfID() {
-				selfOwned = true
-			}
-		}
+		owners, selfOwned := s.ringOwners(hash)
 		if b, ok := s.peerCacheGet(hash, owners); ok {
 			s.metrics.PeerCacheHits.Add(1)
 			s.metrics.DSECellsCached.Add(1)
@@ -145,53 +128,23 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (d
 	return dse.Eval{Result: res, Hash: hash}, nil
 }
 
-// runCellRemote submits a cell's sim spec to its first reachable ring
+// runCellRemote runs a cell's sim spec on its first reachable ring
 // owner (with the forwarded loop guard, so the owner runs it locally
-// and may offer it to work stealing), polls to a terminal state, and
-// fetches the result bytes. ok=false on any failure: the caller
-// simulates the cell locally instead.
+// and may offer it to work stealing), waits for it to end, and returns
+// the result bytes. ok=false on any failure: the caller simulates the
+// cell locally instead.
 func (s *Server) runCellRemote(ctx context.Context, cs JobSpec, owners []cluster.Node) ([]byte, bool) {
-	self := s.selfID()
-	for _, o := range owners {
-		if o.ID == self || !s.cl.Alive(o.ID) {
-			continue
-		}
-		cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
-		var st JobStatus
-		err := cluster.DoJSONHeader(cctx, s.cl.HTTPClient(), http.MethodPost,
-			o.Addr+"/v1/jobs", map[string]string{cluster.ForwardedHeader: self}, cs, &st)
-		cancel()
-		if err != nil {
-			s.cl.Membership().MarkFailed(o.ID)
-			continue
-		}
-		poll := dseRemotePollStart
-		for !st.State.Terminal() {
-			select {
-			case <-ctx.Done():
-				s.cancelRemote(o.Addr, st.ID)
-				return nil, false
-			case <-time.After(poll):
-			}
-			poll = min(2*poll, dseRemotePollCap)
-			cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
-			perr := cluster.DoJSON(cctx, s.cl.HTTPClient(), http.MethodGet, o.Addr+"/v1/jobs/"+st.ID, nil, &st)
-			cancel()
-			if perr != nil {
-				s.cl.Membership().MarkFailed(o.ID)
-				return nil, false
-			}
-		}
-		if st.State != StateDone {
-			return nil, false
-		}
-		cctx, cancel = context.WithTimeout(ctx, peerCallTimeout)
-		b, ok, err := cluster.GetBytes(cctx, s.cl.HTTPClient(), o.Addr+"/v1/jobs/"+st.ID+"/result")
-		cancel()
-		if err != nil || !ok {
-			return nil, false
-		}
-		return b, true
+	owner, st, ok := s.submitToOwner(ctx, cs, owners)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	st, b, err := s.awaitPeerJob(ctx, owner.Addr, st, nil)
+	if err != nil {
+		if ctx.Err() != nil {
+			s.cancelRemote(owner.Addr, st.ID)
+		} else {
+			s.cl.Membership().MarkFailed(owner.ID)
+		}
+	}
+	return b, err == nil && st.State == StateDone
 }

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"chameleon/internal/dse"
+	"chameleon/internal/experiments"
 )
 
 // fastDSESpec is a small real sweep (2 policies × 2 workloads × 2
@@ -77,6 +79,31 @@ func TestDSEJobEndToEnd(t *testing.T) {
 	}
 	if got := s.Metrics().DSECellsSimulated.Value(); got != 8 {
 		t.Errorf("dse_cells_simulated = %d, want 8", got)
+	}
+}
+
+// TestDSEJobMatchesInProcessSweep: a sweep run in process
+// (experiments.RunDSE) and the same sweep run as a chamd dse job build
+// each cell's simulation separately, and must agree on every point.
+func TestDSEJobMatchesInProcessSweep(t *testing.T) {
+	spec := fastDSESpec()
+	spec.DSE.Policies = []string{"flat", "chameleon-opt", "pom"}
+	spec.DSE.Ratios = []int{3, 7}
+	local, err := experiments.RunDSE(context.Background(), experiments.Options{
+		Scale: spec.Scale, Instructions: spec.Instructions, Warmup: spec.Warmup, Parallelism: 2,
+	}, *spec.DSE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, served := runDSEJob(t, newTestServer(t, Options{Workers: 1}), spec)
+	if len(local.Points) != 24 || len(served.Points) != len(local.Points) {
+		t.Fatalf("points: in process %d, served %d, want 24 each", len(local.Points), len(served.Points))
+	}
+	for i, lp := range local.Points {
+		sp := served.Points[i]
+		if lp.Cell != sp.Cell || !reflect.DeepEqual(lp.Values, sp.Values) {
+			t.Errorf("point %d: in process %+v %v, served %+v %v", i, lp.Cell, lp.Values, sp.Cell, sp.Values)
+		}
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 //
 //	POST   /v1/jobs          submit a job (JobSpec body) -> JobStatus
 //	GET    /v1/jobs          list jobs
-//	GET    /v1/jobs/{id}     job status with live progress
+//	GET    /v1/jobs/{id}     job status with live progress; ?wait=30s
+//	                         holds the read until the job ends
 //	GET    /v1/jobs/{id}/result  result JSON of a done job
 //	DELETE /v1/jobs/{id}     cancel a queued or running job
 //	GET    /v1/workloads     Table II workload catalogue
@@ -113,10 +114,43 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	return j, ok
 }
 
+// maxStatusWait caps how long one status read may be held open.
+const maxStatusWait = time.Minute
+
+// handleStatus answers with the job's status. With ?wait=<Go duration>
+// (capped at maxStatusWait) it first blocks until the job ends, the
+// wait passes, or the request is canceled. A draining server holds no
+// reads: a wait on an unfinished job then answers 503, as a submit does.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.job(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Status())
+	var wait time.Duration
+	if r.URL.RawQuery != "" {
+		v := r.URL.Query().Get("wait")
+		d, err := time.ParseDuration(v)
+		if v != "" && (err != nil || d < 0) {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("wait=%q: want a non-negative Go duration such as 30s", v))
+			return
+		}
+		wait = min(d, maxStatusWait)
 	}
+	j, ok := s.job(w, r)
+	if !ok {
+		return
+	}
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case <-j.Done():
+		case <-t.C:
+		case <-r.Context().Done():
+		case <-s.draining.Done():
+		}
+		if s.draining.Err() != nil && !j.State().Terminal() {
+			writeError(w, http.StatusServiceUnavailable, ErrDraining)
+			return
+		}
+	}
+	writeJSON(w, http.StatusOK, j.Status())
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -218,7 +252,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	status := "ok"
 	code := http.StatusOK
-	if s.draining.Load() {
+	if s.draining.Err() != nil {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}

@@ -45,7 +45,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if st.ID == "" || st.Hash == "" {
 		t.Fatalf("submit status incomplete: %+v", st)
 	}
-	fin, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	fin, err := c.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHTTPCancel(t *testing.T) {
 	if err := c.Cancel(ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
-	fin, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	fin, err := c.Wait(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestHTTPListAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil {
+	if _, err := c.Wait(ctx, st.ID); err != nil {
 		t.Fatal(err)
 	}
 

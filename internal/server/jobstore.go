@@ -179,20 +179,11 @@ func (j *Job) tryStart(now time.Time, cancel context.CancelFunc) bool {
 // finish moves the job to a terminal state. It is a no-op if the job
 // is already terminal (e.g. canceled racing completion).
 func (j *Job) finish(state JobState, result []byte, err error, now time.Time) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
-	j.state = state
-	j.result = result
+	msg := ""
 	if err != nil {
-		j.err = err.Error()
+		msg = err.Error()
 	}
-	j.finishedAt = now
-	j.cancel = nil
-	close(j.done)
-	return true
+	return j.finishFromPeer(state, result, msg, false, now)
 }
 
 // Cancel cancels a queued or running job. Queued (and remote /
@@ -327,8 +318,9 @@ func (j *Job) revertToQueued(now time.Time) bool {
 	return true
 }
 
-// finishFromPeer moves a remote or claimed job to a terminal state on
-// behalf of the node that executed it. No-op if already terminal.
+// finishFromPeer moves the job to a terminal state with the error text
+// and cached flag reported by the node that executed it (finish is its
+// local form). No-op if already terminal.
 func (j *Job) finishFromPeer(state JobState, result []byte, errstr string, cached bool, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"chameleon/internal/cluster"
@@ -44,16 +43,19 @@ type Options struct {
 	// from loaded nodes when idle. The caller owns the cluster's
 	// gossip lifecycle (Start/Stop).
 	Cluster *cluster.Cluster
-	// RemotePoll is the refresh period for forwarded-job mirrors and
-	// dead-node sweeps (default 200ms).
-	RemotePoll time.Duration
-	// StealInterval is the work-stealing scan period (default 500ms).
-	StealInterval time.Duration
 	// ClusterManual disables the background cluster loops; tests
-	// drive pollRemotes/sweepDead/stealOnce directly so membership
-	// and routing transitions happen at deterministic points.
+	// drive sweepDead/stealOnce directly so membership and routing
+	// transitions happen at deterministic points. Forwarded-job
+	// mirrors still follow their owners.
 	ClusterManual bool
 }
+
+// Periods of the dead-node sweep (also a mirror's retry after a failed
+// call to its owner) and of the work-stealing scan.
+const (
+	sweepInterval = 200 * time.Millisecond
+	stealInterval = 500 * time.Millisecond
+)
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -71,12 +73,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 256 << 20
 	}
-	if o.RemotePoll <= 0 {
-		o.RemotePoll = 200 * time.Millisecond
-	}
-	if o.StealInterval <= 0 {
-		o.StealInterval = 500 * time.Millisecond
-	}
 	return o
 }
 
@@ -92,11 +88,11 @@ type Server struct {
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	draining   atomic.Bool
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	loopWG   sync.WaitGroup
+	// draining is canceled when Shutdown starts: intake stops, held
+	// status reads return, and the cluster loops and mirrors stop.
+	draining   context.Context
+	beginDrain context.CancelFunc
+	loopWG     sync.WaitGroup
 }
 
 // New builds and starts a server: its worker pool is live on return.
@@ -108,7 +104,6 @@ func New(opts Options) *Server {
 		cache:   newResultCache(opts.CacheEntries, opts.CacheBytes),
 		metrics: NewMetrics(),
 		cl:      opts.Cluster,
-		stop:    make(chan struct{}),
 	}
 	s.metrics.SetCacheStats(s.cache.Stats)
 	if s.cl != nil {
@@ -116,12 +111,13 @@ func New(opts Options) *Server {
 		s.metrics.SetClusterInfo(s.clusterInfo)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	s.draining, s.beginDrain = context.WithCancel(context.Background())
 	s.pool = newPool(opts.Workers, opts.QueueDepth, s.runJob)
 	if s.cl != nil {
 		// Ring changes (a node died, a node joined) immediately sweep
 		// for work that must move; the background loops catch the rest.
 		s.cl.SetOnChange(func() {
-			if !s.draining.Load() {
+			if s.draining.Err() == nil {
 				s.sweepDead()
 			}
 		})
@@ -163,7 +159,7 @@ func (s *Server) submit(spec JobSpec, forwardedFrom string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.draining.Load() {
+	if s.draining.Err() != nil {
 		return nil, ErrDraining
 	}
 	s.metrics.JobsSubmitted.Add(1)
@@ -178,18 +174,12 @@ func (s *Server) submit(spec JobSpec, forwardedFrom string) (*Job, error) {
 	}
 	s.metrics.CacheMisses.Add(1)
 	if s.clustered() {
-		owners := s.cl.Owners(hash, replication)
-		selfOwned := false
-		for _, o := range owners {
-			if o.ID == s.selfID() {
-				selfOwned = true
-			}
-		}
+		owners, selfOwned := s.ringOwners(hash)
 		// Route to the ring owner — single hop only (the loop guard
 		// stops forward chains), and trace replays never leave the node
 		// holding the trace file.
 		if !selfOwned && forwardedFrom == "" && norm.TracePath == "" {
-			if j, ok := s.forward(norm, hash, now, owners); ok {
+			if j, ok := s.forward(norm, now, owners); ok {
 				return j, nil
 			}
 			// Owner unreachable: serve locally — a dead owner costs the
@@ -235,8 +225,7 @@ func (s *Server) Cancel(id string) (bool, error) {
 // contexts are cut. Always waits for every worker (and any cluster
 // loop) to exit.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.beginDrain()
 	s.loopWG.Wait()
 	s.pool.Close()
 	done := make(chan struct{})
@@ -255,7 +244,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) runJob(j *Job) {
 	now := time.Now()
 	s.metrics.JobsQueued.Add(-1)
-	if s.draining.Load() {
+	if s.draining.Err() != nil {
 		// Drain mode: queued jobs are canceled, not started.
 		if j.Cancel(now) {
 			s.metrics.JobsCanceled.Add(1)

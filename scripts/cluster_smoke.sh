@@ -77,14 +77,16 @@ submit() { # url body -> job id
     grep -o '"id": "[^"]*"' | head -1 | sed 's/.*: "//; s/"//'
 }
 
-wait_done() { # url id timeout_iters
-  for _ in $(seq 1 "$3"); do
-    st="$(curl -sf "$1/v1/jobs/$2" | grep -o '"state": "[^"]*"' | head -1)"
+wait_done() { # url id timeout_s
+  # Each read is held by the server until the job ends (or 10s pass).
+  end=$((SECONDS + $3))
+  while [ "$SECONDS" -lt "$end" ]; do
+    st="$(curl -sf -m 15 "$1/v1/jobs/$2?wait=10s" | grep -o '"state": "[^"]*"' | head -1)" ||
+      sleep 1 # node unreachable or draining: retry, do not spin
     case "$st" in
       *done*) return 0 ;;
       *failed* | *canceled*) return 1 ;;
     esac
-    sleep 0.1
   done
   return 1
 }
@@ -93,11 +95,11 @@ echo "== cache check: compute via A, hit via B"
 SPEC="$(spec 7 5000)"
 JOB_A="$(submit "$A" "$SPEC")"
 [ -n "$JOB_A" ] || fail "submit via A returned no job id"
-wait_done "$A" "$JOB_A" 300 || fail "job via A did not complete"
+wait_done "$A" "$JOB_A" 30 || fail "job via A did not complete"
 
 JOB_B="$(submit "$B" "$SPEC")"
 [ -n "$JOB_B" ] || fail "re-submit via B returned no job id"
-wait_done "$B" "$JOB_B" 300 || fail "job via B did not complete"
+wait_done "$B" "$JOB_B" 30 || fail "job via B did not complete"
 curl -sf "$B/v1/jobs/$JOB_B" | grep -q '"cached": true' ||
   fail "second submission via B was not served from the cluster cache"
 echo "ok: B served the result cached (no second simulation)"
@@ -115,13 +117,13 @@ DSE_2="$(dse_spec '[{"key":"ipc_geomean","sense":"max"},{"key":"amat_cycles","se
 
 JOB_D1="$(submit "$A" "$DSE_1")"
 [ -n "$JOB_D1" ] || fail "dse submit via A returned no job id"
-wait_done "$A" "$JOB_D1" 600 || fail "dse job via A did not complete"
+wait_done "$A" "$JOB_D1" 60 || fail "dse job via A did not complete"
 curl -sf "$A/v1/jobs/$JOB_D1/result" | grep -q '"total_cells":4' ||
   fail "dse job did not evaluate 4 cells"
 
 JOB_D2="$(submit "$B" "$DSE_2")"
 [ -n "$JOB_D2" ] || fail "dse re-submit via B returned no job id"
-wait_done "$B" "$JOB_D2" 600 || fail "second dse job via B did not complete"
+wait_done "$B" "$JOB_D2" 60 || fail "second dse job via B did not complete"
 curl -sf "$B/v1/jobs/$JOB_D2/result" | grep -q '"cached":4' ||
   fail "second dse sweep did not serve all 4 cells from the cluster cache"
 echo "ok: dse sweep ran; changed-objectives resubmit reused every cell"
@@ -135,7 +137,7 @@ kill -9 "$PID_C"
 echo "   killed node C ($PID_C); waiting for survivors to finish all ${#JOBS[@]} jobs"
 
 for id in "${JOBS[@]}"; do
-  wait_done "$A" "$id" 600 || fail "job $id was lost after node C died"
+  wait_done "$A" "$id" 60 || fail "job $id was lost after node C died"
 done
 echo "ok: all ${#JOBS[@]} jobs completed despite the node death"
 
