@@ -82,12 +82,11 @@ type OSConfig struct {
 type MemSysConfig struct {
 	SegmentBytes int // PoM/Chameleon segment size (2 KB in the paper)
 	// SwapThreshold is the competing-counter value an off-chip segment
-	// must accumulate before a PoM swap. It is set above the number of
-	// lines per segment (32) so that a single streaming sweep through a
-	// segment never triggers a swap — only segments whose counter
-	// accumulates across repeated visits (persistently hot data) are
-	// promoted, which is what makes swaps profitable under bandwidth
-	// saturation.
+	// must accumulate before a PoM swap. The default, 8, models the
+	// aggressive-swap PoM baseline the paper compares against
+	// (DESIGN.md §4): it sits below the 32 lines of a 2 KB segment, so
+	// a single streaming sweep through a segment can already trigger a
+	// swap.
 	SwapThreshold     int
 	SRTCacheEntries   int  // on-die SRT cache entries (0 disables modelling)
 	CacheLineBytes    int  // transfer granularity (64 B)

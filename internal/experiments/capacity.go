@@ -92,10 +92,10 @@ func sweepWorkloads(o Options) []string {
 
 // capacityColumns are the flat systems of the capacity study of
 // Figures 4 and 5, one per capacity point.
-func capacityColumns(Options) []column {
-	var cols []column
+func capacityColumns(Options) []Cell {
+	var cols []Cell
 	for _, gb := range CapacityPoints {
-		cols = append(cols, column{policy: sim.PolicyFlat, baseline: gb})
+		cols = append(cols, Cell{Policy: sim.PolicyFlat, BaselineGB: gb})
 	}
 	return cols
 }

@@ -62,6 +62,11 @@ type Options struct {
 	// cells of a run (a matrix, a set of figures or a DSE sweep).
 	// Calls are serialized.
 	Progress func(done, total int) `json:"-"`
+	// Simulate, when non-nil, runs each unique normalized cell in
+	// place of an in-process simulation; chamd's matrix jobs resolve
+	// cells through the cluster's result cache with it. Calls are
+	// concurrent, at most Parallelism at a time.
+	Simulate func(ctx context.Context, c Cell) (*sim.Result, error) `json:"-"`
 }
 
 // Defaults fills in zero fields.
@@ -125,18 +130,18 @@ const policyFlat24 sim.PolicyKind = "flat-24"
 // matrixColumns are the matrix's machine variants: the selected
 // policies (by default the paper's evaluation designs), with flat
 // expanded to its 20 GB and 24 GB baselines.
-func matrixColumns(o Options) []column {
+func matrixColumns(o Options) []Cell {
 	pols := o.Policies
 	if len(pols) == 0 {
 		pols = []sim.PolicyKind{sim.PolicyFlat, sim.PolicyNUMAFlat, sim.PolicyAlloy, sim.PolicyPoM,
 			sim.PolicyPolymorphic, sim.PolicyChameleon, sim.PolicyChameleonOpt}
 	}
-	var cols []column
+	var cols []Cell
 	for _, pk := range pols {
 		if pk == sim.PolicyFlat {
-			cols = append(cols, column{policy: pk, baseline: 20}, column{policy: pk, baseline: 24})
+			cols = append(cols, Cell{Policy: pk, BaselineGB: 20}, Cell{Policy: pk, BaselineGB: 24})
 		} else {
-			cols = append(cols, column{policy: pk})
+			cols = append(cols, Cell{Policy: pk})
 		}
 	}
 	return cols
@@ -147,8 +152,8 @@ func matrixColumns(o Options) []column {
 func newMatrix(o Options, res [][]*sim.Result) *Matrix {
 	m := &Matrix{Opts: o, Results: map[sim.PolicyKind]map[string]*sim.Result{}}
 	for _, c := range matrixColumns(o) {
-		pk := c.policy
-		if c.baseline == 24 {
+		pk := c.Policy
+		if c.BaselineGB == 24 {
 			pk = policyFlat24
 		}
 		m.Policies = append(m.Policies, pk)

@@ -167,10 +167,10 @@ func Fig2a(m *Matrix) *stats.Table {
 
 // autoNUMAColumns are the NUMA-flat runs of Figures 2b and 20, with
 // AutoNUMA at the 70/80/90 % numa_period_threshold values.
-func autoNUMAColumns(Options) []column {
-	var cols []column
+func autoNUMAColumns(Options) []Cell {
+	var cols []Cell
 	for _, th := range []float64{0.7, 0.8, 0.9} {
-		cols = append(cols, column{policy: sim.PolicyNUMAFlat, autoNUMA: th})
+		cols = append(cols, Cell{Policy: sim.PolicyNUMAFlat, AutoNUMA: th})
 	}
 	return cols
 }
@@ -201,10 +201,10 @@ func fig2c(_ Options, res [][]*sim.Result) (*stats.Table, error) {
 
 // fig21Columns are Chameleon-Opt at the 1:3, 1:5 and 1:7
 // stacked:off-chip ratios.
-func fig21Columns(Options) []column {
-	var cols []column
+func fig21Columns(Options) []Cell {
+	var cols []Cell
 	for _, r := range []int{3, 5, 7} {
-		cols = append(cols, column{policy: sim.PolicyChameleonOpt, ratio: r})
+		cols = append(cols, Cell{Policy: sim.PolicyChameleonOpt, Ratio: r})
 	}
 	return cols
 }
@@ -226,12 +226,12 @@ func fig21(o Options, res [][]*sim.Result) (*stats.Table, error) {
 // Chameleon and Chameleon-Opt.
 var fig23Ratios = []int{3, 7}
 
-func fig23Columns(Options) []column {
-	var cols []column
+func fig23Columns(Options) []Cell {
+	var cols []Cell
 	for _, r := range fig23Ratios {
-		cols = append(cols, column{policy: sim.PolicyFlat, baseline: 20, ratio: r},
-			column{policy: sim.PolicyFlat, baseline: 24, ratio: r}, column{policy: sim.PolicyPoM, ratio: r},
-			column{policy: sim.PolicyChameleon, ratio: r}, column{policy: sim.PolicyChameleonOpt, ratio: r})
+		cols = append(cols, Cell{Policy: sim.PolicyFlat, BaselineGB: 20, Ratio: r},
+			Cell{Policy: sim.PolicyFlat, BaselineGB: 24, Ratio: r}, Cell{Policy: sim.PolicyPoM, Ratio: r},
+			Cell{Policy: sim.PolicyChameleon, Ratio: r}, Cell{Policy: sim.PolicyChameleonOpt, Ratio: r})
 	}
 	return cols
 }

@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 
-	"chameleon/internal/config"
-	"chameleon/internal/osmodel"
 	"chameleon/internal/sim"
 	"chameleon/internal/stats"
 )
@@ -22,17 +18,9 @@ type Figure struct {
 	Name  string // the cmd/experiments -exp selector
 	Title string
 
-	columns   func(o Options) []column // nil: no simulations
+	columns   func(o Options) []Cell   // nil: no simulations
 	workloads func(o Options) []string // nil: o.Workloads
 	render    func(o Options, res [][]*sim.Result) (*stats.Table, error)
-}
-
-// A column is one machine variant a figure runs its workloads on.
-type column struct {
-	policy   sim.PolicyKind
-	baseline uint64  // flat-baseline capacity in (unscaled) GB; 0 for none
-	ratio    int     // stacked:off-chip capacity ratio; 0 keeps the machine's
-	autoNUMA float64 // AutoNUMA threshold; 0 runs without AutoNUMA
 }
 
 // Figures is the paper's evaluation, in the order it is printed.
@@ -44,7 +32,7 @@ var Figures = []Figure{
 	{"fig2a", "Figure 2a: first-touch NUMA allocator stacked-DRAM hit rate", matrixColumns, nil, onMatrix(Fig2a)},
 	{"fig2b", "Figure 2b: AutoNUMA stacked-DRAM hit rates", autoNUMAColumns, nil, fig2b},
 	{"fig2c", "Figure 2c: cloverleaf AutoNUMA timeline (90% threshold)",
-		func(Options) []column { return []column{{policy: sim.PolicyNUMAFlat, autoNUMA: 0.9}} },
+		func(Options) []Cell { return []Cell{{Policy: sim.PolicyNUMAFlat, AutoNUMA: 0.9}} },
 		func(Options) []string { return []string{"cloverleaf"} }, fig2c},
 	{"fig3", "Figure 3: free memory over the workload sequence", nil, nil,
 		func(o Options, _ [][]*sim.Result) (*stats.Table, error) { return Fig3(o) }},
@@ -56,7 +44,7 @@ var Figures = []Figure{
 	{"fig18", "Figure 18: IPC normalised to the 20 GB baseline", matrixColumns, nil, onMatrix(Fig18)},
 	{"fig19", "Figure 19: average memory access latency (cycles)", matrixColumns, nil, onMatrix(Fig19)},
 	{"fig20", "Figure 20: IPC vs OS-based placement",
-		func(o Options) []column { return append(matrixColumns(o), autoNUMAColumns(o)...) }, nil, fig20},
+		func(o Options) []Cell { return append(matrixColumns(o), autoNUMAColumns(o)...) }, nil, fig20},
 	{"fig21", "Figure 21: cache-mode share vs capacity ratio (Chameleon-Opt)", fig21Columns, nil, fig21},
 	{"fig22", "Figure 22: Polymorphic Memory comparison", matrixColumns, nil, onMatrix(Fig22)},
 	{"fig23", "Figure 23: sensitivity IPC at 1:3 and 1:7 ratios", fig23Columns, nil, fig23},
@@ -86,77 +74,54 @@ func Run(ctx context.Context, o Options, figs ...Figure) ([]*stats.Table, error)
 	return tables, nil
 }
 
-// cells declares f's grid: a row per workload, a cell per column.
-func (o Options) cells(f Figure) ([][]sim.Options, error) {
+// cells declares f's grid: a row per workload, a cell per column. A
+// column is a partial cell (the machine variant: policy, baseline,
+// ratio, AutoNUMA threshold) that o and the row's workload complete.
+func (o Options) cells(f Figure) [][]Cell {
 	if f.columns == nil {
-		return nil, nil
+		return nil
 	}
 	wls := o.Workloads
 	if f.workloads != nil {
 		wls = f.workloads(o)
 	}
-	cols, rows := f.columns(o), make([][]sim.Options, len(wls))
+	cols, rows := f.columns(o), make([][]Cell, len(wls))
 	for j, wl := range wls {
-		prof, err := o.profile(wl)
-		if err != nil {
-			return nil, err
-		}
 		for _, c := range cols {
-			so := sim.Options{Config: o.Config(), Policy: c.policy, Workload: prof,
-				Seed: o.Seed, WarmupInstructions: o.Warmup}
-			if c.ratio > 0 {
-				if so.Config, err = so.Config.WithRatio(c.ratio); err != nil {
-					return nil, err
-				}
-			}
-			if c.baseline > 0 {
-				so.BaselineBytes = c.baseline * config.GB / o.Scale
-			}
-			if c.autoNUMA > 0 {
-				// The paper's 10M-cycle scan epochs assume 500M-instruction
-				// runs; scale the epoch so a run of this length spans a
-				// comparable number of epochs.
-				epoch := max((o.Warmup+o.Instructions)/8, 100_000)
-				so.AutoNUMA = &osmodel.AutoNUMAConfig{EpochCycles: epoch, Threshold: c.autoNUMA, ScanPages: 4096}
-			}
-			rows[j] = append(rows[j], so)
+			c.Workload, c.Scale, c.Seed, c.Instructions, c.Warmup = wl, o.Scale, o.Seed, o.Instructions, o.Warmup
+			c.CacheLevels, c.MemoryTiers = o.CacheLevels, o.MemoryTiers
+			rows[j] = append(rows[j], c)
 		}
 	}
-	return rows, nil
-}
-
-// cellKey identifies a simulation: the SHA-256 of its options' JSON.
-// Run-time hooks (trace sinks, sources, progress) are excluded from the
-// JSON; the reproduction's cells set none of them.
-func cellKey(so sim.Options) ([sha256.Size]byte, error) {
-	b, err := json.Marshal(so)
-	return sha256.Sum256(b), err
+	return rows
 }
 
 // run is the one runner behind every simulation of the reproduction.
-// It declares every figure's cells, drops duplicates by cellKey,
-// simulates each unique cell once with at most o.Parallelism in
-// flight, and returns each figure's grid of results. A failed cell does
-// not stop its peers: every failure, and a context error, is joined
-// into one error. Progress counts unique cells.
+// It declares every figure's cells, normalizes them, drops duplicates
+// by Cell.Hash, simulates each unique cell once with at most
+// o.Parallelism in flight, and returns each figure's grid of results.
+// A cell that does not normalize stops the run before anything
+// simulates; every such cell is reported. A failed simulation does not
+// stop its peers: every failure, and a context error, is joined into
+// one error. Progress counts unique cells.
 func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, error) {
-	index := map[[sha256.Size]byte]int{}
-	var unique []sim.Options
+	index := map[string]int{}
+	var unique []Cell
 	var slots [][]**sim.Result // per unique cell, the grid slots it fills
+	var errs []error
 	grids := make([][][]*sim.Result, len(figs))
 	for i, f := range figs {
-		rows, err := o.cells(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", f.Name, err)
-		}
+		rows := o.cells(f)
 		grids[i] = make([][]*sim.Result, len(rows))
 		for j, row := range rows {
 			grids[i][j] = make([]*sim.Result, len(row))
 			for k, c := range row {
-				key, err := cellKey(c)
+				c, err := c.Normalize()
 				if err != nil {
-					return nil, fmt.Errorf("%s: %w", f.Name, err)
+					errs = append(errs, fmt.Errorf("%s: %v/%s: %w", f.Name, c.Policy, c.Workload, err))
+					continue
 				}
+				key := c.Hash()
 				u, ok := index[key]
 				if !ok {
 					u = len(unique)
@@ -168,10 +133,12 @@ func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, err
 			}
 		}
 	}
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
+	}
 
 	var (
 		mu   sync.Mutex
-		errs []error
 		done int
 		wg   sync.WaitGroup
 	)
@@ -195,7 +162,7 @@ func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, err
 				*slot = r
 			}
 			if err != nil {
-				errs = append(errs, fmt.Errorf("%v/%s: %w", c.Policy, c.Workload.Name, err))
+				errs = append(errs, fmt.Errorf("%v/%s: %w", c.Policy, c.Workload, err))
 			}
 			if o.Progress != nil {
 				o.Progress(done, len(unique))
@@ -212,12 +179,12 @@ func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, err
 	return grids, nil
 }
 
-// simulate builds and runs one cell for o.Instructions per core. Every
-// simulation in this package, DSE cells included, goes through it.
-func (o Options) simulate(ctx context.Context, so sim.Options) (*sim.Result, error) {
-	s, err := sim.New(so)
-	if err != nil {
-		return nil, err
+// simulate runs one normalized cell: through o.Simulate when set,
+// else in this process. Every simulation in this package, DSE cells
+// included, goes through it.
+func (o Options) simulate(ctx context.Context, c Cell) (*sim.Result, error) {
+	if o.Simulate != nil {
+		return o.Simulate(ctx, c)
 	}
-	return s.RunContext(ctx, o.Instructions)
+	return c.Run(ctx, nil)
 }

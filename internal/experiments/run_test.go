@@ -7,25 +7,21 @@ import (
 	"chameleon/internal/sim"
 )
 
-// planned returns the unique cells the named figures declare, by
-// cellKey, and the number of cells they declare in all. No simulation
-// runs.
-func planned(t *testing.T, o Options, names ...string) (map[[32]byte]sim.Options, int) {
+// planned returns the unique normalized cells the named figures
+// declare, by Cell.Hash, and the number of cells they declare in all.
+// No simulation runs.
+func planned(t *testing.T, o Options, names ...string) (map[string]Cell, int) {
 	t.Helper()
-	keys := map[[32]byte]sim.Options{}
+	keys := map[string]Cell{}
 	declared := 0
 	for _, n := range names {
-		rows, err := o.cells(figure(t, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range rows {
+		for _, row := range o.cells(figure(t, n)) {
 			for _, c := range row {
-				k, err := cellKey(c)
+				c, err := c.Normalize()
 				if err != nil {
 					t.Fatal(err)
 				}
-				keys[k] = c
+				keys[c.Hash()] = c
 				declared++
 			}
 		}

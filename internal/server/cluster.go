@@ -55,10 +55,11 @@ func (s *Server) eachPeerOwner(ctx context.Context, owners []cluster.Node, call 
 	}
 }
 
-// submitToOwner posts a normalized spec to the first reachable ring
-// owner other than this node, with the single-hop loop guard so the
-// owner runs it itself. ok=false means no owner took the job.
-func (s *Server) submitToOwner(ctx context.Context, spec JobSpec, owners []cluster.Node) (owner cluster.Node, st JobStatus, ok bool) {
+// submitToOwner posts a normalized spec (a JobSpec, or a Cell as the
+// sim job it spells) to the first reachable ring owner other than this
+// node, with the single-hop loop guard so the owner runs it itself.
+// ok=false means no owner took the job.
+func (s *Server) submitToOwner(ctx context.Context, spec any, owners []cluster.Node) (owner cluster.Node, st JobStatus, ok bool) {
 	s.eachPeerOwner(ctx, owners, func(ctx context.Context, o cluster.Node) (bool, error) {
 		err := cluster.DoJSONHeader(ctx, s.cl.HTTPClient(), http.MethodPost,
 			o.Addr+"/v1/jobs", map[string]string{cluster.ForwardedHeader: s.selfID()}, spec, &st)
@@ -174,11 +175,11 @@ func (s *Server) resolveRemote(j *Job, st JobStatus, b []byte) {
 	switch st.State {
 	case StateDone:
 		s.cache.Put(j.Hash, b)
-		if j.finishFromPeer(StateDone, b, "", st.Cached, now) {
+		if j.finishFromPeer(StateRemote, StateDone, b, "", st.Cached, now) {
 			s.metrics.JobsRemoteDone.Add(1)
 		}
 	case StateFailed, StateCanceled:
-		j.finishFromPeer(st.State, nil, st.Error, false, now)
+		j.finishFromPeer(StateRemote, st.State, nil, st.Error, false, now)
 	}
 }
 
@@ -335,13 +336,16 @@ func (s *Server) stealJob(peer cluster.Node, sj stealableJob) bool {
 	if err != nil || !cr.OK {
 		return false
 	}
+	giveBack := func() bool {
+		s.reportComplete(originRef{NodeID: peer.ID, Addr: peer.Addr, ID: sj.ID},
+			completeRequest{ID: sj.ID, By: s.selfID(), Requeue: true})
+		return false
+	}
 	norm, err := cr.Spec.Normalize()
 	if err != nil {
 		// The spec ran Normalize on the owner already; a failure here
 		// means an incompatible peer. Give the job back.
-		s.reportComplete(originRef{NodeID: peer.ID, Addr: peer.Addr, ID: sj.ID},
-			completeRequest{ID: sj.ID, By: s.selfID(), Requeue: true})
-		return false
+		return giveBack()
 	}
 	s.metrics.JobsStolen.Add(1)
 	now := time.Now()
@@ -351,9 +355,7 @@ func (s *Server) stealJob(peer cluster.Node, sj stealableJob) bool {
 	if err := s.pool.Submit(j); err != nil {
 		j.finish(StateFailed, nil, err, time.Now())
 		// We cannot run it after all; let the owner re-queue it.
-		s.reportComplete(originRef{NodeID: peer.ID, Addr: peer.Addr, ID: sj.ID},
-			completeRequest{ID: sj.ID, By: s.selfID(), Requeue: true})
-		return false
+		return giveBack()
 	}
 	s.metrics.JobsQueued.Add(1)
 	return true
@@ -546,12 +548,12 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	case req.Requeue:
 		s.reenqueueLocal(j)
 	case req.Error != "":
-		if j.finishFromPeer(StateFailed, nil, req.Error, false, now) {
+		if j.finishFromPeer(StateClaimed, StateFailed, nil, req.Error, false, now) {
 			s.metrics.JobsFailed.Add(1)
 		}
 	default:
 		s.cache.Put(j.Hash, req.Result)
-		if j.finishFromPeer(StateDone, req.Result, "", false, now) {
+		if j.finishFromPeer(StateClaimed, StateDone, req.Result, "", false, now) {
 			s.metrics.JobsRemoteDone.Add(1)
 		}
 	}

@@ -415,3 +415,40 @@ func TestClusterForwardLoopGuard(t *testing.T) {
 		t.Fatalf("b forwarded %d jobs, want 0", got)
 	}
 }
+
+// TestLatePeerReportDoesNotFinishRerun: a peer's report ends a job only
+// while the job is still in the state the report belongs to. Once a
+// claimed or forwarded job has been re-enqueued and a local worker has
+// started it, a late report from the thief or owner it left is
+// dropped, and the local run decides the outcome.
+func TestLatePeerReportDoesNotFinishRerun(t *testing.T) {
+	nd := newServerCluster(t, 1, newFakeClock(), nil)[0]
+	now := time.Now()
+	rerun := func(away func(*Job) bool) *Job {
+		j := nd.s.store.NewJob(fastSpec(1), now)
+		if !away(j) || !j.revertToQueued(now) || !j.tryStart(now, func() {}) {
+			t.Fatal("could not move the job away, back, and into a local run")
+		}
+		return j
+	}
+
+	stolen := rerun(func(j *Job) bool { return j.tryClaim("node-x", "http://x", now) })
+	body, err := json.Marshal(completeRequest{ID: stolen.ID, By: "node-x", Result: json.RawMessage(`{}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(nd.addr+cluster.CompletePath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := stolen.State(); st != StateRunning {
+		t.Errorf("a late thief report moved the local rerun to %s", st)
+	}
+
+	forwarded := rerun(func(j *Job) bool { return j.markRemote("node-x", "http://x", "rid", now) })
+	nd.s.resolveRemote(forwarded, JobStatus{State: StateDone}, []byte(`{}`))
+	if st := forwarded.State(); st != StateRunning {
+		t.Errorf("a late owner report moved the local rerun to %s", st)
+	}
+}

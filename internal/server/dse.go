@@ -4,31 +4,27 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 
 	"chameleon/internal/cluster"
-	"chameleon/internal/config"
 	"chameleon/internal/dse"
+	"chameleon/internal/experiments"
 	"chameleon/internal/sim"
 )
 
-// runDSE executes a design-space sweep job. Every expanded cell
-// normalizes into a KindSim spec whose content hash keys the shared
-// result cache, so cells are served (in order of preference) from the
-// local cache, a ring peer's cache, a ring peer's worker pool (the
-// cell's hash owner — a cluster shards the sweep), or an inline local
-// simulation. Cells run inside this job's worker slot, never through
-// the local pool, so a sweep cannot deadlock the pool that runs it.
+// runDSE executes a design-space sweep job. Each expanded cell becomes
+// an experiments.Cell (experiments.SweepCell) and resolves through
+// evalCell. Cells run inside this job's worker slot, never through the
+// local pool, so a sweep cannot deadlock the pool that runs it.
 func (s *Server) runDSE(ctx context.Context, j *Job) (any, error) {
-	par := j.Spec.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	res, err := j.Spec.DSE.Run(ctx, dse.RunOptions{
-		Parallelism: par,
+		Parallelism: j.Spec.Parallelism,
 		Progress:    j.setCellProgress,
 		Evaluate: func(ctx context.Context, c dse.Cell) (dse.Eval, error) {
-			return s.evalDSECell(ctx, j.Spec, c)
+			cell, err := experiments.SweepCell(*j.Spec.DSE, c, j.Spec.Instructions, j.Spec.Warmup)
+			if err != nil {
+				return dse.Eval{}, err
+			}
+			return s.evalCell(ctx, cell)
 		},
 	})
 	if err != nil {
@@ -36,31 +32,6 @@ func (s *Server) runDSE(ctx context.Context, j *Job) (any, error) {
 	}
 	s.metrics.DSECellsPruned.Add(int64(res.Pruned))
 	return res, nil
-}
-
-// cellSpec normalizes one sweep cell into the KindSim spec that keys
-// the content-addressed result cache. Shared simulation parameters
-// (instructions, warm-up) come from the parent job; the cell's variant
-// indices select concrete hierarchy / tier overlays from the sweep
-// spec.
-func cellSpec(parent JobSpec, c dse.Cell) (JobSpec, error) {
-	cs := JobSpec{
-		Kind:         KindSim,
-		Policy:       c.Policy,
-		Workload:     c.Workload,
-		Ratio:        c.Ratio,
-		Scale:        c.Scale,
-		Seed:         c.Seed,
-		Instructions: parent.Instructions,
-		Warmup:       parent.Warmup,
-	}
-	if c.CacheVariant >= 0 {
-		cs.CacheLevels = parent.DSE.CacheLevelVariants[c.CacheVariant]
-	}
-	if c.TierVariant >= 0 {
-		cs.MemoryTiers = config.CloneTiers(parent.DSE.MemoryTierVariants[c.TierVariant])
-	}
-	return cs.Normalize()
 }
 
 // decodeEval turns cached result bytes back into an evaluation.
@@ -72,16 +43,13 @@ func decodeEval(b []byte, hash string, cached bool) (dse.Eval, error) {
 	return dse.Eval{Result: &r, Hash: hash, Cached: cached}, nil
 }
 
-// evalDSECell resolves one sweep cell: local cache, then peer cache,
-// then execution on the cell's ring owner, then an inline local
-// simulation (also the fallback whenever a peer path fails — a dead
-// peer costs the sweep capacity, never a cell).
-func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (dse.Eval, error) {
-	cs, err := cellSpec(parent, c)
-	if err != nil {
-		return dse.Eval{}, err
-	}
-	hash := cs.Hash()
+// evalCell resolves one normalized cell of a sweep or a matrix, keyed
+// by its hash in the result cache it shares with sim jobs: local
+// cache, then peer cache, then execution on the cell's ring owner, then
+// an inline local simulation (also the fallback whenever a peer path
+// fails — a dead peer costs the job capacity, never a cell).
+func (s *Server) evalCell(ctx context.Context, c experiments.Cell) (dse.Eval, error) {
+	hash := c.Hash()
 	if b, ok := s.cache.Get(hash); ok {
 		s.metrics.DSECellsCached.Add(1)
 		return decodeEval(b, hash, true)
@@ -94,8 +62,8 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (d
 			s.cache.Put(hash, b)
 			return decodeEval(b, hash, true)
 		}
-		if !selfOwned {
-			if b, ok := s.runCellRemote(ctx, cs, owners); ok {
+		if !selfOwned && c.AutoNUMA == 0 { // the wire has no AutoNUMA field
+			if b, ok := s.runCellRemote(ctx, c, owners); ok {
 				s.metrics.DSECellsRemote.Add(1)
 				s.cache.Put(hash, b)
 				return decodeEval(b, hash, false)
@@ -103,15 +71,7 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (d
 		}
 	}
 
-	o, err := cs.SimOptions()
-	if err != nil {
-		return dse.Eval{}, err
-	}
-	sys, err := sim.New(o)
-	if err != nil {
-		return dse.Eval{}, err
-	}
-	res, err := sys.RunContext(ctx, cs.Instructions)
+	res, err := c.Run(ctx, nil)
 	if err != nil {
 		return dse.Eval{}, err
 	}
@@ -128,13 +88,13 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (d
 	return dse.Eval{Result: res, Hash: hash}, nil
 }
 
-// runCellRemote runs a cell's sim spec on its first reachable ring
-// owner (with the forwarded loop guard, so the owner runs it locally
-// and may offer it to work stealing), waits for it to end, and returns
-// the result bytes. ok=false on any failure: the caller simulates the
-// cell locally instead.
-func (s *Server) runCellRemote(ctx context.Context, cs JobSpec, owners []cluster.Node) ([]byte, bool) {
-	owner, st, ok := s.submitToOwner(ctx, cs, owners)
+// runCellRemote runs a cell on its first reachable ring owner as the
+// sim job its JSON spells (with the forwarded loop guard, so the owner
+// runs it locally and may offer it to work stealing), waits for it to
+// end, and returns the result bytes. ok=false on any failure: the
+// caller simulates the cell locally instead.
+func (s *Server) runCellRemote(ctx context.Context, c experiments.Cell, owners []cluster.Node) ([]byte, bool) {
+	owner, st, ok := s.submitToOwner(ctx, c, owners)
 	if !ok {
 		return nil, false
 	}

@@ -279,6 +279,44 @@ func TestClusterDSEShardsCellsAndReusesCache(t *testing.T) {
 	}
 }
 
+// TestClusterMatrixShardsCells: a matrix job's cells route through the
+// ring like a sweep's, and the payload is byte-identical to one
+// computed by a standalone server: a cell run on its ring owner as a
+// sim job returns the bytes of a local simulation.
+func TestClusterMatrixShardsCells(t *testing.T) {
+	nodes := newServerCluster(t, 3, newFakeClock(), nil)
+	converge(t, nodes)
+	spec := JobSpec{Kind: KindMatrix, Workloads: []string{"bwaves"},
+		Scale: 1024, Instructions: 5_000, Warmup: 1, Seed: 11}
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := dseOwnerNode(t, nodes, norm.Hash())
+	j, err := runner.s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j, 120*time.Second); st.State != StateDone {
+		t.Fatalf("matrix job: state %s (err %q)", st.State, st.Error)
+	}
+	clustered, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := runner.s.Metrics().DSECellsRemote.Value()
+	if remote == 0 {
+		t.Errorf("%s ran all 8 matrix cells itself, want the ring to shard them", runner.id)
+	}
+	if got := remote + runner.s.Metrics().DSECellsSimulated.Value(); got != 8 {
+		t.Errorf("%s resolved %d of 8 cells by simulation, want every cell", runner.id, got)
+	}
+	standalone := runMatrixJob(t, newTestServer(t, Options{Workers: 1}), "bwaves")
+	if !bytes.Equal(clustered, standalone) {
+		t.Errorf("clustered matrix payload differs from a standalone server's")
+	}
+}
+
 func TestPoliciesEndpoint(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	srv := httptest.NewServer(s.Handler())

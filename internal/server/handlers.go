@@ -177,13 +177,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	wasRemote := j.State() == StateRemote
-	_, raddr, rid := j.remoteRef()
-	canceled := j.Cancel(time.Now())
-	if canceled && wasRemote && s.clustered() && raddr != "" && rid != "" {
-		// Best effort: stop the remote execution too.
-		go s.cancelRemote(raddr, rid)
-	}
+	canceled, _ := s.Cancel(j.ID) // j was just found: no lookup error
 	writeJSON(w, http.StatusOK, struct {
 		ID       string   `json:"id"`
 		Canceled bool     `json:"canceled"`

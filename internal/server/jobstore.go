@@ -183,7 +183,13 @@ func (j *Job) finish(state JobState, result []byte, err error, now time.Time) bo
 	if err != nil {
 		msg = err.Error()
 	}
-	return j.finishFromPeer(state, result, msg, false, now)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return false
+	}
+	j.end(state, result, msg, false, now)
+	return true
 }
 
 // Cancel cancels a queued or running job. Queued (and remote /
@@ -194,11 +200,7 @@ func (j *Job) Cancel(now time.Time) bool {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued, StateRemote, StateClaimed:
-		prev := j.state
-		j.state = StateCanceled
-		j.err = "canceled while " + string(prev)
-		j.finishedAt = now
-		close(j.done)
+		j.end(StateCanceled, nil, "canceled while "+string(j.state), false, now)
 		j.mu.Unlock()
 		return true
 	}
@@ -237,12 +239,8 @@ func (j *Job) setCellProgress(done, cached, pruned, total int) {
 // born terminal.
 func (j *Job) markCached(result []byte, now time.Time) {
 	j.mu.Lock()
-	j.cached = true
-	j.state = StateDone
-	j.result = result
-	j.finishedAt = now
-	close(j.done)
-	j.mu.Unlock()
+	defer j.mu.Unlock()
+	j.end(StateDone, result, "", true, now)
 }
 
 // State returns the job's current lifecycle state.
@@ -320,13 +318,22 @@ func (j *Job) revertToQueued(now time.Time) bool {
 
 // finishFromPeer moves the job to a terminal state with the error text
 // and cached flag reported by the node that executed it (finish is its
-// local form). No-op if already terminal.
-func (j *Job) finishFromPeer(state JobState, result []byte, errstr string, cached bool, now time.Time) bool {
+// local form). It acts only while the job is still in state from, the
+// state the report belongs to: StateClaimed for a thief's report,
+// StateRemote for an owner's. A late report for a job that was
+// re-enqueued and started here since is dropped.
+func (j *Job) finishFromPeer(from, state JobState, result []byte, errstr string, cached bool, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	if j.state != from {
 		return false
 	}
+	j.end(state, result, errstr, cached, now)
+	return true
+}
+
+// end moves the job to a terminal state; j.mu must be held.
+func (j *Job) end(state JobState, result []byte, errstr string, cached bool, now time.Time) {
 	j.state = state
 	j.result = result
 	j.err = errstr
@@ -334,7 +341,6 @@ func (j *Job) finishFromPeer(state JobState, result []byte, errstr string, cache
 	j.finishedAt = now
 	j.cancel = nil
 	close(j.done)
-	return true
 }
 
 // setOrigin records, on a thief's local copy of a stolen job, the
@@ -419,12 +425,7 @@ func (s *Store) Get(id string) (*Job, bool) {
 
 // List snapshots every job's status in submission order.
 func (s *Store) List() []JobStatus {
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.ids))
-	for _, id := range s.ids {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
+	jobs := s.Snapshot()
 	out := make([]JobStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Status()

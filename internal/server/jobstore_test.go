@@ -48,13 +48,13 @@ func TestJobCancelRaces(t *testing.T) {
 		{
 			name:    "remote: peer completion vs cancel",
 			prep:    func(j *Job) { j.markRemote("owner", "http://x", "rid", now) },
-			rival:   func(j *Job) bool { return j.finishFromPeer(StateDone, []byte("{}"), "", true, now) },
+			rival:   func(j *Job) bool { return j.finishFromPeer(StateRemote, StateDone, []byte("{}"), "", true, now) },
 			allowed: map[JobState]bool{StateDone: true, StateCanceled: true},
 		},
 		{
 			name:    "claimed: thief completion vs cancel",
 			prep:    func(j *Job) { j.tryClaim("thief", "http://x", now) },
-			rival:   func(j *Job) bool { return j.finishFromPeer(StateFailed, nil, "boom", false, now) },
+			rival:   func(j *Job) bool { return j.finishFromPeer(StateClaimed, StateFailed, nil, "boom", false, now) },
 			allowed: map[JobState]bool{StateFailed: true, StateCanceled: true},
 		},
 		{

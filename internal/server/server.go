@@ -211,13 +211,21 @@ func (s *Server) Job(id string) (*Job, bool) { return s.store.Get(id) }
 // Jobs lists every job's status in submission order.
 func (s *Server) Jobs() []JobStatus { return s.store.List() }
 
-// Cancel cancels a queued or running job by ID.
+// Cancel cancels a queued or running job by ID. Canceling a forwarded
+// job's mirror also cancels, best effort, the owner's copy, so the
+// remote execution stops burning a worker.
 func (s *Server) Cancel(id string) (bool, error) {
 	j, ok := s.store.Get(id)
 	if !ok {
 		return false, fmt.Errorf("unknown job %q", id)
 	}
-	return j.Cancel(time.Now()), nil
+	wasRemote := j.State() == StateRemote
+	_, raddr, rid := j.remoteRef()
+	canceled := j.Cancel(time.Now())
+	if canceled && wasRemote && s.clustered() && raddr != "" && rid != "" {
+		go s.cancelRemote(raddr, rid)
+	}
+	return canceled, nil
 }
 
 // Shutdown stops intake and drains: queued jobs are canceled, running
@@ -279,6 +287,10 @@ func (s *Server) runJob(j *Job) {
 	default:
 		err = fmt.Errorf("unknown job kind %q", j.Spec.Kind)
 	}
+	var b []byte
+	if err == nil {
+		b, err = marshalResult(payload)
+	}
 	fin := time.Now()
 	if err != nil {
 		state := StateFailed
@@ -299,14 +311,6 @@ func (s *Server) runJob(j *Job) {
 		s.reportToOrigin(j, nil, err)
 		return
 	}
-	b, err := marshalResult(payload)
-	if err != nil {
-		if j.finish(StateFailed, nil, err, fin) {
-			s.metrics.JobsFailed.Add(1)
-		}
-		s.reportToOrigin(j, nil, err)
-		return
-	}
 	s.cache.Put(j.Hash, b)
 	if j.finish(StateDone, b, nil, fin) {
 		s.metrics.JobsDone.Add(1)
@@ -321,16 +325,7 @@ func (s *Server) runJob(j *Job) {
 
 // runSim executes a single-simulation job.
 func (s *Server) runSim(ctx context.Context, j *Job) (any, error) {
-	o, err := j.Spec.SimOptions()
-	if err != nil {
-		return nil, err
-	}
-	o.Progress = j.setSimProgress
-	sys, err := sim.New(o)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sys.RunContext(ctx, j.Spec.Instructions)
+	res, err := j.Spec.Cell().Run(ctx, j.setSimProgress)
 	if err != nil {
 		return nil, err
 	}
@@ -344,18 +339,33 @@ type matrixPayload struct {
 	Results map[string]map[string]*sim.Result `json:"results"`
 }
 
-// runMatrix executes a full evaluation-matrix job.
+// runMatrix executes an evaluation-matrix job. Its cells resolve like
+// a sweep's (evalCell): from the local cache, a peer's cache, their
+// ring owner, or an inline simulation, so matrix cells are cached and
+// sharded, and shared with sim jobs and sweeps.
 func (s *Server) runMatrix(ctx context.Context, j *Job) (any, error) {
-	o := j.Spec.MatrixOptions()
-	o.Progress = func(done, total int) { j.setCellProgress(done, 0, 0, total) }
+	spec := j.Spec
+	o := experiments.Options{
+		Scale:        spec.Scale,
+		Instructions: spec.Instructions,
+		Warmup:       spec.Warmup,
+		Seed:         spec.Seed,
+		Workloads:    spec.Workloads,
+		Parallelism:  spec.Parallelism,
+		CacheLevels:  spec.CacheLevels,
+		MemoryTiers:  spec.MemoryTiers,
+		Progress:     func(done, total int) { j.setCellProgress(done, 0, 0, total) },
+		Simulate: func(ctx context.Context, c experiments.Cell) (*sim.Result, error) {
+			ev, err := s.evalCell(ctx, c)
+			return ev.Result, err
+		},
+	}
+	for _, p := range spec.Policies {
+		o.Policies = append(o.Policies, sim.PolicyKind(p))
+	}
 	m, err := experiments.RunMatrixContext(ctx, o)
 	if err != nil {
 		return nil, err
-	}
-	for _, rows := range m.Results {
-		for _, r := range rows {
-			s.metrics.ObserveRun(r)
-		}
 	}
 	return matrixPayload{Results: m.ByName()}, nil
 }

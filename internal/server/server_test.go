@@ -68,7 +68,7 @@ func TestSubmitResultMatchesDirectRun(t *testing.T) {
 
 	// The same spec run directly must agree exactly: the simulator is
 	// deterministic in its options and seed.
-	o, err := j.Spec.SimOptions()
+	o, err := j.Spec.Cell().Options()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,5 +478,58 @@ func TestStoreListOrder(t *testing.T) {
 	}
 	if _, ok := st.Get(ids[2]); !ok {
 		t.Fatal("known ID should hit")
+	}
+}
+
+// runMatrixJob runs a small matrix job over wls to completion on s and
+// returns its payload bytes.
+func runMatrixJob(t *testing.T, s *Server, wls ...string) []byte {
+	t.Helper()
+	j, err := s.Submit(JobSpec{
+		Kind: KindMatrix, Workloads: wls,
+		Scale: 1024, Instructions: 5_000, Warmup: 1, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j, 120*time.Second); st.State != StateDone {
+		t.Fatalf("matrix job: state %s (err %q)", st.State, st.Error)
+	}
+	b, err := j.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestMatrixJobSharesCellCache: a matrix job's cells land in the result
+// cache that sim jobs and sweeps share. A sim job for one of its cells
+// is a cache hit, and a matrix job with one more workload simulates
+// only the new workload's cells.
+func TestMatrixJobSharesCellCache(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	runMatrixJob(t, s, "bwaves")
+	if n := s.Metrics().DSECellsSimulated.Value(); n != 8 {
+		t.Fatalf("first matrix simulated %d cells, want 8", n)
+	}
+	for _, spec := range []JobSpec{
+		{Policy: "chameleon-opt", Workload: "bwaves", Scale: 1024, Instructions: 5_000, Warmup: 1, Seed: 11},
+		{Policy: "flat", BaselineGB: 20, Workload: "bwaves", Scale: 1024, Instructions: 5_000, Warmup: 1, Seed: 11},
+	} {
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, j, 30*time.Second); !st.Cached {
+			t.Errorf("sim job for the matrix's %s/bwaves cell: state %s, cached %v, want a cache hit",
+				spec.Policy, st.State, st.Cached)
+		}
+	}
+	runMatrixJob(t, s, "bwaves", "mcf")
+	if n := s.Metrics().DSECellsSimulated.Value(); n != 16 {
+		t.Errorf("second matrix simulated %d more cells, want only mcf's 8", n-8)
+	}
+	if n := s.Metrics().DSECellsCached.Value(); n != 8 {
+		t.Errorf("second matrix served %d cells from cache, want bwaves' 8", n)
 	}
 }

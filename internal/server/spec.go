@@ -5,13 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"chameleon/internal/config"
 	"chameleon/internal/dse"
 	"chameleon/internal/experiments"
-	"chameleon/internal/memtrace"
 	"chameleon/internal/policy"
 	"chameleon/internal/sim"
 	"chameleon/internal/workload"
@@ -106,20 +104,12 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	if s.Kind == "" {
 		s.Kind = KindSim
 	}
-	if s.Scale == 0 {
-		s.Scale = 256
-	}
+	// The shared parameters take the library's defaults.
+	d := experiments.Options{Scale: s.Scale, Instructions: s.Instructions, Warmup: s.Warmup,
+		Seed: s.Seed, Workloads: s.Workloads}.Defaults()
+	s.Scale, s.Instructions, s.Warmup, s.Seed = d.Scale, d.Instructions, d.Warmup, d.Seed
 	if s.Scale&(s.Scale-1) != 0 {
 		return s, fmt.Errorf("scale must be a power of two, got %d", s.Scale)
-	}
-	if s.Instructions == 0 {
-		s.Instructions = 500_000
-	}
-	if s.Warmup == 0 {
-		s.Warmup = 4_000_000
-	}
-	if s.Seed == 0 {
-		s.Seed = 42
 	}
 	if s.TimeoutMS < 0 {
 		return s, fmt.Errorf("timeout_ms must be non-negative, got %d", s.TimeoutMS)
@@ -146,71 +136,16 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	}
 	switch s.Kind {
 	case KindSim:
-		if s.Policy == "" {
-			return s, fmt.Errorf("sim job requires a policy (one of %s)", policyNames())
-		}
-		desc, err := policy.Lookup(s.Policy)
+		c, err := s.Cell().Normalize()
 		if err != nil {
-			return s, fmt.Errorf("unknown policy %q (one of %s)", s.Policy, policyNames())
+			return s, err
 		}
-		if tiers := max(len(s.MemoryTiers), 2); desc.RequiredTiers() > tiers {
-			return s, fmt.Errorf("policy %q needs %d memory tiers, spec has %d",
-				s.Policy, desc.RequiredTiers(), tiers)
-		}
-		// The hierarchy and the stack passed above, so a machine that
-		// fails here is one the scale or the ratio starved of a tier:
-		// reject it now rather than inside a worker.
-		cfg, err := s.machine()
-		if err == nil {
-			err = cfg.Validate()
-		}
-		if err != nil {
-			return s, fmt.Errorf("scale %d, ratio %d: %w", s.Scale, s.Ratio, err)
-		}
-		if path, ok := strings.CutPrefix(s.Workload, workload.ReplayPrefix); ok {
-			// Both spellings of a replay normalize identically, so they
-			// share one cache entry.
-			if s.TracePath != "" && s.TracePath != path {
-				return s, fmt.Errorf("workload %q and trace_path %q name different traces", s.Workload, s.TracePath)
-			}
-			s.TracePath, s.Workload = path, ""
-		}
-		switch {
-		case s.TracePath != "":
-			if s.Workload != "" {
-				return s, fmt.Errorf("workload and trace_path are mutually exclusive")
-			}
-			tr, err := memtrace.LoadFile(s.TracePath)
-			if err != nil {
-				return s, fmt.Errorf("trace_path: %w", err)
-			}
-			s.TraceSHA256 = tr.SHA256()
-		case s.Workload == "":
-			return s, fmt.Errorf("sim job requires a workload (see GET /v1/workloads) or a trace_path")
-		default:
-			if _, err := workload.ByName(s.Workload); err != nil {
-				return s, err
-			}
-			s.TraceSHA256 = ""
-		}
-		if desc.RequiresBaseline {
-			if s.BaselineGB == 0 {
-				s.BaselineGB = 24
-			}
-		} else {
-			s.BaselineGB = 0
-		}
-		if s.TimelineEpochCycles == 0 {
-			s.TimelineEpochCycles = 1_000_000
-		}
-		s.Workloads = nil
-		s.Policies = nil
-		s.Parallelism = 0
-		s.DSE = nil
+		s.Workload, s.TracePath, s.TraceSHA256 = c.Workload, c.TracePath, c.TraceSHA256
+		s.Ratio, s.BaselineGB, s.TimelineEpochCycles = c.Ratio, c.BaselineGB, c.TimelineEpochCycles
+		s.Workloads, s.Policies, s.Parallelism, s.DSE = nil, nil, 0, nil
+		return s, nil
 	case KindMatrix:
-		if len(s.Workloads) == 0 {
-			s.Workloads = workload.Names()
-		}
+		s.Workloads = d.Workloads
 		for _, w := range s.Workloads {
 			if _, err := workload.ByName(w); err != nil {
 				return s, err
@@ -218,40 +153,20 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		}
 		for _, p := range s.Policies {
 			if _, err := policy.Lookup(p); err != nil {
-				return s, fmt.Errorf("unknown policy %q (one of %s)", p, policyNames())
+				return s, err
 			}
 		}
-		// Parallelism shapes scheduling, not results; it is kept in
-		// the spec (a caller may bound a job's CPU use) but clamped.
-		if s.Parallelism < 0 {
-			s.Parallelism = 0
-		}
-		s.Policy, s.Workload, s.BaselineGB, s.Ratio, s.TimelineEpochCycles = "", "", 0, 0, 0
-		s.TracePath, s.TraceSHA256 = "", ""
 		s.DSE = nil
 	case KindDSE:
 		if s.DSE == nil {
 			return s, fmt.Errorf("dse job requires a dse sweep spec (see README \"Asking design questions\")")
 		}
-		// A top-level Scale/Seed seeds the matching sweep axis, then both
-		// reset to their defaults: the sweep's axes are the only canonical
-		// spelling, so {scale: 512} and {dse: {scales: [512]}} hash equal.
-		d := *s.DSE
-		if len(d.Scales) == 0 {
-			d.Scales = []uint64{s.Scale}
-		}
-		if len(d.Seeds) == 0 {
-			d.Seeds = []uint64{s.Seed}
-		}
-		// Likewise a top-level hierarchy or tier stack becomes a
-		// single-variant axis.
-		if len(d.CacheLevelVariants) == 0 && len(s.CacheLevels) > 0 {
-			d.CacheLevelVariants = [][]config.CacheLevelConfig{s.CacheLevels}
-		}
-		if len(d.MemoryTierVariants) == 0 && len(s.MemoryTiers) > 0 {
-			d.MemoryTierVariants = [][]config.MemTierConfig{config.CloneTiers(s.MemoryTiers)}
-		}
-		d, err := d.Normalize()
+		// The shared scale, seed, hierarchy and tier stack seed the
+		// matching sweep axes, then reset to their defaults: the sweep's
+		// axes are the only canonical spelling, so {scale: 512} and
+		// {dse: {scales: [512]}} hash equal.
+		d, err := experiments.Options{Scale: s.Scale, Seed: s.Seed,
+			CacheLevels: s.CacheLevels, MemoryTiers: s.MemoryTiers}.Sweep(*s.DSE)
 		if err != nil {
 			return s, err
 		}
@@ -264,29 +179,32 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		}
 		s.DSE = &d
 		s.Scale, s.Seed = 256, 42
-		if s.Parallelism < 0 {
-			s.Parallelism = 0
-		}
-		s.Policy, s.Workload, s.BaselineGB, s.Ratio, s.TimelineEpochCycles = "", "", 0, 0, 0
-		s.TracePath, s.TraceSHA256 = "", ""
-		s.Workloads, s.Policies = nil, nil
-		s.CacheLevels, s.MemoryTiers = nil, nil
+		s.Workloads, s.Policies, s.CacheLevels, s.MemoryTiers = nil, nil, nil, nil
 	default:
 		return s, fmt.Errorf("unknown job kind %q (sim, matrix or dse)", s.Kind)
 	}
+	// Matrix and sweep jobs. Parallelism shapes scheduling, not results;
+	// it is kept in the spec (a caller may bound a job's CPU use) but
+	// clamped. The single-simulation fields do not apply.
+	s.Parallelism = max(s.Parallelism, 0)
+	s.Policy, s.Workload, s.BaselineGB, s.Ratio, s.TimelineEpochCycles = "", "", 0, 0, 0
+	s.TracePath, s.TraceSHA256 = "", ""
 	return s, nil
 }
 
-// Hash returns the canonical content address of the spec: a SHA-256
-// over the normalized spec minus scheduling-only fields. Two jobs with
-// equal hashes are guaranteed to produce identical results (the
-// simulator is deterministic in its options and seed).
+// Hash returns the canonical content address of the spec. A sim
+// spec's hash is its cell's (experiments.Cell.Hash), so a sim job, a
+// sweep cell and a matrix cell that describe one simulation share one
+// cache entry. Other kinds hash the normalized spec minus
+// scheduling-only fields. Two jobs with equal hashes are guaranteed to
+// produce identical results (the simulator is deterministic in its
+// options and seed).
 func (s JobSpec) Hash() string {
+	if s.Kind == KindSim {
+		return s.Cell().Hash()
+	}
 	s.TimeoutMS = 0
 	s.Parallelism = 0
-	// A replay job is identified by the trace's content (TraceSHA256),
-	// not its filename: moving a recording keeps the cache warm.
-	s.TracePath = ""
 	b, err := json.Marshal(s) // struct marshal: fixed field order, canonical
 	if err != nil {
 		// JobSpec contains only plain data; Marshal cannot fail.
@@ -296,85 +214,28 @@ func (s JobSpec) Hash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// machine builds the simulated machine of a sim spec: the scaled
-// default with the spec's hierarchy and memory stack overlaid and its
-// ratio applied.
-func (s JobSpec) machine() (config.Config, error) {
-	cfg := config.Default(s.Scale)
-	if len(s.CacheLevels) > 0 {
-		cfg.CacheLevels = s.CacheLevels
-	}
-	if len(s.MemoryTiers) > 0 {
-		cfg.MemoryTiers = config.CloneTiers(s.MemoryTiers)
-	}
-	if s.Ratio > 0 {
-		return cfg.WithRatio(s.Ratio)
-	}
-	return cfg, nil
-}
-
-// SimOptions converts a normalized sim spec into simulator options.
-func (s JobSpec) SimOptions() (sim.Options, error) {
-	cfg, err := s.machine()
-	if err != nil {
-		return sim.Options{}, err
-	}
-	o := sim.Options{
-		Config:              cfg,
+// Cell is the simulation a sim spec describes.
+func (s JobSpec) Cell() experiments.Cell {
+	return experiments.Cell{
 		Policy:              sim.PolicyKind(s.Policy),
+		Workload:            s.Workload,
+		TracePath:           s.TracePath,
+		TraceSHA256:         s.TraceSHA256,
+		Scale:               s.Scale,
+		Ratio:               s.Ratio,
+		BaselineGB:          s.BaselineGB,
 		Seed:                s.Seed,
-		WarmupInstructions:  s.Warmup,
+		Instructions:        s.Instructions,
+		Warmup:              s.Warmup,
 		TimelineEpochCycles: s.TimelineEpochCycles,
+		CacheLevels:         s.CacheLevels,
+		MemoryTiers:         s.MemoryTiers,
 	}
-	if s.TracePath != "" {
-		tr, err := memtrace.LoadFile(s.TracePath)
-		if err != nil {
-			return sim.Options{}, fmt.Errorf("trace_path: %w", err)
-		}
-		// The cache entry is keyed on the content seen at submission; a
-		// file that changed in between must not run under the old key.
-		if got := tr.SHA256(); got != s.TraceSHA256 {
-			return sim.Options{}, fmt.Errorf("trace_path: %s changed since submission (content hash %.12s, submitted %.12s)",
-				s.TracePath, got, s.TraceSHA256)
-		}
-		srcs, err := tr.Sources()
-		if err != nil {
-			return sim.Options{}, err
-		}
-		// Replay footprints are already concrete; Scale does not apply.
-		o.Workload = tr.RunProfile()
-		o.Sources = srcs
-	} else {
-		prof, err := workload.ByName(s.Workload)
-		if err != nil {
-			return sim.Options{}, err
-		}
-		o.Workload = prof.Scale(s.Scale)
-	}
-	if s.BaselineGB > 0 {
-		o.BaselineBytes = s.BaselineGB * config.GB / s.Scale
-	}
-	return o, nil
 }
 
-// MatrixOptions converts a normalized matrix spec into experiment
-// options.
-func (s JobSpec) MatrixOptions() experiments.Options {
-	o := experiments.Options{
-		Scale:        s.Scale,
-		Instructions: s.Instructions,
-		Warmup:       s.Warmup,
-		Seed:         s.Seed,
-		Workloads:    s.Workloads,
-		Parallelism:  s.Parallelism,
-		CacheLevels:  s.CacheLevels,
-		MemoryTiers:  s.MemoryTiers,
-	}
-	for _, p := range s.Policies {
-		o.Policies = append(o.Policies, sim.PolicyKind(p))
-	}
-	return o
-}
+// SimOptions is the simulator options of a normalized sim spec: its
+// cell's Options. cmd/chameleon-bench builds its reference runs with it.
+func (s JobSpec) SimOptions() (sim.Options, error) { return s.Cell().Options() }
 
 // Timeout returns the job's wall-clock budget, clamped to fallback
 // when unset.
@@ -383,9 +244,4 @@ func (s JobSpec) Timeout(fallback time.Duration) time.Duration {
 		return fallback
 	}
 	return time.Duration(s.TimeoutMS) * time.Millisecond
-}
-
-// policyNames lists the accepted policy names for error messages.
-func policyNames() string {
-	return strings.Join(policy.Names(), ", ")
 }

@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"chameleon/internal/config"
+	"chameleon/internal/experiments"
 	"chameleon/internal/workload"
 )
 
 // TestSpecMachineValidation: a sim spec is accepted only when its
 // scale and ratio build a valid machine. A negative ratio would
-// otherwise normalize, be ignored by SimOptions and split the result
+// otherwise normalize, be ignored by Cell.Options and split the result
 // cache from ratio 0; a ratio or scale that starves a tier would pass
 // submission and fail only inside a worker.
 func TestSpecMachineValidation(t *testing.T) {
@@ -42,7 +43,7 @@ func TestSpecMachineValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o, err := n.SimOptions()
+			o, err := n.Cell().Options()
 			if err != nil {
 				t.Fatalf("normalized spec does not build: %v", err)
 			}
@@ -96,7 +97,7 @@ func FuzzJobSpecNormalize(f *testing.F) {
 		if n.Kind != KindSim {
 			return
 		}
-		o, err := n.SimOptions()
+		o, err := n.Cell().Options()
 		if err != nil {
 			t.Fatalf("normalized sim spec %+v does not build options: %v", n, err)
 		}
@@ -104,4 +105,51 @@ func FuzzJobSpecNormalize(f *testing.F) {
 			t.Fatalf("normalized sim spec %+v builds an invalid machine: %v", n, err)
 		}
 	})
+}
+
+// TestSimSpecRoundTrip: a normalized cell sent to its ring owner as the
+// sim job its JSON spells decodes strictly and normalizes back to the
+// same cell, so the owner keys and simulates exactly what the sender
+// would have.
+func TestSimSpecRoundTrip(t *testing.T) {
+	levels := config.Default(1024).CacheLevels[:2]
+	for _, c := range []experiments.Cell{
+		{Policy: "flat", BaselineGB: 20, Workload: "mcf", Scale: 1024, Ratio: 3, Seed: 5, Instructions: 1000, Warmup: 1},
+		{Policy: "chameleon-opt", Workload: "bwaves", Scale: 256, Ratio: 5, Seed: 42, Instructions: 1000, Warmup: 7},
+		{Policy: "pom", Workload: "lbm", Scale: 512, Seed: 9, Instructions: 10, Warmup: 4_000_000, CacheLevels: levels},
+	} {
+		c, err := c.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			t.Fatalf("cell JSON %s is not a job spec: %v", b, err)
+		}
+		n, err := spec.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(n.Cell(), c) || n.Hash() != c.Hash() {
+			t.Errorf("cell %+v came back from its sim spec as %+v", c, n.Cell())
+		}
+	}
+	// A ratio that keeps the machine's tier split is the machine's own.
+	five, err := JobSpec{Policy: "pom", Workload: "bwaves", Ratio: 5}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unset, err := JobSpec{Policy: "pom", Workload: "bwaves"}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if five.Hash() != unset.Hash() {
+		t.Errorf("ratio 5 on the default 4+20 GB machine hashes apart from no ratio")
+	}
 }

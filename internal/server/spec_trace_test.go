@@ -20,7 +20,7 @@ func recordTrace(t *testing.T, dir string, seed uint64) (string, *sim.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := spec.SimOptions()
+	o, err := spec.Cell().Options()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestTraceJobDetectsFileChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := spec2.SimOptions()
+	o, err := spec2.Cell().Options()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestTraceJobDetectsFileChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := spec.SimOptions(); err == nil || !strings.Contains(err.Error(), "changed since submission") {
-		t.Errorf("SimOptions on a changed trace = %v, want changed-since-submission error", err)
+	if _, err := spec.Cell().Options(); err == nil || !strings.Contains(err.Error(), "changed since submission") {
+		t.Errorf("Cell.Options on a changed trace = %v, want changed-since-submission error", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"chameleon/internal/dse"
+	"chameleon/internal/experiments"
 )
 
 // getStatus issues one raw status read and decodes a 200 answer.
@@ -165,7 +166,8 @@ func waitFollowers(t *testing.T, want int) {
 
 // TestMirrorFollowerStops: a forwarded job's mirror follows its owner
 // on one goroutine, which stops when the mirror is canceled and when
-// the server shuts down.
+// the server shuts down. Canceling the mirror through Server.Cancel
+// cancels the owner's copy as well.
 func TestMirrorFollowerStops(t *testing.T) {
 	clock := newFakeClock()
 	nodes := newServerCluster(t, 3, clock, nil)
@@ -187,10 +189,22 @@ func TestMirrorFollowerStops(t *testing.T) {
 	}
 	// The follower goroutine and its cancel hook.
 	waitFollowers(t, 2)
+	var owned *Job
+	for _, st := range a.s.Jobs() {
+		if st.Hash == j.Hash {
+			owned, _ = a.s.Job(st.ID)
+		}
+	}
+	if owned == nil {
+		t.Fatalf("%s holds no copy of the forwarded job", a.id)
+	}
 	if _, err := b.s.Cancel(j.ID); err != nil {
 		t.Fatal(err)
 	}
 	waitFollowers(t, 0)
+	if st := waitTerminal(t, owned, 5*time.Second); st.State != StateCanceled {
+		t.Fatalf("owner's copy = %s, want canceled", st.State)
+	}
 
 	if _, err := b.s.Submit(remoteSpec(2)); err != nil {
 		t.Fatal(err)
@@ -270,7 +284,7 @@ func TestClusterSeesRemoteEndPromptly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, err := cellSpec(norm, cells[0])
+		cs, err := experiments.SweepCell(*norm.DSE, cells[0], norm.Instructions, norm.Warmup)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,9 @@
 #   2. a result computed via node A is served from the cluster cache
 #      when the same spec is submitted via node B (cached: true, no
 #      second simulation);
-#   3. killing node C mid-queue loses no jobs — everything submitted
+#   3. a matrix job's cells join that cache: one of its cells,
+#      submitted as a sim job via another node, comes back cached;
+#   4. killing node C mid-queue loses no jobs — everything submitted
 #      through node A still reaches state "done" on the survivors.
 #
 # Needs: bash, curl, go. No jq — parsing is grep-based on the API's
@@ -127,6 +129,21 @@ wait_done "$B" "$JOB_D2" 60 || fail "second dse job via B did not complete"
 curl -sf "$B/v1/jobs/$JOB_D2/result" | grep -q '"cached":4' ||
   fail "second dse sweep did not serve all 4 cells from the cluster cache"
 echo "ok: dse sweep ran; changed-objectives resubmit reused every cell"
+
+echo "== matrix check: matrix cells join the cluster result cache"
+# A 1-workload matrix job through A resolves its 8 cells like sweep
+# cells; its chameleon-opt cell, submitted through B as a sim job with
+# the same budgets, must come back from the cluster cache.
+MATRIX='{"kind":"matrix","workloads":["bwaves"],"scale":1024,"instructions":5000,"warmup":1,"seed":9}'
+JOB_M="$(submit "$A" "$MATRIX")"
+[ -n "$JOB_M" ] || fail "matrix submit via A returned no job id"
+wait_done "$A" "$JOB_M" 120 || fail "matrix job via A did not complete"
+JOB_MC="$(submit "$B" "$(spec 9 5000)")"
+[ -n "$JOB_MC" ] || fail "cell submit via B returned no job id"
+wait_done "$B" "$JOB_MC" 30 || fail "cell job via B did not complete"
+curl -sf "$B/v1/jobs/$JOB_MC" | grep -q '"cached": true' ||
+  fail "the matrix's chameleon-opt cell was not served from the cluster cache"
+echo "ok: a matrix cell came back cached as a sim job"
 
 echo "== failover check: kill node C with jobs in flight"
 JOBS=()
