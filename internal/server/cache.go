@@ -11,6 +11,11 @@ import (
 // cache is bounded twice over: by entry count and by total payload
 // bytes — a few thousand large matrix results must not exhaust the
 // process even when the entry cap alone would admit them.
+//
+// Each result is stored once, as an immutable string. Jobs served from
+// the cache hold that same string (Load, and Put's return value), so a
+// cache hit costs no copy of its result, and a result outlives its
+// cache entry for as long as a job still holds it.
 type resultCache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -22,7 +27,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	hash   string
-	result []byte
+	result string
 }
 
 // newResultCache builds a cache bounded to maxEntries results (min 1)
@@ -41,35 +46,48 @@ func newResultCache(maxEntries int, maxBytes int64) *resultCache {
 	}
 }
 
-// Get returns a copy of the cached result bytes for hash, if present,
-// and marks the entry recently used. Callers own the returned slice:
-// handing out the internal buffer would let one caller's mutation
-// corrupt every later hit (and, with peer fill, other nodes).
-func (c *resultCache) Get(hash string) ([]byte, bool) {
+// Load returns the cached result for hash, if present, and marks the
+// entry recently used. The string is shared, not copied: it is
+// immutable, so every holder may keep it.
+func (c *resultCache) Load(hash string) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[hash]
 	if !ok {
-		return nil, false
+		return "", false
 	}
 	c.order.MoveToFront(el)
-	return append([]byte(nil), el.Value.(*cacheEntry).result...), true
+	return el.Value.(*cacheEntry).result, true
+}
+
+// Get returns a copy of the cached result bytes for hash, if present,
+// and marks the entry recently used, for callers that decode. Callers
+// own the returned slice: handing out shared bytes would let one
+// caller's mutation corrupt every later hit (and, with peer fill,
+// other nodes).
+func (c *resultCache) Get(hash string) ([]byte, bool) {
+	r, ok := c.Load(hash)
+	if !ok {
+		return nil, false
+	}
+	return []byte(r), true
 }
 
 // Put stores a copy of result, evicting least recently used entries
-// while either bound is exceeded.
-func (c *resultCache) Put(hash string, result []byte) {
-	result = append([]byte(nil), result...)
+// while either bound is exceeded. It returns the stored string, for a
+// job to share with the cache.
+func (c *resultCache) Put(hash string, result []byte) string {
+	r := string(result)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[hash]; ok {
 		e := el.Value.(*cacheEntry)
-		c.bytes += int64(len(result)) - int64(len(e.result))
-		e.result = result
+		c.bytes += int64(len(r)) - int64(len(e.result))
+		e.result = r
 		c.order.MoveToFront(el)
 	} else {
-		c.entries[hash] = c.order.PushFront(&cacheEntry{hash: hash, result: result})
-		c.bytes += int64(len(result))
+		c.entries[hash] = c.order.PushFront(&cacheEntry{hash: hash, result: r})
+		c.bytes += int64(len(r))
 	}
 	for c.order.Len() > 1 &&
 		(c.order.Len() > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes)) {
@@ -79,6 +97,7 @@ func (c *resultCache) Put(hash string, result []byte) {
 		c.bytes -= int64(len(e.result))
 		delete(c.entries, e.hash)
 	}
+	return r
 }
 
 // Len returns the number of cached results.

@@ -109,13 +109,13 @@ func (s *Server) awaitPeerJob(ctx context.Context, addr string, st JobStatus, pr
 // owner and returns a local mirror job tracking the remote execution.
 // ok=false means no owner was reachable and the caller should run the
 // job locally.
-func (s *Server) forward(norm JobSpec, now time.Time, owners []cluster.Node) (*Job, bool) {
+func (s *Server) forward(norm JobSpec, hash string, now time.Time, owners []cluster.Node) (*Job, bool) {
 	owner, remote, ok := s.submitToOwner(context.Background(), norm, owners)
 	if !ok {
 		return nil, false
 	}
 	s.metrics.JobsForwarded.Add(1)
-	j := s.store.NewJob(norm, now)
+	j := s.store.NewJob(norm, hash, now)
 	if !j.markRemote(owner.ID, owner.Addr, remote.ID, now) {
 		return j, true // raced terminal; nothing else to do
 	}
@@ -174,12 +174,9 @@ func (s *Server) resolveRemote(j *Job, st JobStatus, b []byte) {
 	now := time.Now()
 	switch st.State {
 	case StateDone:
-		s.cache.Put(j.Hash, b)
-		if j.finishFromPeer(StateRemote, StateDone, b, "", st.Cached, now) {
-			s.metrics.JobsRemoteDone.Add(1)
-		}
+		j.finishFromPeer(StateRemote, StateDone, s.cache.Put(j.Hash, b), "", st.Cached, now, &s.metrics.JobsRemoteDone)
 	case StateFailed, StateCanceled:
-		j.finishFromPeer(StateRemote, st.State, nil, st.Error, false, now)
+		j.finishFromPeer(StateRemote, st.State, "", st.Error, false, now, nil)
 	}
 }
 
@@ -210,9 +207,7 @@ func (s *Server) reenqueueLocal(j *Job) {
 		return
 	}
 	if err := s.pool.Submit(j); err != nil {
-		if j.finish(StateFailed, nil, fmt.Errorf("re-enqueue after node death: %w", err), time.Now()) {
-			s.metrics.JobsFailed.Add(1)
-		}
+		j.finish(StateFailed, "", fmt.Errorf("re-enqueue after node death: %w", err), time.Now(), &s.metrics.JobsFailed)
 		return
 	}
 	s.metrics.JobsQueued.Add(1)
@@ -349,11 +344,11 @@ func (s *Server) stealJob(peer cluster.Node, sj stealableJob) bool {
 	}
 	s.metrics.JobsStolen.Add(1)
 	now := time.Now()
-	j := s.store.NewJob(norm, now)
+	j := s.store.NewJob(norm, sj.Hash, now)
 	j.setNode(s.selfID())
 	j.setOrigin(peer.ID, peer.Addr, sj.ID)
 	if err := s.pool.Submit(j); err != nil {
-		j.finish(StateFailed, nil, err, time.Now())
+		j.finish(StateFailed, "", err, time.Now(), nil)
 		// We cannot run it after all; let the owner re-queue it.
 		return giveBack()
 	}
@@ -478,14 +473,14 @@ func (s *Server) handleMembers(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.cache.Get(r.PathValue("hash"))
+	res, ok := s.cache.Load(r.PathValue("hash"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("not cached"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
+	_, _ = io.WriteString(w, res)
 }
 
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
@@ -548,14 +543,9 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	case req.Requeue:
 		s.reenqueueLocal(j)
 	case req.Error != "":
-		if j.finishFromPeer(StateClaimed, StateFailed, nil, req.Error, false, now) {
-			s.metrics.JobsFailed.Add(1)
-		}
+		j.finishFromPeer(StateClaimed, StateFailed, "", req.Error, false, now, &s.metrics.JobsFailed)
 	default:
-		s.cache.Put(j.Hash, req.Result)
-		if j.finishFromPeer(StateClaimed, StateDone, req.Result, "", false, now) {
-			s.metrics.JobsRemoteDone.Add(1)
-		}
+		j.finishFromPeer(StateClaimed, StateDone, s.cache.Put(j.Hash, req.Result), "", false, now, &s.metrics.JobsRemoteDone)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -209,6 +209,14 @@ func TestClusterExactlyOnceWithPeerCache(t *testing.T) {
 	if n := sumJobsDone(nodes); n != 1 {
 		t.Fatalf("cluster simulated %d times, want exactly 1", n)
 	}
+	// The forwarded mirrors carry the hash their submit computed.
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jb.Hash != norm.Hash() || jc.Hash != norm.Hash() {
+		t.Fatalf("mirror hashes %s, %s, want %s", jb.Hash, jc.Hash, norm.Hash())
+	}
 
 	// Both results decode to the same simulation output.
 	var r1, r2 sim.Result
@@ -425,7 +433,7 @@ func TestLatePeerReportDoesNotFinishRerun(t *testing.T) {
 	nd := newServerCluster(t, 1, newFakeClock(), nil)[0]
 	now := time.Now()
 	rerun := func(away func(*Job) bool) *Job {
-		j := nd.s.store.NewJob(fastSpec(1), now)
+		j := nd.s.store.NewJob(fastSpec(1), fastSpec(1).Hash(), now)
 		if !away(j) || !j.revertToQueued(now) || !j.tryStart(now, func() {}) {
 			t.Fatal("could not move the job away, back, and into a local run")
 		}

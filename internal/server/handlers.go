@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -104,17 +105,20 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	}{s.Jobs()})
 }
 
-// job resolves the {id} path value, writing a 404 on a miss.
+// job resolves the {id} path value, writing a 404 on a miss. The job
+// may never have existed, or it ended and the store has dropped it.
 func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	id := r.PathValue("id")
 	j, ok := s.store.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown job "+id))
+		writeError(w, http.StatusNotFound, errors.New("unknown or expired job "+id))
 	}
 	return j, ok
 }
 
-// maxStatusWait caps how long one status read may be held open.
+// maxStatusWait caps how long one status read may be held open. It is
+// also the store's grace for an ended job (see keepEnded): a job a
+// read was held on is still there when the read answers.
 const maxStatusWait = time.Minute
 
 // handleStatus answers with the job's status. With ?wait=<Go duration>
@@ -158,7 +162,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b, err := j.Result()
+	res, err := j.resultString()
 	if err != nil {
 		code := http.StatusConflict // not ready yet
 		if st := j.Status().State; st == StateFailed || st == StateCanceled {
@@ -169,7 +173,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
+	_, _ = io.WriteString(w, res)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

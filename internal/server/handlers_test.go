@@ -218,7 +218,7 @@ func TestHTTPListAndMetrics(t *testing.T) {
 	defer mresp.Body.Close()
 	n, _ = mresp.Body.Read(buf)
 	body := string(buf[:n])
-	for _, key := range []string{"jobs_submitted", "jobs_done", "cache_hit_rate", "queue_wait_ms", "sim_cycles_total"} {
+	for _, key := range []string{"jobs_submitted", "jobs_done", "jobs_stored", "jobs_expired", "cache_hit_rate", "queue_wait_ms", "sim_cycles_total"} {
 		if !strings.Contains(body, key) {
 			t.Errorf("/debug/vars missing %s:\n%s", key, body)
 		}

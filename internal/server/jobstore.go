@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"expvar"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -81,11 +82,13 @@ type Job struct {
 	Hash string
 	Spec JobSpec // normalized
 
+	store *Store // told when the job ends; nil for a job outside a store
+
 	mu          sync.Mutex
 	state       JobState
 	cached      bool
 	progress    Progress
-	result      []byte // JSON, set in StateDone
+	result      string // JSON, set in StateDone; shared with the result cache
 	err         string
 	submittedAt time.Time
 	startedAt   time.Time
@@ -112,9 +115,11 @@ type originRef struct {
 	ID     string
 }
 
-func newJob(id string, spec JobSpec, now time.Time) *Job {
+// newJob builds a queued job; hash is spec.Hash(), which every caller
+// already holds.
+func newJob(id string, spec JobSpec, hash string, now time.Time) *Job {
 	return &Job{
-		ID: id, Hash: spec.Hash(), Spec: spec,
+		ID: id, Hash: hash, Spec: spec,
 		state: StateQueued, submittedAt: now,
 		done: make(chan struct{}),
 	}
@@ -141,20 +146,31 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Result returns the job's result JSON, or an error describing why it
-// is not available.
+// Result returns a copy of the job's result JSON, or an error
+// describing why it is not available.
 func (j *Job) Result() ([]byte, error) {
+	r, err := j.resultString()
+	if err != nil {
+		return nil, err
+	}
+	return []byte(r), nil
+}
+
+// resultString returns the job's result JSON as the string it shares
+// with the result cache, or an error describing why it is not
+// available.
+func (j *Job) resultString() (string, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
 	case StateDone:
 		return j.result, nil
 	case StateFailed:
-		return nil, fmt.Errorf("job %s failed: %s", j.ID, j.err)
+		return "", fmt.Errorf("job %s failed: %s", j.ID, j.err)
 	case StateCanceled:
-		return nil, fmt.Errorf("job %s was canceled", j.ID)
+		return "", fmt.Errorf("job %s was canceled", j.ID)
 	default:
-		return nil, fmt.Errorf("job %s is %s; result not ready", j.ID, j.state)
+		return "", fmt.Errorf("job %s is %s; result not ready", j.ID, j.state)
 	}
 }
 
@@ -176,9 +192,10 @@ func (j *Job) tryStart(now time.Time, cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish moves the job to a terminal state. It is a no-op if the job
-// is already terminal (e.g. canceled racing completion).
-func (j *Job) finish(state JobState, result []byte, err error, now time.Time) bool {
+// finish moves the job to a terminal state and bumps count (if
+// non-nil) before Done closes. It is a no-op if the job is already
+// terminal (e.g. canceled racing completion).
+func (j *Job) finish(state JobState, result string, err error, now time.Time, count *expvar.Int) bool {
 	msg := ""
 	if err != nil {
 		msg = err.Error()
@@ -188,7 +205,7 @@ func (j *Job) finish(state JobState, result []byte, err error, now time.Time) bo
 	if j.state.Terminal() {
 		return false
 	}
-	j.end(state, result, msg, false, now)
+	j.end(state, result, msg, false, now, count)
 	return true
 }
 
@@ -196,11 +213,16 @@ func (j *Job) finish(state JobState, result []byte, err error, now time.Time) bo
 // claimed) jobs go terminal immediately; running jobs get their
 // context canceled and go terminal when the simulation loop notices.
 // It reports whether the call had any effect.
-func (j *Job) Cancel(now time.Time) bool {
+func (j *Job) Cancel(now time.Time) bool { return j.cancelCounted(now, nil) }
+
+// cancelCounted is Cancel that also bumps count (if non-nil) when it
+// ends the job, before Done closes. A running job is counted by the
+// worker that ends it.
+func (j *Job) cancelCounted(now time.Time, count *expvar.Int) bool {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued, StateRemote, StateClaimed:
-		j.end(StateCanceled, nil, "canceled while "+string(j.state), false, now)
+		j.end(StateCanceled, "", "canceled while "+string(j.state), false, now, count)
 		j.mu.Unlock()
 		return true
 	}
@@ -236,11 +258,11 @@ func (j *Job) setCellProgress(done, cached, pruned, total int) {
 }
 
 // markCached fills a freshly submitted job from a cache hit: it is
-// born terminal.
-func (j *Job) markCached(result []byte, now time.Time) {
+// born terminal, sharing the cache's result string.
+func (j *Job) markCached(result string, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.end(StateDone, result, "", true, now)
+	j.end(StateDone, result, "", true, now, nil)
 }
 
 // State returns the job's current lifecycle state.
@@ -321,25 +343,34 @@ func (j *Job) revertToQueued(now time.Time) bool {
 // local form). It acts only while the job is still in state from, the
 // state the report belongs to: StateClaimed for a thief's report,
 // StateRemote for an owner's. A late report for a job that was
-// re-enqueued and started here since is dropped.
-func (j *Job) finishFromPeer(from, state JobState, result []byte, errstr string, cached bool, now time.Time) bool {
+// re-enqueued and started here since is dropped. count (if non-nil)
+// is bumped before Done closes.
+func (j *Job) finishFromPeer(from, state JobState, result, errstr string, cached bool, now time.Time, count *expvar.Int) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != from {
 		return false
 	}
-	j.end(state, result, errstr, cached, now)
+	j.end(state, result, errstr, cached, now, count)
 	return true
 }
 
-// end moves the job to a terminal state; j.mu must be held.
-func (j *Job) end(state JobState, result []byte, errstr string, cached bool, now time.Time) {
+// end moves the job to a terminal state; j.mu must be held. It bumps
+// count (if non-nil) and enters the job in its store's retention
+// order before it closes Done, so whoever wakes on Done sees both.
+func (j *Job) end(state JobState, result, errstr string, cached bool, now time.Time, count *expvar.Int) {
 	j.state = state
 	j.result = result
 	j.err = errstr
 	j.cached = cached
 	j.finishedAt = now
 	j.cancel = nil
+	if count != nil {
+		count.Add(1)
+	}
+	if j.store != nil {
+		j.store.ended(j.ID, now)
+	}
 	close(j.done)
 }
 
@@ -369,13 +400,35 @@ func (j *Job) setProgress(p Progress) {
 	j.mu.Unlock()
 }
 
-// Store is the in-memory job registry.
+// keepEnded is how many of the most recently ended jobs the store
+// always keeps. An older ended job is also kept until it ended more
+// than maxStatusWait ago, so a held status read, a client's result
+// fetch or a mirror's result GET that follows a job's end never finds
+// it gone. The job's result outlives it in the result cache.
+const keepEnded = 1024
+
+// Store is the in-memory job registry. It forgets ended jobs: a
+// terminal job is dropped once keepEnded newer jobs have ended and it
+// ended more than maxStatusWait ago. Queued, running, remote and
+// claimed jobs are never dropped.
 type Store struct {
 	mu     sync.Mutex
 	prefix string // cluster: node-scoped ID prefix, "" standalone
 	jobs   map[string]*Job
-	ids    []string // submission order, for listing
-	seq    atomic.Uint64
+	// ids is the submission order, for listing. Dropped jobs' IDs stay
+	// in it until they are half of it.
+	ids []string
+	// endOrder holds the stored terminal jobs in the order they ended,
+	// oldest first.
+	endOrder []endedJob
+	expired  int64 // jobs dropped so far
+	seq      atomic.Uint64
+}
+
+// endedJob is one terminal job in the store's retention order.
+type endedJob struct {
+	id string
+	at time.Time // when it ended
 }
 
 // NewStore returns an empty registry.
@@ -392,25 +445,72 @@ func (s *Store) SetIDPrefix(p string) {
 	s.mu.Unlock()
 }
 
-// NewJob registers a new queued job for the spec.
-func (s *Store) NewJob(spec JobSpec, now time.Time) *Job {
+// NewJob registers a new queued job for the spec, whose hash the
+// caller already holds, and first drops the ended jobs that have
+// expired by now.
+func (s *Store) NewJob(spec JobSpec, hash string, now time.Time) *Job {
 	s.mu.Lock()
+	s.expire(now)
 	id := fmt.Sprintf("%sj%08x", s.prefix, s.seq.Add(1))
-	j := newJob(id, spec, now)
+	j := newJob(id, spec, hash, now)
+	j.store = s
 	s.jobs[id] = j
 	s.ids = append(s.ids, id)
 	s.mu.Unlock()
 	return j
 }
 
-// Snapshot returns every job in submission order (live pointers, for
-// cluster sweeps).
+// ended enters a job that just ended at `at` in the retention order.
+func (s *Store) ended(id string, at time.Time) {
+	s.mu.Lock()
+	s.endOrder = append(s.endOrder, endedJob{id, at})
+	s.mu.Unlock()
+}
+
+// expire drops the oldest ended jobs while more than keepEnded have
+// ended after them and they ended more than maxStatusWait before now.
+// Each job enters endOrder once and leaves it once, so the work is
+// O(1) amortized per job. s.mu must be held.
+func (s *Store) expire(now time.Time) {
+	n := 0
+	for len(s.endOrder)-n > keepEnded && now.Sub(s.endOrder[n].at) > maxStatusWait {
+		delete(s.jobs, s.endOrder[n].id)
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	s.endOrder = s.endOrder[n:]
+	s.expired += int64(n)
+	if len(s.ids) > 2*len(s.jobs) {
+		ids := make([]string, 0, len(s.jobs))
+		for _, id := range s.ids {
+			if _, ok := s.jobs[id]; ok {
+				ids = append(ids, id)
+			}
+		}
+		s.ids = ids
+	}
+}
+
+// Stats returns how many jobs the store holds and how many it has
+// dropped, in one lock.
+func (s *Store) Stats() (stored int, expired int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.jobs), s.expired
+}
+
+// Snapshot returns every stored job in submission order (live
+// pointers, for cluster sweeps).
 func (s *Store) Snapshot() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.ids))
+	out := make([]*Job, 0, len(s.jobs))
 	for _, id := range s.ids {
-		out = append(out, s.jobs[id])
+		if j, ok := s.jobs[id]; ok {
+			out = append(out, j)
+		}
 	}
 	return out
 }

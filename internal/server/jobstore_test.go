@@ -42,19 +42,19 @@ func TestJobCancelRaces(t *testing.T) {
 		{
 			name:    "running: completion vs cancel",
 			prep:    func(j *Job) { j.tryStart(now, func() {}) },
-			rival:   func(j *Job) bool { return j.finish(StateDone, []byte("{}"), nil, now) },
+			rival:   func(j *Job) bool { return j.finish(StateDone, "{}", nil, now, nil) },
 			allowed: map[JobState]bool{StateDone: true, StateCanceled: true},
 		},
 		{
 			name:    "remote: peer completion vs cancel",
 			prep:    func(j *Job) { j.markRemote("owner", "http://x", "rid", now) },
-			rival:   func(j *Job) bool { return j.finishFromPeer(StateRemote, StateDone, []byte("{}"), "", true, now) },
+			rival:   func(j *Job) bool { return j.finishFromPeer(StateRemote, StateDone, "{}", "", true, now, nil) },
 			allowed: map[JobState]bool{StateDone: true, StateCanceled: true},
 		},
 		{
 			name:    "claimed: thief completion vs cancel",
 			prep:    func(j *Job) { j.tryClaim("thief", "http://x", now) },
-			rival:   func(j *Job) bool { return j.finishFromPeer(StateClaimed, StateFailed, nil, "boom", false, now) },
+			rival:   func(j *Job) bool { return j.finishFromPeer(StateClaimed, StateFailed, "", "boom", false, now, nil) },
 			allowed: map[JobState]bool{StateFailed: true, StateCanceled: true},
 		},
 		{
@@ -70,7 +70,7 @@ func TestJobCancelRaces(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for iter := 0; iter < 200; iter++ {
-				j := newJob("j1", fastSpec(uint64(iter)), now)
+				j := newJob("j1", fastSpec(uint64(iter)), fastSpec(uint64(iter)).Hash(), now)
 				if tc.prep != nil {
 					tc.prep(j)
 				}
@@ -101,7 +101,7 @@ func TestJobCancelRaces(t *testing.T) {
 func TestJobStartClaimExclusive(t *testing.T) {
 	now := time.Now()
 	for iter := 0; iter < 500; iter++ {
-		j := newJob("j1", fastSpec(1), now)
+		j := newJob("j1", fastSpec(1), fastSpec(1).Hash(), now)
 		var started, claimed bool
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -122,7 +122,7 @@ func TestStoreIDPrefix(t *testing.T) {
 	a.SetIDPrefix("node-a-")
 	b.SetIDPrefix("node-b-")
 	now := time.Now()
-	ja, jb := a.NewJob(fastSpec(1), now), b.NewJob(fastSpec(1), now)
+	ja, jb := a.NewJob(fastSpec(1), fastSpec(1).Hash(), now), b.NewJob(fastSpec(1), fastSpec(1).Hash(), now)
 	if ja.ID == jb.ID {
 		t.Fatalf("job IDs collide across stores: %s", ja.ID)
 	}
@@ -135,7 +135,7 @@ func TestStoreIDPrefix(t *testing.T) {
 // produces a clean re-runnable job.
 func TestJobRevertClearsExecutionState(t *testing.T) {
 	now := time.Now()
-	j := newJob("j1", fastSpec(1), now)
+	j := newJob("j1", fastSpec(1), fastSpec(1).Hash(), now)
 	if !j.markRemote("owner", "http://x", "rid", now) {
 		t.Fatal("markRemote failed")
 	}

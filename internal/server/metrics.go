@@ -71,15 +71,21 @@ type Metrics struct {
 	once  sync.Once
 	vars  *expvar.Map
 
-	// cacheStats / clusterInfo are optional live views wired by the
-	// server before the first Vars call.
+	// cacheStats / storeStats / clusterInfo are optional live views
+	// wired by the server before the first Vars call.
 	cacheStats  func() (entries int, bytes int64)
+	storeStats  func() (stored int, expired int64)
 	clusterInfo func() any
 }
 
 // SetCacheStats wires the result cache's live size into the expvar
 // document (cache_entries / cache_bytes). Call before the first Vars.
 func (m *Metrics) SetCacheStats(fn func() (entries int, bytes int64)) { m.cacheStats = fn }
+
+// SetStoreStats wires the job store's size and its count of dropped
+// ended jobs into the expvar document (jobs_stored / jobs_expired).
+// Call before the first Vars.
+func (m *Metrics) SetStoreStats(fn func() (stored int, expired int64)) { m.storeStats = fn }
 
 // SetClusterInfo wires a live cluster summary into the expvar
 // document's "cluster" key. Call before the first Vars.
@@ -177,6 +183,10 @@ func (m *Metrics) Vars() *expvar.Map {
 		mp.Set("jobs_stolen", &m.JobsStolen)
 		mp.Set("jobs_stolen_away", &m.JobsStolenAway)
 		mp.Set("jobs_reenqueued", &m.JobsReenqueued)
+		if m.storeStats != nil {
+			mp.Set("jobs_stored", expvar.Func(func() any { n, _ := m.storeStats(); return n }))
+			mp.Set("jobs_expired", expvar.Func(func() any { _, n := m.storeStats(); return n }))
+		}
 		mp.Set("cache_hits", &m.CacheHits)
 		mp.Set("cache_misses", &m.CacheMisses)
 		mp.Set("cache_hit_rate", expvar.Func(func() any { return m.CacheHitRate() }))

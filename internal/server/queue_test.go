@@ -16,7 +16,7 @@ func testJob(t *testing.T, seed uint64) *Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newJob("t1", spec, time.Now())
+	return newJob("t1", spec, spec.Hash(), time.Now())
 }
 
 func TestPoolRunsEverythingWithFewWorkers(t *testing.T) {
@@ -32,7 +32,7 @@ func TestPoolRunsEverythingWithFewWorkers(t *testing.T) {
 	const n = 32 // far more jobs than workers
 	for i := 0; i < n; i++ {
 		spec, _ := JobSpec{Policy: "pom", Workload: "bwaves", Seed: uint64(i + 1)}.Normalize()
-		j := newJob(fmt.Sprintf("job-%d", i), spec, time.Now())
+		j := newJob(fmt.Sprintf("job-%d", i), spec, spec.Hash(), time.Now())
 		if err := p.Submit(j); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

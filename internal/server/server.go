@@ -106,6 +106,7 @@ func New(opts Options) *Server {
 		cl:      opts.Cluster,
 	}
 	s.metrics.SetCacheStats(s.cache.Stats)
+	s.metrics.SetStoreStats(s.store.Stats)
 	if s.cl != nil {
 		s.store.SetIDPrefix(s.cl.Self().ID + "-")
 		s.metrics.SetClusterInfo(s.clusterInfo)
@@ -165,9 +166,9 @@ func (s *Server) submit(spec JobSpec, forwardedFrom string) (*Job, error) {
 	s.metrics.JobsSubmitted.Add(1)
 	now := time.Now()
 	hash := norm.Hash()
-	if res, ok := s.cache.Get(hash); ok {
+	if res, ok := s.cache.Load(hash); ok {
 		s.metrics.CacheHits.Add(1)
-		j := s.store.NewJob(norm, now)
+		j := s.store.NewJob(norm, hash, now)
 		j.setNode(s.selfID())
 		j.markCached(res, now)
 		return j, nil
@@ -179,7 +180,7 @@ func (s *Server) submit(spec JobSpec, forwardedFrom string) (*Job, error) {
 		// stops forward chains), and trace replays never leave the node
 		// holding the trace file.
 		if !selfOwned && forwardedFrom == "" && norm.TracePath == "" {
-			if j, ok := s.forward(norm, now, owners); ok {
+			if j, ok := s.forward(norm, hash, now, owners); ok {
 				return j, nil
 			}
 			// Owner unreachable: serve locally — a dead owner costs the
@@ -187,18 +188,17 @@ func (s *Server) submit(spec JobSpec, forwardedFrom string) (*Job, error) {
 		}
 		if b, ok := s.peerCacheGet(hash, owners); ok {
 			s.metrics.PeerCacheHits.Add(1)
-			s.cache.Put(hash, b)
-			j := s.store.NewJob(norm, now)
+			res := s.cache.Put(hash, b)
+			j := s.store.NewJob(norm, hash, now)
 			j.setNode(s.selfID())
-			j.markCached(b, now)
+			j.markCached(res, now)
 			return j, nil
 		}
 	}
-	j := s.store.NewJob(norm, now)
+	j := s.store.NewJob(norm, hash, now)
 	j.setNode(s.selfID())
 	if err := s.pool.Submit(j); err != nil {
-		j.finish(StateFailed, nil, err, time.Now())
-		s.metrics.JobsFailed.Add(1)
+		j.finish(StateFailed, "", err, time.Now(), &s.metrics.JobsFailed)
 		return nil, err
 	}
 	s.metrics.JobsQueued.Add(1)
@@ -217,11 +217,11 @@ func (s *Server) Jobs() []JobStatus { return s.store.List() }
 func (s *Server) Cancel(id string) (bool, error) {
 	j, ok := s.store.Get(id)
 	if !ok {
-		return false, fmt.Errorf("unknown job %q", id)
+		return false, fmt.Errorf("unknown or expired job %q", id)
 	}
 	wasRemote := j.State() == StateRemote
 	_, raddr, rid := j.remoteRef()
-	canceled := j.Cancel(time.Now())
+	canceled := j.cancelCounted(time.Now(), &s.metrics.JobsCanceled)
 	if canceled && wasRemote && s.clustered() && raddr != "" && rid != "" {
 		go s.cancelRemote(raddr, rid)
 	}
@@ -248,32 +248,27 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// runJob executes one dequeued job on a worker goroutine.
+// runJob executes one dequeued job on a worker goroutine. Whatever
+// ends the job counts it, and the running gauge drops, before the
+// job's Done closes.
 func (s *Server) runJob(j *Job) {
 	now := time.Now()
 	s.metrics.JobsQueued.Add(-1)
 	if s.draining.Err() != nil {
 		// Drain mode: queued jobs are canceled, not started.
-		if j.Cancel(now) {
-			s.metrics.JobsCanceled.Add(1)
-		}
+		j.cancelCounted(now, &s.metrics.JobsCanceled)
 		return
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, j.Spec.Timeout(s.opts.DefaultTimeout))
 	defer cancel()
 	if !j.tryStart(now, cancel) {
-		if j.State() == StateClaimed {
-			// Stolen off our queue while waiting: the thief owns it now
-			// and reports its completion via the peer protocol.
-			return
-		}
-		// Canceled while waiting in the queue.
-		s.metrics.JobsCanceled.Add(1)
+		// Canceled while waiting in the queue (Server.Cancel counted
+		// it), or stolen off our queue: the thief owns it now and
+		// reports its completion via the peer protocol.
 		return
 	}
 	s.metrics.ObserveQueueWait(now.Sub(j.Status().SubmittedAt))
 	s.metrics.JobsRunning.Add(1)
-	defer s.metrics.JobsRunning.Add(-1)
 
 	var payload any
 	var err error
@@ -292,29 +287,21 @@ func (s *Server) runJob(j *Job) {
 		b, err = marshalResult(payload)
 	}
 	fin := time.Now()
+	s.metrics.JobsRunning.Add(-1)
 	if err != nil {
-		state := StateFailed
+		state, count := StateFailed, &s.metrics.JobsFailed
 		if errors.Is(err, context.Canceled) {
-			state = StateCanceled
+			state, count = StateCanceled, &s.metrics.JobsCanceled
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
 			err = fmt.Errorf("deadline exceeded after %s: %w",
 				j.Spec.Timeout(s.opts.DefaultTimeout), err)
 		}
-		if j.finish(state, nil, err, fin) {
-			if state == StateCanceled {
-				s.metrics.JobsCanceled.Add(1)
-			} else {
-				s.metrics.JobsFailed.Add(1)
-			}
-		}
+		j.finish(state, "", err, fin, count)
 		s.reportToOrigin(j, nil, err)
 		return
 	}
-	s.cache.Put(j.Hash, b)
-	if j.finish(StateDone, b, nil, fin) {
-		s.metrics.JobsDone.Add(1)
-	}
+	j.finish(StateDone, s.cache.Put(j.Hash, b), nil, fin, &s.metrics.JobsDone)
 	if s.clustered() {
 		// Replicate to the ring owner and replica so a node death
 		// loses capacity, not results.

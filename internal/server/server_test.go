@@ -118,6 +118,14 @@ func TestDuplicateSubmitHitsCache(t *testing.T) {
 	if string(r1) != string(r2) {
 		t.Fatal("cached result differs from original")
 	}
+	// Miss and hit alike, the job carries the hash submit computed.
+	norm, err := fastSpec(4).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j1.Hash != norm.Hash() || j2.Hash != norm.Hash() {
+		t.Fatalf("job hashes %s (miss), %s (hit), want %s", j1.Hash, j2.Hash, norm.Hash())
+	}
 	if s.Metrics().CacheHits.Value() != 1 {
 		t.Fatalf("cache hits = %d, want 1", s.Metrics().CacheHits.Value())
 	}
@@ -462,7 +470,7 @@ func TestStoreListOrder(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 5; i++ {
-		ids = append(ids, st.NewJob(spec, time.Now()).ID)
+		ids = append(ids, st.NewJob(spec, spec.Hash(), time.Now()).ID)
 	}
 	list := st.List()
 	if len(list) != 5 {

@@ -76,7 +76,7 @@ func TestStatusWaitReturnsOnFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := s.store.NewJob(norm, time.Now())
+	j := s.store.NewJob(norm, norm.Hash(), time.Now())
 	if !j.tryStart(time.Now(), func() {}) {
 		t.Fatal("job did not start")
 	}
@@ -92,7 +92,7 @@ func TestStatusWaitReturnsOnFinish(t *testing.T) {
 	}()
 	time.Sleep(100 * time.Millisecond) // let the read reach the handler
 	finished := time.Now()
-	j.finish(StateDone, []byte(`{}`), nil, finished)
+	j.finish(StateDone, `{}`, nil, finished, nil)
 	select {
 	case a := <-got:
 		lag := a.at.Sub(finished)
@@ -117,7 +117,7 @@ func TestStatusWaitReleasedByShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := s.store.NewJob(norm, time.Now()) // never reaches a worker
+	j := s.store.NewJob(norm, norm.Hash(), time.Now()) // never reaches a worker
 	got := make(chan int, 1)
 	go func() {
 		code, _ := getStatus(t, ts.URL+"/v1/jobs/"+j.ID+"?wait=1m")
