@@ -16,6 +16,20 @@
 // by the core model's BaseCPI. The deltas are hoisted at construction
 // so Access performs no per-level arithmetic beyond one addition.
 //
+// # Split walk
+//
+// Access is the composition of two phases. AccessPrivate walks the
+// core-private prefix and records what the shared levels still owe as
+// SharedOps; AccessShared replays them. AccessPrivate is itself a probe
+// of First(core), the core's first-level cache, and on a miss the
+// MissPrivate continuation, which takes the probe's victim and walks
+// the remaining private levels. Because level 0's delta is always 0, a
+// first-level hit is a complete walk, and a caller that makes the probe
+// itself (the simulator's step loop) pays one cache access per hit.
+// Each phase has one implementation, and ref_test.go checks the probe
+// plus continuation against the hand-written walk reference by
+// reference.
+//
 // # Writeback semantics
 //
 // A miss that evicts a dirty line cascades the victim into the next
@@ -186,11 +200,45 @@ func (h *Hierarchy) Access(core int, phys uint64, write bool, now uint64) (stall
 // step never touches shared state. ops entries alias no hierarchy
 // storage; distinct cores may walk their private prefixes concurrently
 // provided each passes its own buffer.
+//
+// It is the composition of a probe of First(core) and, on a miss,
+// MissPrivate; the simulator's step loop makes the probe itself so that
+// a first-level hit costs one cache access and no walk.
 func (h *Hierarchy) AccessPrivate(core int, phys uint64, write bool, now uint64, ops []SharedOp) (stall uint64, hit bool, out []SharedOp) {
-	for i := 0; i < h.firstShared; i++ {
+	l1 := h.First(core)
+	if l1 == nil {
+		return 0, false, append(ops, SharedOp{Addr: phys, Demand: true})
+	}
+	hit, v, hv := l1.Access(phys, write)
+	if hit {
+		return 0, true, ops
+	}
+	return h.MissPrivate(core, phys, now, v, hv, ops)
+}
+
+// First returns core's first-level cache when the first level is
+// private, else nil. A hit there is a whole private walk: the first
+// level's delta is 0 (see New) and a hit evicts nothing.
+func (h *Hierarchy) First(core int) *cache.Cache {
+	if h.firstShared == 0 {
+		return nil
+	}
+	return h.levels[0].caches[core]
+}
+
+// MissPrivate continues a private walk whose demand reference to phys
+// missed First(core), given the victim that probe returned: it cascades
+// a dirty victim, then walks the remaining private levels exactly as
+// AccessPrivate does, with the same results. Only the first level sees
+// the reference's write flag, so the continuation needs none.
+func (h *Hierarchy) MissPrivate(core int, phys, now uint64, victim cache.Victim, hasVictim bool, ops []SharedOp) (stall uint64, hit bool, out []SharedOp) {
+	if hasVictim && victim.Dirty {
+		ops = h.spillPrivate(core, victim.Addr, 1, now, ops)
+	}
+	for i := 1; i < h.firstShared; i++ {
 		lv := &h.levels[i]
 		stall += lv.delta
-		hit, v, hv := lv.caches[core].Access(phys, write && i == 0)
+		hit, v, hv := lv.caches[core].Access(phys, false)
 		if hit {
 			return stall, true, ops
 		}

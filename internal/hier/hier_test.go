@@ -82,6 +82,50 @@ func TestLatencyDeltas(t *testing.T) {
 	}
 }
 
+// TestFirstLevelDeltaIsZero: New charges nothing before probing level
+// 0, whatever its configured latency and whether it is private or
+// shared — the simulator retires a First(core) hit with no stall on
+// that guarantee. First returns the core's own level-0 cache when the
+// level is private and nil when it is shared.
+func TestFirstLevelDeltaIsZero(t *testing.T) {
+	for _, lat0 := range []uint64{0, 1, 4, 12, 1000} {
+		for depth := 1; depth <= 3; depth++ {
+			for _, shared0 := range []bool{false, true} {
+				levels := threeLevels()[:depth]
+				levels[0].LatencyCycles = lat0
+				for i := 1; i < depth; i++ {
+					levels[i].LatencyCycles = lat0 + uint64(i)*10
+				}
+				levels[0].Shared = shared0
+				h, err := New(levels, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := h.levels[0].delta; d != 0 {
+					t.Errorf("lat0 %d depth %d shared %v: level 0 delta %d, want 0", lat0, depth, shared0, d)
+				}
+				for core := range 3 {
+					got := h.First(core)
+					if shared0 && got != nil {
+						t.Errorf("depth %d: First(%d) of a shared level 0 = %v, want nil", depth, core, got)
+					}
+					if !shared0 && got != h.levels[0].caches[core] {
+						t.Errorf("depth %d: First(%d) is not the core's own level-0 cache", depth, core)
+					}
+				}
+				if shared0 {
+					continue
+				}
+				// A level-0 hit through the whole walk costs nothing either.
+				h.Access(0, 0, false, 0)
+				if stall, miss, _ := h.Access(0, 0, false, 1); stall != 0 || miss {
+					t.Errorf("lat0 %d depth %d: level-0 hit stall %d miss %v, want 0 false", lat0, depth, stall, miss)
+				}
+			}
+		}
+	}
+}
+
 // TestPrivateVsShared: private levels isolate cores; a shared LLC is
 // one cache they all hit.
 func TestPrivateVsShared(t *testing.T) {

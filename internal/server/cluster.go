@@ -201,16 +201,19 @@ func (s *Server) sweepDead() {
 }
 
 // reenqueueLocal returns a job stranded on a dead node to the local
-// worker pool.
+// worker pool. A claimed job whose first queue entry is still waiting
+// keeps that entry instead of taking a second slot.
 func (s *Server) reenqueueLocal(j *Job) {
-	if !j.revertToQueued(time.Now()) {
+	reverted, submit := j.revertToQueued(time.Now())
+	if !reverted {
 		return
 	}
-	if err := s.pool.Submit(j); err != nil {
-		j.finish(StateFailed, "", fmt.Errorf("re-enqueue after node death: %w", err), time.Now(), &s.metrics.JobsFailed)
-		return
+	if submit {
+		if err := s.enqueue(j); err != nil {
+			j.finish(StateFailed, "", fmt.Errorf("re-enqueue after node death: %w", err), time.Now(), &s.metrics.JobsFailed)
+			return
+		}
 	}
-	s.metrics.JobsQueued.Add(1)
 	s.metrics.JobsReenqueued.Add(1)
 }
 
@@ -347,12 +350,11 @@ func (s *Server) stealJob(peer cluster.Node, sj stealableJob) bool {
 	j := s.store.NewJob(norm, sj.Hash, now)
 	j.setNode(s.selfID())
 	j.setOrigin(peer.ID, peer.Addr, sj.ID)
-	if err := s.pool.Submit(j); err != nil {
+	if err := s.enqueue(j); err != nil {
 		j.finish(StateFailed, "", err, time.Now(), nil)
 		// We cannot run it after all; let the owner re-queue it.
 		return giveBack()
 	}
-	s.metrics.JobsQueued.Add(1)
 	return true
 }
 

@@ -434,8 +434,11 @@ func TestLatePeerReportDoesNotFinishRerun(t *testing.T) {
 	now := time.Now()
 	rerun := func(away func(*Job) bool) *Job {
 		j := nd.s.store.NewJob(fastSpec(1), fastSpec(1).Hash(), now)
-		if !away(j) || !j.revertToQueued(now) || !j.tryStart(now, func() {}) {
-			t.Fatal("could not move the job away, back, and into a local run")
+		if !away(j) {
+			t.Fatal("could not move the job away")
+		}
+		if reverted, _ := j.revertToQueued(now); !reverted || !j.tryStart(now, func() {}) {
+			t.Fatal("could not move the job back and into a local run")
 		}
 		return j
 	}

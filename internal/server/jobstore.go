@@ -87,6 +87,7 @@ type Job struct {
 	mu          sync.Mutex
 	state       JobState
 	cached      bool
+	pooled      bool // an entry waits in the worker pool's queue (Server.enqueue)
 	progress    Progress
 	result      string // JSON, set in StateDone; shared with the result cache
 	err         string
@@ -183,6 +184,7 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 func (j *Job) tryStart(now time.Time, cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.pooled = false // the worker calling tryStart took the entry
 	if j.state != StateQueued {
 		return false
 	}
@@ -323,19 +325,31 @@ func (j *Job) tryClaim(by, addr string, now time.Time) bool {
 }
 
 // revertToQueued returns a remote or claimed job to the local queue
-// after its executing node died. The caller must re-submit it to the
-// worker pool on success.
-func (j *Job) revertToQueued(now time.Time) bool {
+// after its executing node died. It reports whether the job was
+// reverted and whether the caller must submit it to the worker pool: a
+// claimed job whose first entry is still waiting in the queue is run by
+// that entry, so it must not take a second slot.
+func (j *Job) revertToQueued(now time.Time) (reverted, submit bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRemote && j.state != StateClaimed {
-		return false
+		return false, false
 	}
+	submit = !j.pooled
+	j.pooled = true
 	j.state = StateQueued
 	j.node, j.nodeAddr, j.remoteID = "", "", ""
 	j.startedAt = time.Time{}
 	j.progress = Progress{}
-	return true
+	return true, submit
+}
+
+// setPooled records that an entry of the job is about to wait in the
+// worker pool's queue.
+func (j *Job) setPooled() {
+	j.mu.Lock()
+	j.pooled = true
+	j.mu.Unlock()
 }
 
 // finishFromPeer moves the job to a terminal state with the error text

@@ -62,7 +62,7 @@ func TestJobCancelRaces(t *testing.T) {
 			prep: func(j *Job) { j.markRemote("owner", "http://x", "rid", now) },
 			// revert then (sequentially) cancel can both succeed; the job
 			// must never end half-reverted.
-			rival:   func(j *Job) bool { return j.revertToQueued(now) },
+			rival:   func(j *Job) bool { reverted, _ := j.revertToQueued(now); return reverted },
 			allowed: map[JobState]bool{StateQueued: true, StateCanceled: true},
 		},
 	}
@@ -140,8 +140,9 @@ func TestJobRevertClearsExecutionState(t *testing.T) {
 		t.Fatal("markRemote failed")
 	}
 	j.setProgress(Progress{Epochs: 7})
-	if !j.revertToQueued(now) {
-		t.Fatal("revertToQueued failed")
+	// A mirror never had a pool entry, so the caller must submit it.
+	if reverted, submit := j.revertToQueued(now); !reverted || !submit {
+		t.Fatalf("revertToQueued = %v, %v; want true, true", reverted, submit)
 	}
 	st := j.Status()
 	if st.State != StateQueued || st.Node != "" || st.RemoteID != "" ||

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -284,4 +285,69 @@ func get(t *testing.T, url string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(b)
+}
+
+// TestReenqueueKeepsQueuedEntry: a claim reverted while the job's
+// first queue entry is still waiting (the thief gave it back before a
+// worker reached it) must not queue the job a second time. The job
+// keeps its one slot, the queue's other slots stay free for fresh
+// submissions, and the job runs once.
+func TestReenqueueKeepsQueuedEntry(t *testing.T) {
+	for _, depth := range []int{1, 2} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			s := newTestServer(t, Options{Workers: 1, QueueDepth: depth})
+			m := s.Metrics()
+			blocker, err := s.Submit(slowSpec(81)) // occupies the only worker
+			if err != nil {
+				t.Fatal(err)
+			}
+			for blocker.State() != StateRunning {
+				time.Sleep(time.Millisecond)
+			}
+			j, err := s.Submit(fastSpec(82))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !j.tryClaim("node-x", "http://x", time.Now()) {
+				t.Fatal("could not claim the queued job")
+			}
+			s.reenqueueLocal(j)
+			if st := j.Status(); st.State != StateQueued {
+				t.Fatalf("reverted job is %s (err %q), want queued", st.State, st.Error)
+			}
+			if q := m.JobsQueued.Value(); q != 1 {
+				t.Errorf("jobs_queued = %d after the revert, want 1", q)
+			}
+			// Every other slot is still free while the worker is busy.
+			var fresh []*Job
+			for k := 1; k < depth; k++ {
+				f, err := s.Submit(fastSpec(uint64(83 + k)))
+				if err != nil {
+					t.Fatalf("fresh submission %d rejected with %d of %d slots in use: %v", k, k, depth, err)
+				}
+				fresh = append(fresh, f)
+			}
+			if ok, _ := s.Cancel(blocker.ID); !ok {
+				t.Fatal("cancel running blocker failed")
+			}
+			if st := waitTerminal(t, j, 30*time.Second); st.State != StateDone {
+				t.Fatalf("reverted job ended %s (err %q), want done", st.State, st.Error)
+			}
+			f, err := s.Submit(fastSpec(90))
+			if err != nil {
+				t.Fatalf("fresh submission after the reverted job ran: %v", err)
+			}
+			for _, f := range append(fresh, f) {
+				if st := waitTerminal(t, f, 30*time.Second); st.State != StateDone {
+					t.Fatalf("fresh job ended %s (err %q), want done", st.State, st.Error)
+				}
+			}
+			if done, want := m.JobsDone.Value(), int64(depth+1); done != want {
+				t.Errorf("jobs_done = %d, want %d (the reverted job once, %d fresh)", done, want, depth)
+			}
+			if q, r := m.JobsQueued.Value(), m.JobsReenqueued.Value(); q != 0 || r != 1 {
+				t.Errorf("jobs_queued = %d, jobs_reenqueued = %d; want 0, 1", q, r)
+			}
+		})
+	}
 }

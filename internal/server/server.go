@@ -197,12 +197,24 @@ func (s *Server) submit(spec JobSpec, forwardedFrom string) (*Job, error) {
 	}
 	j := s.store.NewJob(norm, hash, now)
 	j.setNode(s.selfID())
-	if err := s.pool.Submit(j); err != nil {
+	if err := s.enqueue(j); err != nil {
 		j.finish(StateFailed, "", err, time.Now(), &s.metrics.JobsFailed)
 		return nil, err
 	}
-	s.metrics.JobsQueued.Add(1)
 	return j, nil
+}
+
+// enqueue submits j to the worker pool and counts it queued. The job
+// is marked pooled first, and stays so until a worker takes the entry
+// (tryStart); a claim leaves the entry in place, so a claim reverted
+// while it waits does not queue the job again (reenqueueLocal).
+func (s *Server) enqueue(j *Job) error {
+	j.setPooled()
+	if err := s.pool.Submit(j); err != nil {
+		return err
+	}
+	s.metrics.JobsQueued.Add(1)
+	return nil
 }
 
 // Job looks up a job by ID.

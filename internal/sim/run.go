@@ -296,7 +296,8 @@ func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error)
 	instr, now, budget := c.instr[i], c.time[i], c.budget[i]
 	touches, fast := c.touchTotal[i], c.touchFast[i]
 	synth, src, proc := c.synth[i], c.stream[i], c.proc[i]
-	epoch := s.nextEpoch // only commits advance it
+	epoch := s.nextEpoch  // only commits advance it
+	l1 := s.hier.First(i) // nil when the first level is shared
 	var ev stepEvent
 	var key uint64
 	for instr < budget {
@@ -315,11 +316,13 @@ func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error)
 			ev, parked = stepEvent{kind: evStep}, true
 			break
 		}
-		p, write, replay := c.pendingPhys[i], c.pendingWrite[i], c.pendingValid[i]
-		if replay {
+		var p uint64
+		var write, replay bool
+		if c.pendingValid[i] {
 			// Replay the reference whose fault was committed. Like step's
 			// replay path this neither re-translates nor re-captures nor
 			// samples: the fault commit accounted for all three.
+			p, write, replay = c.pendingPhys[i], c.pendingWrite[i], true
 			c.pendingValid[i] = false
 		} else {
 			var ref trace.Ref
@@ -343,7 +346,21 @@ func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error)
 				fast++
 			}
 		}
-		stall, hit, ops := s.hier.AccessPrivate(i, p, write, now, c.ops[i][:0])
+		// The private walk: a first-level hit is the whole walk (level 0's
+		// delta is 0), so it costs one probe; a miss hands the probe's
+		// victim to the continuation.
+		var stall uint64
+		var hit bool
+		var ops []hier.SharedOp
+		if l1 != nil {
+			var v cache.Victim
+			var hv bool
+			if hit, v, hv = l1.Access(p, write); !hit {
+				stall, hit, ops = s.hier.MissPrivate(i, p, now, v, hv, c.ops[i][:0])
+			}
+		} else {
+			stall, hit, ops = s.hier.AccessPrivate(i, p, write, now, c.ops[i][:0])
+		}
 		if !hit || len(ops) != 0 {
 			c.ops[i] = ops
 			ev, parked = stepEvent{kind: evWalk, write: write, replay: replay, phys: p, stall: stall}, true
@@ -469,14 +486,18 @@ func (s *System) applyWalk(i int, p uint64, walkStall uint64, llcMiss bool, vict
 // One simulated reference splits into a core-local prefix and a shared
 // suffix. The prefix — reference generation, the instruction gap,
 // mapped-page translation (osmodel.TranslateMapped) and the private
-// cache levels (hier.AccessPrivate) — touches only per-core state, so
-// it commutes across cores; runPrivate runs it in one loop per core. A
-// step that hits a private level with no spill into the shared levels
-// retires in that loop. Everything else — the shared cache levels, the
-// memory-system controller, the DRAM devices, page faults, allocation
-// phases — parks as a stepEvent under the step's commit key (the core's
-// pre-step clock) and runs when commit reaches it in (key, id) order
-// (see execute).
+// cache levels — touches only per-core state, so it commutes across
+// cores; runPrivate runs it in one loop per core. The loop probes the
+// core's first-level cache (hier.First) itself: a hit is the whole
+// private walk and retires with no further call, and a miss hands the
+// probe's victim to hier.MissPrivate for the deeper private levels. A
+// shared first level has no probe and walks through
+// hier.AccessPrivate. A step that hits a private level with no spill
+// into the shared levels retires in the loop. Everything else — the
+// shared cache levels, the memory-system controller, the DRAM devices,
+// page faults, allocation phases — parks as a stepEvent under the
+// step's commit key (the core's pre-step clock) and runs when commit
+// reaches it in (key, id) order (see execute).
 
 // Event kinds (stepEvent.kind).
 const (

@@ -138,9 +138,10 @@ func recordReplay(t testing.TB, o *Options, instr uint64) {
 // run-ahead must reproduce serial mode across: timeline sampling (the
 // evEpoch parks), allocation churn (the whole-step parks at phase
 // boundaries, here under sampling too), demand faulting (the evFault
-// commits), a consolidated mix (per-core spans that differ) and a
+// commits), a consolidated mix (per-core spans that differ), a
 // recorded trace replayed through Options.Sources (the non-synthetic
-// Source.Next branch).
+// Source.Next branch) and a shared first cache level (no first-level
+// probe: every step's walk parks).
 var runAheadVariants = []variant{
 	{name: "base"},
 	{name: "timeline", mutate: func(_ testing.TB, o *Options) {
@@ -166,6 +167,10 @@ var runAheadVariants = []variant{
 	}},
 	{name: "replay", mutate: func(t testing.TB, o *Options) {
 		recordReplay(t, o, 50_000)
+	}},
+	{name: "shared-l1", mutate: func(_ testing.TB, o *Options) {
+		o.Config.CacheLevels = append([]config.CacheLevelConfig(nil), o.Config.CacheLevels...)
+		o.Config.CacheLevels[0].Shared = true
 	}},
 }
 
