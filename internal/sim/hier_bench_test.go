@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chameleon/internal/config"
+	"chameleon/internal/osmodel"
 	"chameleon/internal/workload"
 )
 
@@ -91,31 +92,53 @@ func benchStep(b *testing.B) {
 }
 
 // BenchmarkEngineByWorkload times one full simulation per op (New,
-// 250k warm-up and 100k measured instructions per core) of
-// chameleon-opt on the default 12-core machine at scale 256, for six
-// Table II workloads spanning the LLC-MPKI range. The threads1 suffix
-// keeps the names of BENCH_parallel.json's records, which compare it
-// with the removed parallel engine (threads2).
+// 250k warm-up and 100k measured instructions per core) on the default
+// 12-core machine at scale 256: chameleon-opt on six Table II workloads
+// spanning the LLC-MPKI range, which run ahead, and three serial-mode
+// runs, alloy on two footprints that can evict and numa-flat with
+// AutoNUMA at Fig. 2b's setting. The threads1 suffix keeps the names of
+// BENCH_parallel.json's records, which compare the run-ahead rows with
+// the removed parallel engine (threads2).
 func BenchmarkEngineByWorkload(b *testing.B) {
 	const scale = 256
 	cfg := config.Default(scale)
+	autoNUMA := &osmodel.AutoNUMAConfig{EpochCycles: 100_000, Threshold: 0.9, ScanPages: 4096}
+	type run struct {
+		name, workload string
+		policy         PolicyKind
+		autoNUMA       *osmodel.AutoNUMAConfig
+		serial         bool
+	}
+	var runs []run
 	for _, name := range []string{"mcf", "lbm", "bwaves", "hpccg", "comd", "miniGhost"} {
-		prof, err := workload.ByName(name)
+		runs = append(runs, run{name: name + "/threads1", workload: name, policy: PolicyChameleonOpt})
+	}
+	runs = append(runs,
+		run{name: "alloy/bwaves", workload: "bwaves", policy: PolicyAlloy, serial: true},
+		run{name: "alloy/miniGhost", workload: "miniGhost", policy: PolicyAlloy, serial: true},
+		run{name: "numa-flat+autonuma/lbm", workload: "lbm", policy: PolicyNUMAFlat, autoNUMA: autoNUMA, serial: true},
+	)
+	for _, r := range runs {
+		prof, err := workload.ByName(r.workload)
 		if err != nil {
 			b.Fatal(err)
 		}
 		prof = prof.Scale(scale)
-		b.Run(name+"/threads1", func(b *testing.B) {
+		b.Run(r.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sys, err := New(Options{
 					Config:             cfg,
-					Policy:             PolicyChameleonOpt,
+					Policy:             r.policy,
 					Workload:           prof,
 					Seed:               7,
 					WarmupInstructions: 250_000,
+					AutoNUMA:           r.autoNUMA,
 				})
 				if err != nil {
 					b.Fatal(err)
+				}
+				if sys.runAhead == r.serial {
+					b.Fatalf("runAhead = %v, want %v", sys.runAhead, !r.serial)
 				}
 				if _, err := sys.Run(100_000); err != nil {
 					b.Fatal(err)
