@@ -162,7 +162,7 @@ func (s *System) RunContext(ctx context.Context, instrPerCore uint64) (*Result, 
 }
 
 // sampleTimeline records a TimelinePoint when the given time crosses
-// the next epoch boundary. Only step commits call it, so samples fire
+// the next epoch boundary. Only commits call it, so samples fire
 // in commit order.
 func (s *System) sampleTimeline(now uint64) {
 	next := s.nextEpoch
@@ -250,8 +250,9 @@ const ctxCheckInterval = 4096
 // its new key (fix) or pops it. Private prefixes commute across cores,
 // so only shared events need ordering, and the heap moves once per
 // shared event instead of once per reference. When run-ahead is unsafe
-// (System.runAhead) every step parks whole as an evStep, which is
-// exactly the one-reference-at-a-time (time, id) order.
+// (System.runAhead) translation is shared too: every step that is not a
+// post-fault replay parks as an evTranslate, and its commit translates
+// and walks the whole hierarchy in (time, id) order.
 func (s *System) execute(budget uint64) error {
 	c := &s.cores
 	for i := range c.ev {
@@ -289,15 +290,20 @@ func (s *System) execute(budget uint64) error {
 // translation, the private cache levels) retires it never leaves the
 // loop; one that needs shared state parks its event in c.ev[i] under
 // its pre-step clock c.key[i], with c.time[i] the post-gap clock. steps
-// counts toward the next cancellation probe. When run-ahead is unsafe
-// (System.runAhead) every step parks whole as an evStep.
+// counts toward the next cancellation probe. Serial mode differs in
+// translation alone: a step that translates parks as an evTranslate
+// right after its gap, and its commit translates and walks.
 func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error) {
 	c := &s.cores
 	instr, now, budget := c.instr[i], c.time[i], c.budget[i]
 	touches, fast := c.touchTotal[i], c.touchFast[i]
 	synth, src, proc := c.synth[i], c.stream[i], c.proc[i]
+	ahead := s.runAhead
 	epoch := s.nextEpoch  // only commits advance it
 	l1 := s.hier.First(i) // nil when the first level is shared
+	// A step whose phase boundary was just committed resumes past the
+	// phase check, so one step fires at most one boundary.
+	phaseDone := c.ev[i].kind == evPhase
 	var ev stepEvent
 	var key uint64
 	for instr < budget {
@@ -309,19 +315,19 @@ func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error)
 			}
 		}
 		key = now
-		if !s.runAhead || s.phaseOn && s.phaseDue(i, instr) {
-			// Serial mode, or an allocation-phase boundary that maps or
-			// frees memory (ISA-Alloc/Free): the whole step runs at its
-			// commit position.
-			ev, parked = stepEvent{kind: evStep}, true
+		if s.phaseOn && !phaseDone && s.phaseDue(i, instr) {
+			// An allocation-phase boundary maps or frees memory
+			// (ISA-Alloc/Free): the commit churns, then the step resumes.
+			ev, parked = stepEvent{kind: evPhase}, true
 			break
 		}
+		phaseDone = false
 		var p uint64
 		var write, replay bool
 		if c.pendingValid[i] {
-			// Replay the reference whose fault was committed. Like step's
-			// replay path this neither re-translates nor re-captures nor
-			// samples: the fault commit accounted for all three.
+			// Replay the reference whose fault was committed. It neither
+			// re-translates nor re-captures nor samples: the translate
+			// commit accounted for all three.
 			p, write, replay = c.pendingPhys[i], c.pendingWrite[i], true
 			c.pendingValid[i] = false
 		} else {
@@ -333,11 +339,15 @@ func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error)
 			}
 			instr += ref.Gap
 			now += ref.Gap * s.baseCPIx1000 / 1000
-			phys, onFast, ok := s.os.TranslateMapped(proc, ref.VAddr)
+			var phys addr.Phys
+			var onFast, ok bool
+			if ahead {
+				phys, onFast, ok = s.os.TranslateMapped(proc, ref.VAddr)
+			}
 			if !ok {
-				// Unmapped: the commit runs the fault path at this step's
-				// position.
-				ev, parked = stepEvent{kind: evFault, write: ref.Write, phys: ref.VAddr}, true
+				// Serial mode, or an unmapped page: the commit translates
+				// at this step's position.
+				ev, parked = stepEvent{kind: evTranslate, write: ref.Write, phys: ref.VAddr, gap: ref.Gap}, true
 				break
 			}
 			p, write = uint64(phys), ref.Write
@@ -387,7 +397,7 @@ func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error)
 
 // mergeTouches folds the run-ahead per-core mapped-translation tallies
 // into the OS counters. The counts are commutative sums, so merging
-// once per pass reproduces whole-step counting exactly.
+// once per pass reproduces Translate's per-reference counting exactly.
 func (s *System) mergeTouches() {
 	c := &s.cores
 	for i := range c.touchTotal {
@@ -398,65 +408,11 @@ func (s *System) mergeTouches() {
 	}
 }
 
-// step executes one whole reference on core i: the allocation phase,
-// the instruction gap, address translation (with demand paging), the
-// cache hierarchy and, on an LLC miss, the memory system. It is the
-// commit of an evStep event: every step in serial mode, and a step at
-// an alloc-phase boundary in run-ahead mode.
-func (s *System) step(i int) {
-	c := &s.cores
-	if s.phaseOn {
-		s.phaseChurn(i)
-	}
-	var p uint64
-	var write bool
-	if c.pendingValid[i] {
-		// Replay the reference that faulted last time, now that the
-		// core has been rescheduled in global time order.
-		p, write = c.pendingPhys[i], c.pendingWrite[i]
-		c.pendingValid[i] = false
-	} else {
-		ref := c.stream[i].Next()
-		if s.sinkOn {
-			s.opts.TraceSink.Emit(i, ref)
-		}
-		c.instr[i] += ref.Gap
-		c.time[i] += ref.Gap * s.baseCPIx1000 / 1000
-
-		phys, stall := s.os.Translate(c.proc[i], ref.VAddr, c.time[i])
-		if s.autoOn {
-			s.auto.Tick(c.time[i])
-		}
-		if s.timelineOn {
-			s.sampleTimeline(c.time[i])
-		}
-		if stall > 0 {
-			c.time[i] += stall
-			c.faultCycles[i] += stall
-			c.pendingValid[i] = true
-			c.pendingPhys[i] = uint64(phys)
-			c.pendingWrite[i] = ref.Write
-			return
-		}
-		p, write = uint64(phys), ref.Write
-	}
-	s.finishStep(i, p, write)
-}
-
-// finishStep is the walk-and-memory-system suffix of one step: the
-// cache hierarchy walk followed by applyWalk. step calls it, and so does
-// commit for a fault event whose page was mapped with no stall (the
-// step then continues exactly as a whole step would).
-func (s *System) finishStep(i int, p uint64, write bool) {
-	walkStall, llcMiss, victims := s.hier.Access(i, p, write, s.cores.time[i])
-	s.applyWalk(i, p, walkStall, llcMiss, victims)
-}
-
 // applyWalk charges a finished walk to core i and the memory system:
 // spilled writebacks reserve device occupancy, the walk stall advances
 // the core, and an LLC miss pays the controller's (MLP-divided)
-// latency. It is the shared-state tail of every step — commit runs it
-// for parked walks.
+// latency. It is the shared-state tail of every step that walks: commit
+// runs it for parked walks and translated steps.
 func (s *System) applyWalk(i int, p uint64, walkStall uint64, llcMiss bool, victims []hier.Victim) {
 	c := &s.cores
 	// Dirty victims that spilled past the LLC reach the memory system
@@ -497,15 +453,17 @@ func (s *System) applyWalk(i int, p uint64, walkStall uint64, llcMiss bool, vict
 // shared cache levels, the memory-system controller, the DRAM devices,
 // page faults, allocation phases — parks as a stepEvent under the
 // step's commit key (the core's pre-step clock) and runs when commit
-// reaches it in (key, id) order (see execute).
+// reaches it in (key, id) order (see execute). In serial mode
+// (System.runAhead unset) translation is shared as well, so every step
+// but a post-fault replay parks at its translation.
 
 // Event kinds (stepEvent.kind).
 const (
-	evStep  uint8 = iota // the whole step is shared: commit runs step
-	evWalk               // private walk spilled into the shared levels
-	evFault              // translation missed; full fault path needed
-	evEpoch              // fully-local step that may cross a timeline epoch; sample, then retire
-	evSync               // no step at all: a pass start
+	evSync      uint8 = iota // no step at all: a pass start
+	evWalk                   // private walk spilled into the shared levels
+	evTranslate              // translation at the commit: serial mode, or an unmapped page
+	evEpoch                  // fully-local step that may cross a timeline epoch; sample, then retire
+	evPhase                  // allocation-phase boundary; the step resumes in runPrivate
 )
 
 // stepEvent is one core's parked shared-phase event. Its commit key
@@ -513,30 +471,31 @@ const (
 type stepEvent struct {
 	kind  uint8
 	write bool
-	// replay marks an evWalk for a replayed post-fault reference. The
-	// whole-step path samples the timeline only on the translate branch
-	// of a step, which replays skip — so committing a replayed walk must
-	// not sample either.
+	// replay marks an evWalk for a replayed post-fault reference. A step
+	// samples the timeline at its translation, which replays skip, so
+	// committing a replayed walk must not sample either.
 	replay bool
-	// phys is the demand physical address (evWalk) or the faulting
-	// virtual address (evFault).
+	// phys is the demand physical address (evWalk) or the virtual
+	// address to translate (evTranslate).
 	phys uint64
 	// stall is the private-prefix stall accrued so far (evWalk, evEpoch).
 	stall uint64
+	// gap is the reference's instruction gap (evTranslate), for capture.
+	gap uint64
 }
 
 // commit executes core i's parked event at its (key, id) position. It
 // is the only place shared simulation state (LLC, controller, devices,
-// OS tables) mutates during a run-ahead pass, and the only place
-// timeline samples are taken.
+// OS tables) mutates during a pass, and the only place timeline samples
+// are taken.
 func (s *System) commit(i int) error {
 	c := &s.cores
 	ev := &c.ev[i]
 	switch ev.kind {
-	case evStep:
-		s.step(i)
-		return nil
 	case evSync:
+		return nil
+	case evPhase:
+		s.phaseChurn(i)
 		return nil
 	case evEpoch:
 		if s.timelineOn {
@@ -545,26 +504,35 @@ func (s *System) commit(i int) error {
 		// Retire the fully-local step deferred for sampling.
 		c.time[i] += ev.stall
 		return nil
-	case evFault:
-		if s.os.FreeBytes() < s.os.Config().PageBytes {
+	case evTranslate:
+		if s.runAhead && s.os.FreeBytes() < s.os.Config().PageBytes {
 			return fmt.Errorf("sim: fault at core %d would evict a page, violating the translation-stability bound run-ahead relies on", i)
 		}
-		p, stall := s.os.Translate(c.proc[i], ev.phys, c.time[i])
-		phys := uint64(p)
+		if s.sinkOn {
+			s.opts.TraceSink.Emit(i, trace.Ref{Gap: ev.gap, VAddr: ev.phys, Write: ev.write})
+		}
+		phys, stall := s.os.Translate(c.proc[i], ev.phys, c.time[i])
+		p := uint64(phys)
+		if s.autoOn {
+			s.auto.Tick(c.time[i])
+		}
 		if s.timelineOn {
-			// Whole-step order within a fault: translate, sample, then the
-			// stall (c.time[i] is still the post-gap clock here).
+			// c.time[i] is still the post-gap clock: sample before the
+			// stall.
 			s.sampleTimeline(c.time[i])
 		}
 		if stall > 0 {
+			// The reference replays in runPrivate once the core is next
+			// scheduled in time order.
 			c.time[i] += stall
 			c.faultCycles[i] += stall
 			c.pendingValid[i] = true
-			c.pendingPhys[i] = phys
+			c.pendingPhys[i] = p
 			c.pendingWrite[i] = ev.write
 			return nil
 		}
-		s.finishStep(i, phys, ev.write)
+		walkStall, llcMiss, victims := s.hier.Access(i, p, ev.write, c.time[i])
+		s.applyWalk(i, p, walkStall, llcMiss, victims)
 		return nil
 	}
 	if s.timelineOn && !ev.replay {
@@ -578,13 +546,10 @@ func (s *System) commit(i int) error {
 // phaseChurn models §III-B's time-varying memory demand: at each phase
 // boundary the core alternately maps and frees a transient buffer just
 // past its footprint, issuing ISA-Alloc/ISA-Free through the OS and
-// letting Chameleon's segment groups switch modes mid-run.
-// Callers gate on System.phaseOn, so the options are known non-zero.
+// letting Chameleon's segment groups switch modes mid-run. It is the
+// commit of an evPhase, which runPrivate parks only when phaseDue.
 func (s *System) phaseChurn(i int) {
 	c := &s.cores
-	if !s.phaseDue(i, c.instr[i]) {
-		return
-	}
 	c.phaseNext[i] += s.opts.PhaseEveryInstructions
 	base := c.stream[i].Profile().FootprintBytes
 	if c.phaseHeld[i] {
@@ -598,8 +563,7 @@ func (s *System) phaseChurn(i int) {
 // phaseDue reports whether core i's next step, at instruction count
 // instr, starts at an allocation phase boundary. It reads and arms only
 // core-private state (the first boundary is set lazily, one period past
-// the core's first step), so the run-ahead prefix can ask it without
-// ordering.
+// the core's first step), so runPrivate can ask it without ordering.
 func (s *System) phaseDue(i int, instr uint64) bool {
 	c := &s.cores
 	if c.phaseNext[i] == 0 {

@@ -155,8 +155,8 @@ type coreSoA struct {
 	phaseHeld []bool   // transient buffer currently allocated
 
 	// touchTotal/touchFast accumulate the stacked-node access counts of
-	// run-ahead TranslateMapped calls per core (a commutative sum the
-	// whole-step path bumps inside osmodel directly); mergeTouches folds
+	// run-ahead TranslateMapped calls per core (a commutative sum a
+	// translate commit bumps inside osmodel directly); mergeTouches folds
 	// them into the OS at the end of every pass.
 	touchTotal []uint64
 	touchFast  []uint64
@@ -210,11 +210,12 @@ type System struct {
 	// heapIdx is the scheduler heap's reusable index storage, sized at
 	// construction so execute passes allocate nothing.
 	heapIdx []int32
-	// runAhead lets the engine run private prefixes ahead of
-	// the commit order (see execute). It holds when no other core's
-	// commit can change what a prefix reads: translations are stable,
-	// and no AutoNUMA engine or trace sink observes every step. Otherwise
-	// every step parks whole, in serial mode. Fixed at construction.
+	// runAhead lets the engine translate mapped pages in the private
+	// prefix, ahead of the commit order (see execute). It holds when no
+	// other core's commit can change what a translation reads:
+	// translations are stable, and no AutoNUMA engine or trace sink
+	// observes every translation. Otherwise, in serial mode, every step
+	// parks at its translation. Fixed at construction.
 	runAhead bool
 
 	// runName is the result's workload label, fixed at construction:
@@ -231,8 +232,9 @@ type System struct {
 	ran    bool
 	runCtx context.Context
 
-	// Hot-path guards, fixed at construction so step() pays one bool
-	// test instead of re-deriving each condition per reference.
+	// Hot-path guards, fixed at construction so runPrivate and commit
+	// pay one bool test instead of re-deriving each condition per
+	// reference.
 	phaseOn    bool // allocation-churn phases configured
 	timelineOn bool // timeline sampling configured
 	autoOn     bool // AutoNUMA engine attached
