@@ -297,10 +297,11 @@ func RunMatrixContext(ctx context.Context, o ExperimentOptions) (*Matrix, error)
 }
 
 // Design-space exploration (internal/dse, cmd/chameleon-dse). A
-// DSESpec declares a sweep over the simulator's pluggable axes; the
-// runner evaluates its cross product with bounded concurrency,
-// optional dominance pruning, and extracts the Pareto front over the
-// configured objectives.
+// DSESpec declares a sweep over the simulator's pluggable axes;
+// RunDSE evaluates its cross product through the experiments runner,
+// bounded by ExperimentOptions.Parallelism, with optional dominance
+// pruning, and extracts the Pareto front over the configured
+// objectives.
 type (
 	// DSESpec is a declarative design-space sweep.
 	DSESpec = dse.Spec

@@ -172,8 +172,8 @@ func cmdRun(args []string) error {
 		o := chameleon.ExperimentOptions{
 			Scale: *scale, Instructions: *instr, Warmup: *warmup, Seed: *seed,
 			Parallelism: *par,
-			Progress: func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\r%d/%d cells", done, total)
+			Progress: func(done, _, pruned, total int) {
+				fmt.Fprintf(os.Stderr, "\r%d/%d cells", done+pruned, total)
 			},
 		}
 		res, err = chameleon.RunDSE(ctx, o, spec)

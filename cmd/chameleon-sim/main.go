@@ -25,7 +25,7 @@ import (
 
 	"chameleon"
 	"chameleon/internal/config"
-	"chameleon/internal/osmodel"
+	"chameleon/internal/experiments"
 	"chameleon/internal/policy"
 	"chameleon/internal/workload"
 )
@@ -109,7 +109,8 @@ type runCfg struct {
 	record               string
 }
 
-func run(rc runCfg) error {
+// simOptions builds the simulator options the flags describe.
+func simOptions(rc runCfg) (chameleon.Options, error) {
 	// Any registered design name is accepted; chameleon.New reports
 	// unknown names with the full valid set.
 	pk := chameleon.Policy(rc.policyName)
@@ -121,18 +122,18 @@ func run(rc runCfg) error {
 		// memory_tiers stack, CPU or OS parameters, ...).
 		b, err := os.ReadFile(rc.configPath)
 		if err != nil {
-			return err
+			return chameleon.Options{}, err
 		}
 		if err := json.Unmarshal(b, &cfg); err != nil {
-			return fmt.Errorf("%s: %w", rc.configPath, err)
+			return chameleon.Options{}, fmt.Errorf("%s: %w", rc.configPath, err)
 		}
 		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("%s: %w", rc.configPath, err)
+			return chameleon.Options{}, fmt.Errorf("%s: %w", rc.configPath, err)
 		}
 	}
 	if rc.ratio != 0 {
 		if cfg, err = cfg.WithRatio(rc.ratio); err != nil {
-			return err
+			return chameleon.Options{}, err
 		}
 	}
 	opts := chameleon.Options{
@@ -144,13 +145,13 @@ func run(rc runCfg) error {
 	// "replay:<file>.ctrace" replays a recorded trace; catalogue names
 	// attach the scaled synthetic profile.
 	if err := chameleon.UseWorkload(&opts, rc.wlName, rc.scale); err != nil {
-		return err
+		return chameleon.Options{}, err
 	}
 	if rc.mix != "" {
 		for _, name := range strings.Split(rc.mix, ",") {
 			p, err := chameleon.Workload(strings.TrimSpace(name))
 			if err != nil {
-				return err
+				return chameleon.Options{}, err
 			}
 			opts.Mix = append(opts.Mix, p.Scale(rc.scale))
 		}
@@ -159,11 +160,19 @@ func run(rc runCfg) error {
 		opts.BaselineBytes = rc.baselineGB * config.GB / rc.scale
 	}
 	if rc.autonuma > 0 {
-		opts.AutoNUMA = &osmodel.AutoNUMAConfig{EpochCycles: 10_000_000, Threshold: rc.autonuma, ScanPages: 4096}
+		opts.AutoNUMA = experiments.AutoNUMA(rc.autonuma, rc.warmup, rc.instr)
 	}
 	if rc.groupAware {
 		ga := chameleon.AllocGroupAware
 		opts.Alloc = &ga
+	}
+	return opts, nil
+}
+
+func run(rc runCfg) error {
+	opts, err := simOptions(rc)
+	if err != nil {
+		return err
 	}
 	var rec *chameleon.TraceWriter
 	var recFile *os.File
@@ -236,7 +245,7 @@ func run(rc runCfg) error {
 			len(res.NUMATimeline), res.OS.Migrations, res.OS.MigrateFails)
 	}
 	if rc.energy {
-		seconds := float64(res.MaxCycles) / cfg.CPU.FreqHz
+		seconds := float64(res.MaxCycles) / opts.Config.CPU.FreqHz
 		for i, t := range sys.Tiers() {
 			e := sys.TierEnergy(i, res.MaxCycles)
 			fmt.Printf("%-18s%.2f mJ (%.0f mW avg), %.1f%% bus utilisation\n",

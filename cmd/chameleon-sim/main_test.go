@@ -3,8 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"chameleon/internal/experiments"
+	"chameleon/internal/sim"
 )
 
 // TestRunThreeTierOverlay drives the CLI's run path with a memory_tiers
@@ -50,5 +54,31 @@ func TestRunRejectsUnknownConfigKeys(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), `"Fast"`) {
 		t.Fatalf("err %v, want one naming %s and the Fast key", err, path)
+	}
+}
+
+// TestAutoNUMAMatchesCell: -autonuma configures the AutoNUMA engine a
+// reproduction cell with the same threshold and budgets runs, so
+// `-policy numa-flat -autonuma 0.9` is the Fig. 2b/2c/20 cell.
+func TestAutoNUMAMatchesCell(t *testing.T) {
+	rc := runCfg{
+		policyName: "numa-flat", wlName: "cloverleaf", scale: 256,
+		instr: 500_000, warmup: 4_000_000, seed: 42, autonuma: 0.9,
+	}
+	opts, err := simOptions(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, err := experiments.Cell{Policy: sim.PolicyNUMAFlat, Workload: rc.wlName, Scale: rc.scale,
+		Seed: rc.seed, Instructions: rc.instr, Warmup: rc.warmup, AutoNUMA: rc.autonuma}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cell.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.AutoNUMA == nil || !reflect.DeepEqual(*opts.AutoNUMA, *want.AutoNUMA) {
+		t.Fatalf("CLI AutoNUMA = %+v, want the cell's %+v", opts.AutoNUMA, *want.AutoNUMA)
 	}
 }

@@ -85,7 +85,7 @@ func run(exp string, o experiments.Options, csv bool, outDir string) error {
 	}
 	start := time.Now()
 	fmt.Fprintf(os.Stderr, "running %s (scale %d, %d workloads)...\n", exp, o.Scale, len(o.Workloads))
-	o.Progress = func(done, total int) { fmt.Fprintf(os.Stderr, "\rcells %d/%d", done, total) }
+	o.Progress = func(done, _, _, total int) { fmt.Fprintf(os.Stderr, "\rcells %d/%d", done, total) }
 	tables, err := experiments.Run(context.Background(), o, figs...)
 	if err != nil {
 		return err

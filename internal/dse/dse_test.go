@@ -1,11 +1,6 @@
 package dse
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,36 +8,8 @@ import (
 	"testing"
 
 	"chameleon/internal/config"
-	"chameleon/internal/sim"
 	"chameleon/internal/stats"
 )
-
-// fakeResult synthesizes a sim.Result whose snapshot exposes the three
-// default objectives with the given values (capacity and energy ride on
-// a single fake tier).
-func fakeResult(ipc, capacity, energy float64) *sim.Result {
-	return &sim.Result{
-		GeoMeanIPC: ipc,
-		Tiers: []sim.TierResult{{
-			Tier:          "hbm",
-			CapacityBytes: uint64(capacity),
-			EnergyNJ:      energy,
-		}},
-	}
-}
-
-// fakeEval wraps a value function into an Evaluate callback with
-// deterministic per-cell provenance.
-func fakeEval(vals func(c Cell) (ipc, capacity, energy float64)) func(context.Context, Cell) (Eval, error) {
-	return func(_ context.Context, c Cell) (Eval, error) {
-		i, cap_, e := vals(c)
-		return Eval{
-			Result: fakeResult(i, cap_, e),
-			Hash:   fmt.Sprintf("h-%s-%s-%d", c.Policy, c.Workload, c.Seed),
-			Cached: c.Seed%2 == 0,
-		}, nil
-	}
-}
 
 func TestNormalizeDefaults(t *testing.T) {
 	s, err := Spec{}.Normalize()
@@ -224,178 +191,5 @@ func TestFrontProperty(t *testing.T) {
 				t.Fatalf("trial %d: point %d excluded from the front but dominated by nothing", trial, p.Cell.Index)
 			}
 		}
-	}
-}
-
-// hashVals derives a deterministic pseudo-random objective vector from
-// a cell's design axes (never its index), so every execution order and
-// concurrency sees identical values.
-func hashVals(c Cell) (float64, float64, float64) {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%s/%d/%d/%d", c.Policy, c.Workload, c.Ratio, c.Scale, c.Seed)
-	v := h.Sum64()
-	return float64(v%1000) / 100, float64((v>>16)%8) * 1024, float64((v>>32)%16) * 10
-}
-
-func TestRunDeterministicAcrossParallelism(t *testing.T) {
-	s := Spec{
-		Policies:   []string{"chameleon", "pom", "alloy"},
-		Workloads:  []string{"bwaves", "mcf", "lbm"},
-		Seeds:      []uint64{1, 2},
-		PruneAfter: 2,
-	}
-	var want []byte
-	for _, par := range []int{1, 3, 8} {
-		res, err := s.Run(context.Background(), RunOptions{Parallelism: par, Evaluate: fakeEval(hashVals)})
-		if err != nil {
-			t.Fatalf("par %d: Run: %v", par, err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		if want == nil {
-			want = b
-			if res.TotalCells != 18 || res.Evaluated+res.Pruned != 18 {
-				t.Fatalf("accounting: total %d evaluated %d pruned %d", res.TotalCells, res.Evaluated, res.Pruned)
-			}
-			if len(res.Front) == 0 {
-				t.Fatal("empty front")
-			}
-		} else if string(b) != string(want) {
-			t.Errorf("par %d: result JSON differs from par 1 (len %d vs %d)", par, len(b), len(want))
-		}
-	}
-}
-
-// TestRunPrunedMatchesUnprunedFront builds a sweep where one policy is
-// strictly dominated everywhere and large enough (40 cells > one
-// 32-cell wave) for the heuristic to actually skip cells, then checks
-// pruning changes nothing about the front: byte-identical
-// FrontSignature and DeepEqual front points vs full enumeration.
-func TestRunPrunedMatchesUnprunedFront(t *testing.T) {
-	seeds := make([]uint64, 10)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	base := Spec{
-		Policies:  []string{"chameleon", "pom"},
-		Workloads: []string{"bwaves", "mcf"},
-		Seeds:     seeds,
-	}
-	// chameleon trades IPC against capacity across seeds (all on the
-	// front); pom is strictly worse on every objective everywhere.
-	vals := func(c Cell) (float64, float64, float64) {
-		if c.Policy == "chameleon" {
-			return 2 + 0.01*float64(c.Seed), 1000 + float64(c.Seed), 50
-		}
-		return 1, 5000, 500
-	}
-
-	full := base
-	res, err := full.Run(context.Background(), RunOptions{Parallelism: 4, Evaluate: fakeEval(vals)})
-	if err != nil {
-		t.Fatalf("unpruned Run: %v", err)
-	}
-	pruned := base
-	pruned.PruneAfter = 2
-	resP, err := pruned.Run(context.Background(), RunOptions{Parallelism: 4, Evaluate: fakeEval(vals)})
-	if err != nil {
-		t.Fatalf("pruned Run: %v", err)
-	}
-
-	if res.Pruned != 0 || resP.Pruned == 0 {
-		t.Errorf("pruned counts: unpruned run %d, pruned run %d (want 0 and > 0)", res.Pruned, resP.Pruned)
-	}
-	if resP.Evaluated+resP.Pruned != resP.TotalCells {
-		t.Errorf("pruned accounting: %d + %d != %d", resP.Evaluated, resP.Pruned, resP.TotalCells)
-	}
-	if got, want := resP.FrontSignature(), res.FrontSignature(); got != want {
-		t.Errorf("front signatures differ:\npruned:   %s\nunpruned: %s", got, want)
-	}
-	if !reflect.DeepEqual(resP.Front, res.Front) {
-		t.Error("pruning dropped or altered front points")
-	}
-	// Property (a) on the real runner output: nothing evaluated
-	// dominates a front point.
-	for _, f := range res.Front {
-		for _, p := range res.Points {
-			if Dominates(p.Values, f.Values, res.Objectives) {
-				t.Fatalf("front point (cell %d) dominated by evaluated cell %d", f.Cell.Index, p.Cell.Index)
-			}
-		}
-	}
-	if len(res.Front) != 20 {
-		t.Errorf("front has %d points, want the 20 chameleon cells", len(res.Front))
-	}
-}
-
-func TestRunJoinsWaveErrors(t *testing.T) {
-	s := Spec{
-		Policies:  []string{"chameleon"},
-		Workloads: []string{"bwaves", "mcf", "lbm"},
-	}
-	boom := errors.New("boom")
-	eval := func(_ context.Context, c Cell) (Eval, error) {
-		if c.Workload == "bwaves" || c.Workload == "lbm" {
-			return Eval{}, boom
-		}
-		return Eval{Result: fakeResult(1, 1, 1)}, nil
-	}
-	_, err := s.Run(context.Background(), RunOptions{Parallelism: 4, Evaluate: eval})
-	if err == nil || !strings.Contains(err.Error(), "bwaves") || !strings.Contains(err.Error(), "lbm") {
-		t.Errorf("Run error = %v, want both failing cells joined", err)
-	}
-	if !errors.Is(err, boom) {
-		t.Errorf("Run error does not wrap the cell error: %v", err)
-	}
-}
-
-func TestRunCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s := Spec{Policies: []string{"chameleon"}, Workloads: []string{"bwaves"}}
-	_, err := s.Run(ctx, RunOptions{Evaluate: fakeEval(hashVals)})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("Run on canceled ctx = %v, want context.Canceled", err)
-	}
-}
-
-func TestRunRequiresEvaluate(t *testing.T) {
-	s := Spec{Policies: []string{"chameleon"}, Workloads: []string{"bwaves"}}
-	if _, err := s.Run(context.Background(), RunOptions{}); err == nil || !strings.Contains(err.Error(), "Evaluate") {
-		t.Errorf("Run without Evaluate = %v", err)
-	}
-}
-
-func TestRunMissingObjectiveKey(t *testing.T) {
-	s := Spec{
-		Policies:   []string{"chameleon"},
-		Workloads:  []string{"bwaves"},
-		Objectives: []Objective{{Key: "nonexistent_counter", Sense: SenseMax}},
-	}
-	_, err := s.Run(context.Background(), RunOptions{Evaluate: fakeEval(hashVals)})
-	if err == nil || !strings.Contains(err.Error(), "nonexistent_counter") {
-		t.Errorf("Run = %v, want missing-key error", err)
-	}
-}
-
-func TestRunProgressCounts(t *testing.T) {
-	s := Spec{Policies: []string{"chameleon"}, Workloads: []string{"bwaves", "mcf"}, Seeds: []uint64{1, 2}}
-	var last [4]int
-	res, err := s.Run(context.Background(), RunOptions{
-		Parallelism: 2,
-		Evaluate:    fakeEval(hashVals),
-		Progress:    func(done, cached, pruned, total int) { last = [4]int{done, cached, pruned, total} },
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if want := [4]int{4, res.Cached, 0, 4}; last != want {
-		t.Errorf("final progress = %v, want %v", last, want)
-	}
-	// fakeEval marks even seeds cached: seeds 1,2 over 2 workloads.
-	if res.Cached != 2 {
-		t.Errorf("cached = %d, want 2", res.Cached)
 	}
 }

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -17,6 +18,45 @@ type Point struct {
 	Values []float64 `json:"values"`
 	Hash   string    `json:"hash,omitempty"`
 	Cached bool      `json:"cached,omitempty"`
+}
+
+// Result is a sweep's structured outcome: the Pareto front plus every
+// evaluated point (with per-cell provenance hashes) and the sweep's
+// accounting. Front and Points are in cell-index order, so the
+// marshaled JSON is deterministic; FrontSignature strips the
+// cache/hash provenance for byte-level front comparisons.
+type Result struct {
+	Objectives []Objective `json:"objectives"`
+	TotalCells int         `json:"total_cells"`
+	Evaluated  int         `json:"evaluated"`
+	Cached     int         `json:"cached"`
+	Pruned     int         `json:"pruned"`
+	Dominated  int         `json:"dominated"`
+	Front      []Point     `json:"front"`
+	Points     []Point     `json:"points"`
+}
+
+// FrontSignature renders the front's design-space content — cells and
+// objective vectors, without cache/hash provenance — as deterministic
+// JSON. Two executions of the same sweep must agree on it byte for
+// byte whatever their concurrency, per-cell thread count, or cache
+// temperature; pruned execution agrees with full enumeration on
+// sweeps where the heuristic only discards dominated regions.
+func (r *Result) FrontSignature() string {
+	type sig struct {
+		Cell   Cell      `json:"cell"`
+		Values []float64 `json:"values"`
+	}
+	sigs := make([]sig, len(r.Front))
+	for i, p := range r.Front {
+		sigs[i] = sig{Cell: p.Cell, Values: p.Values}
+	}
+	b, err := json.Marshal(sigs)
+	if err != nil {
+		// Plain data; Marshal cannot fail.
+		panic(fmt.Sprintf("dse: marshal front signature: %v", err))
+	}
+	return string(b)
 }
 
 // better reports whether v beats w under sense. NaNs never beat

@@ -3,18 +3,16 @@
 // (policy, workload, stacked ratio, capacity scale, seed, cache
 // hierarchy, memory-tier stack), deterministic cross-product expansion
 // into cells, a strict-dominance Pareto filter over configurable
-// objectives, and a bounded concurrent runner with early pruning of
-// dominated configurations.
+// objectives, and the early-pruning decision that skips dominated
+// configurations between waves of a sweep.
 //
-// The package is evaluation-agnostic: Spec.Run asks a caller-supplied
-// Evaluate callback for each cell's simulation result, so the same
-// sweep machinery serves the in-process library driver
-// (experiments.RunDSE), the chamd job type (which keys every cell into
-// the server's content-addressed result cache), and tests (which fake
-// the evaluator entirely). Grounded in "Enabling Design Space
-// Exploration of DRAM Caches in Emerging Memory Systems" (arXiv
-// 2303.13029) and the multi-objective performance/capacity/energy
-// framing of arXiv 1810.12573.
+// The package is sweep algebra only: it runs no simulation and starts
+// no goroutine. experiments.RunDSE schedules a sweep's cells through
+// the experiments runner, in process or, for chamd's dse jobs, through
+// the server's content-addressed result cache. Grounded in "Enabling
+// Design Space Exploration of DRAM Caches in Emerging Memory Systems"
+// (arXiv 2303.13029) and the multi-objective performance/capacity/
+// energy framing of arXiv 1810.12573.
 package dse
 
 import (
@@ -299,28 +297,4 @@ func (s Spec) Expand() ([]Cell, error) {
 		return nil, fmt.Errorf("dse: sweep expands to no runnable cells (every policy × tier-stack combination is incompatible)")
 	}
 	return cells, nil
-}
-
-// axisNames are the cell axes the pruning heuristic tracks.
-var axisNames = []string{"policy", "workload", "ratio", "scale", "seed", "cache_variant", "tier_variant"}
-
-// axisValue renders one axis of a cell as a comparable string.
-func axisValue(c Cell, axis string) string {
-	switch axis {
-	case "policy":
-		return c.Policy
-	case "workload":
-		return c.Workload
-	case "ratio":
-		return fmt.Sprintf("%d", c.Ratio)
-	case "scale":
-		return fmt.Sprintf("%d", c.Scale)
-	case "seed":
-		return fmt.Sprintf("%d", c.Seed)
-	case "cache_variant":
-		return fmt.Sprintf("%d", c.CacheVariant)
-	case "tier_variant":
-		return fmt.Sprintf("%d", c.TierVariant)
-	}
-	panic("dse: unknown axis " + axis)
 }

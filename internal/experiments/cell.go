@@ -193,13 +193,20 @@ func (c Cell) Options() (sim.Options, error) {
 		o.BaselineBytes = c.BaselineGB * config.GB / c.Scale
 	}
 	if c.AutoNUMA > 0 {
-		// The paper's 10M-cycle scan epochs assume 500M-instruction
-		// runs; scale the epoch so a run of this length spans a
-		// comparable number of epochs.
-		epoch := max((c.Warmup+c.Instructions)/8, 100_000)
-		o.AutoNUMA = &osmodel.AutoNUMAConfig{EpochCycles: epoch, Threshold: c.AutoNUMA, ScanPages: 4096}
+		o.AutoNUMA = AutoNUMA(c.AutoNUMA, c.Warmup, c.Instructions)
 	}
 	return o, nil
+}
+
+// AutoNUMA is the AutoNUMA configuration of a run of warmup +
+// instructions per core at the given migration threshold. The paper's
+// 10M-cycle scan epochs assume 500M-instruction runs; the epoch scales
+// so a run of this length spans a comparable number of epochs:
+// (warmup+instructions)/8 cycles, at least 100k, so 562,500 cycles at
+// the 4M + 500k default budgets.
+func AutoNUMA(threshold float64, warmup, instructions uint64) *osmodel.AutoNUMAConfig {
+	epoch := max((warmup+instructions)/8, 100_000)
+	return &osmodel.AutoNUMAConfig{EpochCycles: epoch, Threshold: threshold, ScanPages: 4096}
 }
 
 // Run simulates a normalized cell for its instruction budget; progress,

@@ -57,16 +57,18 @@ type Options struct {
 	// values default to GOMAXPROCS (a negative value would otherwise
 	// panic constructing the semaphore channel).
 	Parallelism int
-	// Progress, when non-nil, is called after each simulation finishes
-	// with the number of completed cells and the total: the unique
-	// cells of a run (a matrix, a set of figures or a DSE sweep).
-	// Calls are serialized.
-	Progress func(done, total int) `json:"-"`
-	// Simulate, when non-nil, runs each unique normalized cell in
-	// place of an in-process simulation; chamd's matrix jobs resolve
-	// cells through the cluster's result cache with it. Calls are
-	// concurrent, at most Parallelism at a time.
-	Simulate func(ctx context.Context, c Cell) (*sim.Result, error) `json:"-"`
+	// Progress, when non-nil, is called after each cell resolves with
+	// the running counts: cells done (cached included), cells a cache
+	// served, cells a sweep pruned without simulation, and the total.
+	// A figure run or a matrix counts its unique cells; a DSE sweep
+	// counts its expanded cells. Calls are serialized.
+	Progress func(done, cached, pruned, total int) `json:"-"`
+	// Simulate, when non-nil, runs each normalized cell in place of an
+	// in-process simulation and reports whether a cache served the
+	// result; chamd's matrix and dse jobs resolve cells through the
+	// cluster's result cache with it. Calls are concurrent, at most
+	// Parallelism at a time.
+	Simulate func(ctx context.Context, c Cell) (r *sim.Result, cached bool, err error) `json:"-"`
 }
 
 // Defaults fills in zero fields.

@@ -190,7 +190,9 @@ func fig2b(o Options, res [][]*sim.Result) (*stats.Table, error) {
 }
 
 // fig2c reproduces the cloverleaf AutoNUMA timeline: migrated pages and
-// cumulative hit rate per 10M-cycle epoch at the 90 % threshold.
+// cumulative hit rate per scan epoch at the 90 % threshold. The epoch
+// scales with the run (see AutoNUMA): 562,500 cycles at the default
+// budgets, where the paper's runs used 10M cycles.
 func fig2c(_ Options, res [][]*sim.Result) (*stats.Table, error) {
 	t := stats.NewTable("epoch", "migrations", "enomem", "hit-rate%")
 	for _, rec := range res[0][0].NUMATimeline {

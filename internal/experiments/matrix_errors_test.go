@@ -56,7 +56,7 @@ func TestMatrixProgress(t *testing.T) {
 	o.Instructions = 10_000
 	o.Warmup = 10_000
 	var calls, lastDone, total int
-	o.Progress = func(done, tot int) { calls++; lastDone = done; total = tot }
+	o.Progress = func(done, _, _, tot int) { calls++; lastDone = done; total = tot }
 	if _, err := RunMatrix(o); err != nil {
 		t.Fatal(err)
 	}

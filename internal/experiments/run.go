@@ -96,14 +96,11 @@ func (o Options) cells(f Figure) [][]Cell {
 	return rows
 }
 
-// run is the one runner behind every simulation of the reproduction.
-// It declares every figure's cells, normalizes them, drops duplicates
-// by Cell.Hash, simulates each unique cell once with at most
-// o.Parallelism in flight, and returns each figure's grid of results.
-// A cell that does not normalize stops the run before anything
-// simulates; every such cell is reported. A failed simulation does not
-// stop its peers: every failure, and a context error, is joined into
-// one error. Progress counts unique cells.
+// run simulates every figure's cells. It declares them, normalizes
+// them, drops duplicates by Cell.Hash, simulates each unique cell once
+// through pool, and returns each figure's grid of results. A cell that
+// does not normalize stops the run before anything simulates; every
+// such cell is reported. Progress counts unique cells.
 func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, error) {
 	index := map[string]int{}
 	var unique []Cell
@@ -137,13 +134,41 @@ func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, err
 		return nil, errors.Join(errs...)
 	}
 
+	done, cached := 0, 0
+	err := o.pool(ctx, unique, func(u int, r *sim.Result, hit bool) error {
+		for _, slot := range slots[u] {
+			*slot = r
+		}
+		done++
+		if hit {
+			cached++
+		}
+		o.progress(done, cached, 0, len(unique))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return grids, nil
+}
+
+// pool is the one bounded simulation pool: every simulation of this
+// package, figure, matrix and DSE cells alike, runs through it. It
+// simulates cells with at most o.Parallelism in flight, through
+// o.Simulate when set, else in this process, and hands finish each
+// result with its index in cells and whether a cache served it;
+// finish calls are serialized. No cell starts once ctx is done. A
+// failed cell, in its simulation or its finish, does not stop its
+// peers: every failure, and a context error, is joined into the
+// returned error.
+func (o Options) pool(ctx context.Context, cells []Cell, finish func(i int, r *sim.Result, cached bool) error) error {
 	var (
 		mu   sync.Mutex
-		done int
+		errs []error
 		wg   sync.WaitGroup
 	)
 	sem := make(chan struct{}, o.Parallelism)
-	for u, c := range unique {
+	for i, c := range cells {
 		if ctx.Err() != nil {
 			// Don't launch cells that would fail immediately; the
 			// cancellation itself is reported below.
@@ -154,18 +179,21 @@ func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, err
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r, err := o.simulate(ctx, c)
+			var r *sim.Result
+			var cached bool
+			var err error
+			if o.Simulate != nil {
+				r, cached, err = o.Simulate(ctx, c)
+			} else {
+				r, err = c.Run(ctx, nil)
+			}
 			mu.Lock()
 			defer mu.Unlock()
-			done++
-			for _, slot := range slots[u] {
-				*slot = r
+			if err == nil {
+				err = finish(i, r, cached)
 			}
 			if err != nil {
 				errs = append(errs, fmt.Errorf("%v/%s: %w", c.Policy, c.Workload, err))
-			}
-			if o.Progress != nil {
-				o.Progress(done, len(unique))
 			}
 		}()
 	}
@@ -173,18 +201,12 @@ func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, err
 	if err := ctx.Err(); err != nil {
 		errs = append(errs, err)
 	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	return grids, nil
+	return errors.Join(errs...)
 }
 
-// simulate runs one normalized cell: through o.Simulate when set,
-// else in this process. Every simulation in this package, DSE cells
-// included, goes through it.
-func (o Options) simulate(ctx context.Context, c Cell) (*sim.Result, error) {
-	if o.Simulate != nil {
-		return o.Simulate(ctx, c)
+// progress reports the running cell counts to o.Progress, when set.
+func (o Options) progress(done, cached, pruned, total int) {
+	if o.Progress != nil {
+		o.Progress(done, cached, pruned, total)
 	}
-	return c.Run(ctx, nil)
 }

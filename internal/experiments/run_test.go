@@ -91,7 +91,7 @@ func TestRunIndependentOfParallelism(t *testing.T) {
 	for i, par := range []int{1, 4} {
 		o.Parallelism = par
 		var calls, total int
-		o.Progress = func(done, tot int) { calls, total = done, tot }
+		o.Progress = func(done, _, _, tot int) { calls, total = done, tot }
 		tabs, err := Run(context.Background(), o, figs...)
 		if err != nil {
 			t.Fatal(err)

@@ -83,8 +83,8 @@ func TestDSEJobEndToEnd(t *testing.T) {
 }
 
 // TestDSEJobMatchesInProcessSweep: a sweep run in process
-// (experiments.RunDSE) and the same sweep run as a chamd dse job build
-// each cell's simulation separately, and must agree on every point.
+// (experiments.RunDSE) and the same sweep run as a chamd dse job must
+// agree on every point, its cell hash included.
 func TestDSEJobMatchesInProcessSweep(t *testing.T) {
 	spec := fastDSESpec()
 	spec.DSE.Policies = []string{"flat", "chameleon-opt", "pom"}
@@ -103,6 +103,9 @@ func TestDSEJobMatchesInProcessSweep(t *testing.T) {
 		sp := served.Points[i]
 		if lp.Cell != sp.Cell || !reflect.DeepEqual(lp.Values, sp.Values) {
 			t.Errorf("point %d: in process %+v %v, served %+v %v", i, lp.Cell, lp.Values, sp.Cell, sp.Values)
+		}
+		if lp.Hash == "" || lp.Hash != sp.Hash {
+			t.Errorf("point %d: in process hash %q, served %q, want one non-empty hash", i, lp.Hash, sp.Hash)
 		}
 	}
 }
@@ -311,7 +314,7 @@ func TestClusterMatrixShardsCells(t *testing.T) {
 	if got := remote + runner.s.Metrics().DSECellsSimulated.Value(); got != 8 {
 		t.Errorf("%s resolved %d of 8 cells by simulation, want every cell", runner.id, got)
 	}
-	standalone := runMatrixJob(t, newTestServer(t, Options{Workers: 1}), "bwaves")
+	_, standalone := runMatrixJob(t, newTestServer(t, Options{Workers: 1}), "bwaves")
 	if !bytes.Equal(clustered, standalone) {
 		t.Errorf("clustered matrix payload differs from a standalone server's")
 	}

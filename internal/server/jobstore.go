@@ -47,9 +47,10 @@ type Progress struct {
 	// Matrix and DSE jobs: completed cells out of the total.
 	DoneCells  int `json:"done_cells,omitempty"`
 	TotalCells int `json:"total_cells,omitempty"`
-	// DSE jobs only: cells served from the content-addressed cache and
-	// cells skipped by dominance pruning (both subsets of the total;
-	// cached cells also count as done).
+	// Cells served from the content-addressed cache (matrix and DSE
+	// jobs) and cells skipped by dominance pruning (DSE jobs only);
+	// both are subsets of the total, and cached cells also count as
+	// done.
 	CachedCells int `json:"cached_cells,omitempty"`
 	PrunedCells int `json:"pruned_cells,omitempty"`
 }

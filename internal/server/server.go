@@ -338,11 +338,13 @@ type matrixPayload struct {
 	Results map[string]map[string]*sim.Result `json:"results"`
 }
 
-// runMatrix executes an evaluation-matrix job. Its cells resolve like
-// a sweep's (evalCell): from the local cache, a peer's cache, their
-// ring owner, or an inline simulation, so matrix cells are cached and
-// sharded, and shared with sim jobs and sweeps.
-func (s *Server) runMatrix(ctx context.Context, j *Job) (any, error) {
+// cellOptions are the experiments.Options a matrix or dse job runs its
+// cells with: the job's spec, each cell resolved through evalCell (so
+// cells are cached, sharded and shared with sim jobs), and the job's
+// cell progress recorded as cells resolve. Cells run inside the job's
+// worker slot, never through the local pool, so a job cannot deadlock
+// the pool that runs it.
+func (s *Server) cellOptions(j *Job) experiments.Options {
 	spec := j.Spec
 	o := experiments.Options{
 		Scale:        spec.Scale,
@@ -353,18 +355,32 @@ func (s *Server) runMatrix(ctx context.Context, j *Job) (any, error) {
 		Parallelism:  spec.Parallelism,
 		CacheLevels:  spec.CacheLevels,
 		MemoryTiers:  spec.MemoryTiers,
-		Progress:     func(done, total int) { j.setCellProgress(done, 0, 0, total) },
-		Simulate: func(ctx context.Context, c experiments.Cell) (*sim.Result, error) {
-			ev, err := s.evalCell(ctx, c)
-			return ev.Result, err
-		},
+		Progress:     j.setCellProgress,
+		Simulate:     s.evalCell,
 	}
 	for _, p := range spec.Policies {
 		o.Policies = append(o.Policies, sim.PolicyKind(p))
 	}
-	m, err := experiments.RunMatrixContext(ctx, o)
+	return o
+}
+
+// runMatrix executes an evaluation-matrix job.
+func (s *Server) runMatrix(ctx context.Context, j *Job) (any, error) {
+	m, err := experiments.RunMatrixContext(ctx, s.cellOptions(j))
 	if err != nil {
 		return nil, err
 	}
 	return matrixPayload{Results: m.ByName()}, nil
+}
+
+// runDSE executes a design-space sweep job. A normalized dse job
+// carries every axis in its sweep, so of the job's shared fields only
+// the budgets and parallelism apply.
+func (s *Server) runDSE(ctx context.Context, j *Job) (any, error) {
+	res, err := experiments.RunDSE(ctx, s.cellOptions(j), *j.Spec.DSE)
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.DSECellsPruned.Add(int64(res.Pruned))
+	return res, nil
 }

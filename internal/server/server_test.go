@@ -490,8 +490,8 @@ func TestStoreListOrder(t *testing.T) {
 }
 
 // runMatrixJob runs a small matrix job over wls to completion on s and
-// returns its payload bytes.
-func runMatrixJob(t *testing.T, s *Server, wls ...string) []byte {
+// returns its final status and payload bytes.
+func runMatrixJob(t *testing.T, s *Server, wls ...string) (JobStatus, []byte) {
 	t.Helper()
 	j, err := s.Submit(JobSpec{
 		Kind: KindMatrix, Workloads: wls,
@@ -500,20 +500,21 @@ func runMatrixJob(t *testing.T, s *Server, wls ...string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitTerminal(t, j, 120*time.Second); st.State != StateDone {
+	st := waitTerminal(t, j, 120*time.Second)
+	if st.State != StateDone {
 		t.Fatalf("matrix job: state %s (err %q)", st.State, st.Error)
 	}
 	b, err := j.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return st, b
 }
 
 // TestMatrixJobSharesCellCache: a matrix job's cells land in the result
 // cache that sim jobs and sweeps share. A sim job for one of its cells
 // is a cache hit, and a matrix job with one more workload simulates
-// only the new workload's cells.
+// only the new workload's cells and reports the others as cached.
 func TestMatrixJobSharesCellCache(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
 	runMatrixJob(t, s, "bwaves")
@@ -533,11 +534,14 @@ func TestMatrixJobSharesCellCache(t *testing.T) {
 				spec.Policy, st.State, st.Cached)
 		}
 	}
-	runMatrixJob(t, s, "bwaves", "mcf")
+	st, _ := runMatrixJob(t, s, "bwaves", "mcf")
 	if n := s.Metrics().DSECellsSimulated.Value(); n != 16 {
 		t.Errorf("second matrix simulated %d more cells, want only mcf's 8", n-8)
 	}
 	if n := s.Metrics().DSECellsCached.Value(); n != 8 {
 		t.Errorf("second matrix served %d cells from cache, want bwaves' 8", n)
+	}
+	if p := st.Progress; p.CachedCells != 8 || p.DoneCells != 16 || p.TotalCells != 16 {
+		t.Errorf("second matrix progress = %+v, want 16/16 cells done, bwaves' 8 cached", p)
 	}
 }
