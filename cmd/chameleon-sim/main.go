@@ -245,12 +245,13 @@ func run(rc runCfg) error {
 			len(res.NUMATimeline), res.OS.Migrations, res.OS.MigrateFails)
 	}
 	if rc.energy {
-		seconds := float64(res.MaxCycles) / opts.Config.CPU.FreqHz
+		window := res.MeasuredCycles()
+		seconds := float64(window) / opts.Config.CPU.FreqHz
 		for i, t := range sys.Tiers() {
-			e := sys.TierEnergy(i, res.MaxCycles)
+			e := sys.TierEnergy(i, window)
 			fmt.Printf("%-18s%.2f mJ (%.0f mW avg), %.1f%% bus utilisation\n",
 				t.Name()+" energy", e.TotalNJ()/1e6, e.AveragePowerMW(seconds),
-				t.Dev.BusyFraction(res.MaxCycles)*100)
+				t.Dev.BusyFraction(window)*100)
 		}
 	}
 	fmt.Println("\nper-core results:")

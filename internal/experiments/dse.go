@@ -25,6 +25,13 @@ const pruneWaveSize = 32
 // skip the remaining cells of a condemned axis value. Every cell error
 // of a wave is joined into one. Progress counts expanded cells, and
 // every point carries its cell's Cell.Hash.
+//
+// Like the figure plan (Options.run), a sweep simulates each unique
+// Cell.Hash once: axis values that describe one machine expand to
+// separate points, and a point whose hash an earlier point of the
+// sweep already has (a duplicate) shares that point's values and
+// Cached flag. A duplicate counts in Evaluated, and in Cached when its
+// original does, so Evaluated + Pruned is TotalCells.
 func RunDSE(ctx context.Context, o Options, spec dse.Spec) (*dse.Result, error) {
 	o = o.Defaults()
 	spec, err := o.Sweep(spec)
@@ -41,11 +48,16 @@ func RunDSE(ctx context.Context, o Options, spec dse.Spec) (*dse.Result, error) 
 	}
 	res := &dse.Result{Objectives: spec.Objectives, TotalCells: len(cells)}
 	condemned := dse.Condemned{}
+	// known holds the first point of every hash evaluated so far.
+	known := map[string]dse.Point{}
 	for next := 0; next < len(cells); {
 		// The next wave in cell-index order, without the cells an
 		// earlier wave condemned.
 		var wave []dse.Cell
-		var runs []Cell
+		var hashes []string
+		var unique []Cell
+		var slots [][]int // per unique cell, the wave points it fills
+		index := map[string]int{}
 		var errs []error
 		for ; next < len(cells) && len(wave) < waveSize; next++ {
 			c := cells[next]
@@ -57,24 +69,47 @@ func RunDSE(ctx context.Context, o Options, spec dse.Spec) (*dse.Result, error) 
 			run, err := SweepCell(spec, c, o.Instructions, o.Warmup)
 			if err != nil {
 				errs = append(errs, fmt.Errorf("%s/%s (cell %d): %w", c.Policy, c.Workload, c.Index, err))
+				continue
 			}
-			wave, runs = append(wave, c), append(runs, run)
+			h := run.Hash()
+			if _, ok := known[h]; !ok {
+				u, ok := index[h]
+				if !ok {
+					u = len(unique)
+					index[h] = u
+					unique, slots = append(unique, run), append(slots, nil)
+				}
+				slots[u] = append(slots[u], len(wave))
+			}
+			wave, hashes = append(wave, c), append(hashes, h)
 		}
 		if len(errs) > 0 {
 			return nil, errors.Join(errs...)
 		}
 		points := make([]dse.Point, len(wave))
-		err := o.pool(ctx, runs, func(i int, r *sim.Result, cached bool) error {
+		evaluated := func(w int, p dse.Point) {
+			points[w] = dse.Point{Cell: wave[w], Values: p.Values, Hash: hashes[w], Cached: p.Cached}
+			res.Evaluated++
+			if p.Cached {
+				res.Cached++
+			}
+			o.progress(res.Evaluated, res.Cached, res.Pruned, res.TotalCells)
+		}
+		for w, h := range hashes {
+			if p, ok := known[h]; ok {
+				evaluated(w, p)
+			}
+		}
+		err := o.pool(ctx, unique, func(u int, r *sim.Result, cached bool) error {
 			vals, err := dse.Values(r.Snapshot(), spec.Objectives)
 			if err != nil {
 				return err
 			}
-			points[i] = dse.Point{Cell: wave[i], Values: vals, Hash: runs[i].Hash(), Cached: cached}
-			res.Evaluated++
-			if cached {
-				res.Cached++
+			p := dse.Point{Values: vals, Cached: cached}
+			known[hashes[slots[u][0]]] = p
+			for _, w := range slots[u] {
+				evaluated(w, p)
 			}
-			o.progress(res.Evaluated, res.Cached, res.Pruned, res.TotalCells)
 			return nil
 		})
 		if err != nil {

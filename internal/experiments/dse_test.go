@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"chameleon/internal/dse"
@@ -241,5 +242,45 @@ func TestRunProgressCounts(t *testing.T) {
 	// fakeSimulate marks even seeds cached: seeds 1,2 over 2 workloads.
 	if res.Cached != 2 {
 		t.Errorf("cached = %d, want 2", res.Cached)
+	}
+}
+
+// TestRunDSESimulatesDuplicateOnce: ratio 5 is the default machine, so
+// ratios [0, 5] expand to two points with one Cell.Hash. The sweep must
+// simulate that cell once and give both points its values, counting
+// both as evaluated.
+func TestRunDSESimulatesDuplicateOnce(t *testing.T) {
+	var spec dse.Spec
+	if err := json.Unmarshal([]byte(`{"policies":["chameleon-opt"],"workloads":["bwaves"],"ratios":[0,5]}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	simulated := 0
+	res, err := RunDSE(context.Background(), Options{
+		Scale:        1024,
+		Instructions: 2_000,
+		Warmup:       1,
+		Parallelism:  2,
+		Simulate: func(ctx context.Context, c Cell) (*sim.Result, bool, error) {
+			mu.Lock()
+			simulated++
+			mu.Unlock()
+			r, err := c.Run(ctx, nil)
+			return r, false, err
+		},
+	}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if simulated != 1 {
+		t.Errorf("simulated %d cells, want 1", simulated)
+	}
+	if res.TotalCells != 2 || res.Evaluated != 2 || res.Cached != 0 || len(res.Points) != 2 {
+		t.Fatalf("accounting: total %d evaluated %d cached %d points %d, want 2/2/0/2",
+			res.TotalCells, res.Evaluated, res.Cached, len(res.Points))
+	}
+	a, b := res.Points[0], res.Points[1]
+	if a.Hash != b.Hash || !reflect.DeepEqual(a.Values, b.Values) || a.Cell.Ratio == b.Cell.Ratio {
+		t.Errorf("points %+v and %+v: want two ratios with one hash and equal values", a, b)
 	}
 }

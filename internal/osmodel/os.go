@@ -371,14 +371,15 @@ func (o *OS) pickNode() int {
 }
 
 // allocFrame pops a free frame, or evicts a victim when memory is
-// exhausted. It returns the frame and whether the allocation required
-// an eviction (a major fault for the toucher).
-func (o *OS) allocFrame(now uint64) (uint32, bool) {
+// exhausted. It returns the frame and, when the allocation required an
+// eviction (a major fault for the toucher), the ID of the process whose
+// page it took; victim is -1 otherwise.
+func (o *OS) allocFrame(now uint64) (frame uint32, victim int) {
 	if o.groups != nil && o.FreeBytes() > 0 {
 		f := o.allocGroupAware()
 		o.groups.allocate(f, o.cfg.PageBytes)
 		o.notifyAlloc(now, f)
-		return f, false
+		return f, -1
 	}
 	node := o.pickNode()
 	if node >= 0 {
@@ -386,9 +387,9 @@ func (o *OS) allocFrame(now uint64) (uint32, bool) {
 		f := l[len(l)-1]
 		o.free[node] = l[:len(l)-1]
 		o.notifyAlloc(now, f)
-		return f, false
+		return f, -1
 	}
-	return o.evict(), true
+	return o.evict()
 }
 
 // CacheCapableGroups returns, under AllocGroupAware, how many segment
@@ -400,10 +401,11 @@ func (o *OS) CacheCapableGroups() uint32 {
 	return o.groups.cacheCapableGroups()
 }
 
-// evict runs the CLOCK algorithm to pick and unmap a victim frame.
-// The frame remains allocated (it is immediately reused), so no ISA
-// notifications are issued.
-func (o *OS) evict() uint32 {
+// evict runs the CLOCK algorithm to pick and unmap a victim frame,
+// returning it with the ID of the process that owned it. The frame
+// remains allocated (it is immediately reused), so no ISA notifications
+// are issued.
+func (o *OS) evict() (frame uint32, owner int) {
 	for sweep := uint64(0); sweep < 2*o.frames+1; sweep++ {
 		f := o.hand
 		o.hand = (o.hand + 1) % o.frames
@@ -420,7 +422,7 @@ func (o *OS) evict() uint32 {
 		p.resident--
 		m.proc = -1
 		o.stats.Evictions++
-		return uint32(f)
+		return uint32(f), p.id
 	}
 	panic("osmodel: evict found no resident frame")
 }
@@ -449,15 +451,23 @@ func (o *OS) notifyFree(now uint64, frame uint32) {
 // demand-paging on first touch. stall is the page-fault penalty (0,
 // or PageFaultCycles when the fault had to evict to the SSD).
 func (o *OS) Translate(p *Process, vaddr uint64, now uint64) (phys addr.Phys, stall uint64) {
+	phys, stall, _ = o.TranslateVictim(p, vaddr, now)
+	return phys, stall
+}
+
+// TranslateVictim is Translate that also reports whose page a fault
+// evicted: the owning process's ID (see Process.ID), or -1 when the
+// translation evicted nothing.
+func (o *OS) TranslateVictim(p *Process, vaddr uint64, now uint64) (phys addr.Phys, stall uint64, victim int) {
+	victim = -1
 	vpage := vaddr >> o.pageShift
 	for uint64(len(p.table)) <= vpage {
 		p.table = append(p.table, noFrame)
 	}
 	frame := p.table[vpage]
 	if frame == noFrame {
-		var evicted bool
-		frame, evicted = o.allocFrame(now)
-		if evicted {
+		frame, victim = o.allocFrame(now)
+		if victim >= 0 {
 			o.stats.MajorFaults++
 			o.stats.FaultCycles += o.cfg.PageFaultCycles
 			stall = o.cfg.PageFaultCycles
@@ -480,7 +490,15 @@ func (o *OS) Translate(p *Process, vaddr uint64, now uint64) (phys addr.Phys, st
 	if o.auto != nil {
 		stall += o.auto.record(frame, onFast)
 	}
-	return addr.Phys(uint64(frame)<<o.pageShift | vaddr&o.pageMask), stall
+	return addr.Phys(uint64(frame)<<o.pageShift | vaddr&o.pageMask), stall, victim
+}
+
+// Mapped reports whether vaddr's page is resident in p. It has no side
+// effect: it neither marks the frame referenced nor counts a touch, so
+// it may look at any process's table at any time.
+func (o *OS) Mapped(p *Process, vaddr uint64) bool {
+	vpage := vaddr >> o.pageShift
+	return vpage < uint64(len(p.table)) && p.table[vpage] != noFrame
 }
 
 // TranslateMapped is the read-only path of Translate for pages that
@@ -492,10 +510,12 @@ func (o *OS) Translate(p *Process, vaddr uint64, now uint64) (phys addr.Phys, st
 // ok is false when the page is unmapped; the caller must then route the
 // access through the full Translate fault path.
 //
-// The simulator's run-ahead path calls it ahead of other cores' commits,
-// which is sound only while no eviction can occur: evictions are the
-// only cross-process page-table mutation, so without them a process's
-// table changes only at its own core's commits.
+// The simulator's run-ahead path calls it ahead of other cores'
+// commits. That is sound below the caller's fault horizon: evictions
+// are the only cross-process page-table mutation and the only reader of
+// the reference bit it sets, so a call is exact as long as every
+// eviction that precedes it in the caller's commit order has already
+// run. Where nothing can evict, the horizon is unbounded.
 func (o *OS) TranslateMapped(p *Process, vaddr uint64) (phys addr.Phys, onFast, ok bool) {
 	vpage := vaddr >> o.pageShift
 	if vpage >= uint64(len(p.table)) {

@@ -161,6 +161,44 @@ func TestMajorFaultOnExhaustion(t *testing.T) {
 	}
 }
 
+// TestTranslateVictimReportsOwner: a fault that evicts names the
+// process whose page it took, Mapped sees the loss, and Mapped itself
+// leaves the CLOCK reference bit alone.
+func TestTranslateVictimReportsOwner(t *testing.T) {
+	cfg := baseCfg()
+	o := testOS(t, cfg, nil)
+	a, b := o.NewProcess(), o.NewProcess()
+	pages := cfg.TotalBytes / cfg.PageBytes
+	for i := uint64(0); i < pages; i++ {
+		if _, _, victim := o.TranslateVictim(a, i*cfg.PageBytes, 0); victim != -1 {
+			t.Fatalf("page %d evicted process %d's page while memory lasted", i, victim)
+		}
+	}
+	if o.Mapped(b, 0) || !o.Mapped(a, 0) || o.Mapped(a, pages*cfg.PageBytes) {
+		t.Fatal("Mapped disagrees with the page tables")
+	}
+	for f := range o.meta {
+		o.meta[f].ref = false
+	}
+	o.Mapped(a, 0)
+	if o.meta[a.table[0]].ref {
+		t.Fatal("Mapped set the reference bit")
+	}
+	_, stall, victim := o.TranslateVictim(b, 0, 0)
+	if victim != a.ID() || stall != cfg.PageFaultCycles {
+		t.Fatalf("victim %d stall %d, want process %d's page and a major fault", victim, stall, a.ID())
+	}
+	lost := 0
+	for i := uint64(0); i < pages; i++ {
+		if !o.Mapped(a, i*cfg.PageBytes) {
+			lost++
+		}
+	}
+	if lost != 1 || !o.Mapped(b, 0) {
+		t.Errorf("process %d lost %d pages, want 1; faulting page mapped: %v", a.ID(), lost, o.Mapped(b, 0))
+	}
+}
+
 func TestClockSecondChance(t *testing.T) {
 	cfg := baseCfg()
 	o := testOS(t, cfg, nil)

@@ -94,9 +94,10 @@ func benchStep(b *testing.B) {
 // BenchmarkEngineByWorkload times one full simulation per op (New,
 // 250k warm-up and 100k measured instructions per core) on the default
 // 12-core machine at scale 256: chameleon-opt on six Table II workloads
-// spanning the LLC-MPKI range, which run ahead, and three serial-mode
-// runs, alloy on two footprints that can evict and numa-flat with
-// AutoNUMA at Fig. 2b's setting. The threads1 suffix keeps the names of
+// spanning the LLC-MPKI range, which run ahead at horizon +∞, alloy on
+// two footprints that can evict, which run to a bounded fault horizon,
+// and numa-flat with AutoNUMA at Fig. 2b's setting, which runs serially
+// (horizon −∞). Each row asserts its horizon. The threads1 suffix keeps the names of
 // BENCH_parallel.json's records, which compare the run-ahead rows with
 // the removed parallel engine (threads2).
 func BenchmarkEngineByWorkload(b *testing.B) {
@@ -107,16 +108,16 @@ func BenchmarkEngineByWorkload(b *testing.B) {
 		name, workload string
 		policy         PolicyKind
 		autoNUMA       *osmodel.AutoNUMAConfig
-		serial         bool
+		horizon        horizonMode
 	}
 	var runs []run
 	for _, name := range []string{"mcf", "lbm", "bwaves", "hpccg", "comd", "miniGhost"} {
-		runs = append(runs, run{name: name + "/threads1", workload: name, policy: PolicyChameleonOpt})
+		runs = append(runs, run{name: name + "/threads1", workload: name, policy: PolicyChameleonOpt, horizon: horizonOpen})
 	}
 	runs = append(runs,
-		run{name: "alloy/bwaves", workload: "bwaves", policy: PolicyAlloy, serial: true},
-		run{name: "alloy/miniGhost", workload: "miniGhost", policy: PolicyAlloy, serial: true},
-		run{name: "numa-flat+autonuma/lbm", workload: "lbm", policy: PolicyNUMAFlat, autoNUMA: autoNUMA, serial: true},
+		run{name: "alloy/bwaves", workload: "bwaves", policy: PolicyAlloy, horizon: horizonBounded},
+		run{name: "alloy/miniGhost", workload: "miniGhost", policy: PolicyAlloy, horizon: horizonBounded},
+		run{name: "numa-flat+autonuma/lbm", workload: "lbm", policy: PolicyNUMAFlat, autoNUMA: autoNUMA, horizon: horizonNone},
 	)
 	for _, r := range runs {
 		prof, err := workload.ByName(r.workload)
@@ -137,8 +138,8 @@ func BenchmarkEngineByWorkload(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if sys.runAhead == r.serial {
-					b.Fatalf("runAhead = %v, want %v", sys.runAhead, !r.serial)
+				if sys.horizon != r.horizon {
+					b.Fatalf("horizon = %d, want %d", sys.horizon, r.horizon)
 				}
 				if _, err := sys.Run(100_000); err != nil {
 					b.Fatal(err)

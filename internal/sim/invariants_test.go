@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"chameleon/internal/config"
@@ -180,5 +181,53 @@ func TestModeDistributionInterface(t *testing.T) {
 		if k == PolicyPoM && isMD {
 			t.Error("pom has no modes to expose")
 		}
+	}
+}
+
+// TestUtilizationCoversMeasuredWindow: device counters are reset at the
+// phase barrier after warm-up, so a tier's utilisation must be its
+// measured-window bytes over peak bandwidth times the measured window,
+// not times a span that includes warm-up. Flat pays full DRAM timing
+// while warming, so its warm-up is long and a wrong window shows.
+func TestUtilizationCoversMeasuredWindow(t *testing.T) {
+	const scale = 512
+	cfg := config.Default(scale)
+	prof, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(Options{
+		Config:             cfg,
+		Policy:             PolicyFlat,
+		Workload:           prof.Scale(scale),
+		Seed:               11,
+		WarmupInstructions: 200_000,
+		BaselineBytes:      24 * config.GB / scale,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := res.MeasuredCycles()
+	if 2*window > res.MaxCycles {
+		t.Fatalf("measured window %d of %d cycles: warm-up is too short to tell the windows apart", window, res.MaxCycles)
+	}
+	var moved bool
+	for i, tr := range res.Tiers {
+		bytes := tr.Device["bytes_moved"]
+		if bytes == 0 {
+			continue
+		}
+		moved = true
+		got := tr.Utilization * sys.Tiers()[i].Dev.PeakBandwidth() * float64(window) / cfg.CPU.FreqHz
+		if math.Abs(got-bytes) > 1e-9*bytes {
+			t.Errorf("%s: utilisation %.4f x peak x window is %.0f bytes, device moved %.0f", tr.Tier, tr.Utilization, got, bytes)
+		}
+	}
+	if !moved {
+		t.Fatal("no tier moved bytes in the measured run")
 	}
 }

@@ -49,8 +49,9 @@ type TierResult struct {
 	// Occupancy is the resident fraction of the tier's OS home range,
 	// when the whole stack is OS-visible (0 otherwise).
 	Occupancy float64
-	// EnergyNJ is the tier's energy over the run per its configured
-	// power profile; Utilization is its busy fraction of peak bandwidth.
+	// EnergyNJ is the tier's energy over the measured run per its
+	// configured power profile; Utilization is its busy fraction of
+	// peak bandwidth over the same window (Result.MeasuredCycles).
 	EnergyNJ    float64
 	Utilization float64
 	// Device is the backing device's full counter snapshot (row hits
@@ -249,10 +250,11 @@ const ctxCheckInterval = 4096
 // needs shared state or the budget is spent, then parks the core under
 // its new key (fix) or pops it. Private prefixes commute across cores,
 // so only shared events need ordering, and the heap moves once per
-// shared event instead of once per reference. When run-ahead is unsafe
-// (System.runAhead) translation is shared too: every step that is not a
-// post-fault replay parks as an evTranslate, and its commit translates
-// and walks the whole hierarchy in (time, id) order.
+// shared event instead of once per reference. Translation is private
+// only below the core's fault horizon (System.horizon): a step at or
+// past it parks as an evTranslate, and its commit translates and walks
+// the whole hierarchy in (time, id) order. A bounded run re-bounds a
+// core each time it parks.
 func (s *System) execute(budget uint64) error {
 	c := &s.cores
 	for i := range c.ev {
@@ -261,6 +263,8 @@ func (s *System) execute(budget uint64) error {
 		// core the same way it resumes one.
 		c.ev[i] = stepEvent{kind: evSync}
 		c.key[i] = c.time[i]
+		c.bound[i] = c.key[i]
+		c.ahead[i] = 0
 	}
 	h := newCoreHeap(c.key, s.heapIdx)
 	steps := 0
@@ -275,8 +279,12 @@ func (s *System) execute(budget uint64) error {
 		}
 		steps = n
 		if parked {
+			if s.horizon == horizonBounded {
+				s.rebound(i)
+			}
 			h.fix()
 		} else {
+			c.bound[i] = math.MaxUint64
 			h.pop()
 		}
 	}
@@ -290,15 +298,16 @@ func (s *System) execute(budget uint64) error {
 // translation, the private cache levels) retires it never leaves the
 // loop; one that needs shared state parks its event in c.ev[i] under
 // its pre-step clock c.key[i], with c.time[i] the post-gap clock. steps
-// counts toward the next cancellation probe. Serial mode differs in
-// translation alone: a step that translates parks as an evTranslate
-// right after its gap, and its commit translates and walks.
+// counts toward the next cancellation probe. A step translates a mapped
+// page here only below the core's fault horizon; at or past it the step
+// parks as an evTranslate right after its gap, and its commit translates
+// and walks.
 func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error) {
 	c := &s.cores
 	instr, now, budget := c.instr[i], c.time[i], c.budget[i]
-	touches, fast := c.touchTotal[i], c.touchFast[i]
+	touches, fast, ahead := c.touchTotal[i], c.touchFast[i], c.ahead[i]
 	synth, src, proc := c.synth[i], c.stream[i], c.proc[i]
-	ahead := s.runAhead
+	hKey, hID := s.horizonOf(i)
 	epoch := s.nextEpoch  // only commits advance it
 	l1 := s.hier.First(i) // nil when the first level is shared
 	// A step whose phase boundary was just committed resumes past the
@@ -341,16 +350,16 @@ func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error)
 			now += ref.Gap * s.baseCPIx1000 / 1000
 			var phys addr.Phys
 			var onFast, ok bool
-			if ahead {
+			if key < hKey || key == hKey && i < hID {
 				phys, onFast, ok = s.os.TranslateMapped(proc, ref.VAddr)
 			}
 			if !ok {
-				// Serial mode, or an unmapped page: the commit translates
-				// at this step's position.
+				// At or past the horizon, or an unmapped page: the commit
+				// translates at this step's position.
 				ev, parked = stepEvent{kind: evTranslate, write: ref.Write, phys: ref.VAddr, gap: ref.Gap}, true
 				break
 			}
-			p, write = uint64(phys), ref.Write
+			p, write, ahead = uint64(phys), ref.Write, key+1
 			touches++
 			if onFast {
 				fast++
@@ -391,7 +400,7 @@ func (s *System) runPrivate(i, steps int) (parked bool, stepsOut int, err error)
 		c.ev[i], c.key[i] = ev, key
 	}
 	c.instr[i], c.time[i] = instr, now
-	c.touchTotal[i], c.touchFast[i] = touches, fast
+	c.touchTotal[i], c.touchFast[i], c.ahead[i] = touches, fast, ahead
 	return parked, steps, err
 }
 
@@ -453,15 +462,19 @@ func (s *System) applyWalk(i int, p uint64, walkStall uint64, llcMiss bool, vict
 // shared cache levels, the memory-system controller, the DRAM devices,
 // page faults, allocation phases — parks as a stepEvent under the
 // step's commit key (the core's pre-step clock) and runs when commit
-// reaches it in (key, id) order (see execute). In serial mode
-// (System.runAhead unset) translation is shared as well, so every step
-// but a post-fault replay parks at its translation.
+// reaches it in (key, id) order (see execute). Translation is in the
+// prefix only below the core's fault horizon (System.horizon; DESIGN.md
+// §7). The horizon is +∞ when nothing can evict, and −∞ under AutoNUMA
+// or trace capture, where every step but a post-fault replay parks at
+// its translation. An evicting run bounds it per core: a step may
+// translate ahead only while no other core can still commit an eviction
+// before it.
 
 // Event kinds (stepEvent.kind).
 const (
 	evSync      uint8 = iota // no step at all: a pass start
 	evWalk                   // private walk spilled into the shared levels
-	evTranslate              // translation at the commit: serial mode, or an unmapped page
+	evTranslate              // translation at the commit: past the horizon, or an unmapped page
 	evEpoch                  // fully-local step that may cross a timeline epoch; sample, then retire
 	evPhase                  // allocation-phase boundary; the step resumes in runPrivate
 )
@@ -495,7 +508,9 @@ func (s *System) commit(i int) error {
 	case evSync:
 		return nil
 	case evPhase:
-		s.phaseChurn(i)
+		if s.phaseChurn(i) {
+			return s.evicted(i, -1)
+		}
 		return nil
 	case evEpoch:
 		if s.timelineOn {
@@ -505,13 +520,15 @@ func (s *System) commit(i int) error {
 		c.time[i] += ev.stall
 		return nil
 	case evTranslate:
-		if s.runAhead && s.os.FreeBytes() < s.os.Config().PageBytes {
-			return fmt.Errorf("sim: fault at core %d would evict a page, violating the translation-stability bound run-ahead relies on", i)
-		}
 		if s.sinkOn {
 			s.opts.TraceSink.Emit(i, trace.Ref{Gap: ev.gap, VAddr: ev.phys, Write: ev.write})
 		}
-		phys, stall := s.os.Translate(c.proc[i], ev.phys, c.time[i])
+		phys, stall, victim := s.os.TranslateVictim(c.proc[i], ev.phys, c.time[i])
+		if victim >= 0 {
+			if err := s.evicted(i, victim); err != nil {
+				return err
+			}
+		}
 		p := uint64(phys)
 		if s.autoOn {
 			s.auto.Tick(c.time[i])
@@ -547,17 +564,24 @@ func (s *System) commit(i int) error {
 // boundary the core alternately maps and frees a transient buffer just
 // past its footprint, issuing ISA-Alloc/ISA-Free through the OS and
 // letting Chameleon's segment groups switch modes mid-run. It is the
-// commit of an evPhase, which runPrivate parks only when phaseDue.
-func (s *System) phaseChurn(i int) {
+// commit of an evPhase, which runPrivate parks only when phaseDue, and
+// it reports whether mapping the buffer evicted pages.
+func (s *System) phaseChurn(i int) (evicted bool) {
 	c := &s.cores
 	c.phaseNext[i] += s.opts.PhaseEveryInstructions
 	base := c.stream[i].Profile().FootprintBytes
 	if c.phaseHeld[i] {
 		s.os.FreeRange(c.proc[i], base, s.opts.PhaseAllocBytes, c.time[i])
+		if c.look != nil {
+			// The core's own pages lost their mapping; it re-bounds when
+			// it parks.
+			c.look[i].scan = c.look[i].head
+		}
 	} else {
-		s.os.Map(c.proc[i], base, s.opts.PhaseAllocBytes, c.time[i])
+		evicted = s.os.Map(c.proc[i], base, s.opts.PhaseAllocBytes, c.time[i]) > 0
 	}
 	c.phaseHeld[i] = !c.phaseHeld[i]
+	return evicted
 }
 
 // phaseDue reports whether core i's next step, at instruction count
@@ -631,11 +655,24 @@ func (s *System) collect(start, instr0, faults0 []uint64) *Result {
 	return r
 }
 
+// MeasuredCycles is the measured run's length in cycles: from the phase
+// barrier after warm-up to the last core's finish (MaxCycles counts
+// warm-up too). Device counters are reset at the barrier, so energy and
+// utilisation are taken over this window.
+func (r *Result) MeasuredCycles() uint64 {
+	var window uint64
+	for _, c := range r.Cores {
+		window = max(window, c.Cycles)
+	}
+	return window
+}
+
 // collectTiers fills the per-tier result namespaces: demand split,
 // occupancy of each tier's OS home range (when the whole stack is
-// OS-visible), energy per the tier's power profile, bandwidth
-// utilisation, and the raw device snapshot.
+// OS-visible), energy per the tier's power profile and bandwidth
+// utilisation over the measured window, and the raw device snapshot.
 func (s *System) collectTiers(r *Result) {
+	window := r.MeasuredCycles()
 	var tierAcc []uint64
 	if ta, ok := s.ctrl.(policy.TierAccounting); ok {
 		tierAcc = ta.TierAccesses()
@@ -651,8 +688,8 @@ func (s *System) collectTiers(r *Result) {
 			Tier:          t.Name(),
 			Kind:          t.Kind,
 			CapacityBytes: t.Capacity(),
-			EnergyNJ:      t.Energy(r.MaxCycles).TotalNJ(),
-			Utilization:   t.Dev.BusyFraction(r.MaxCycles),
+			EnergyNJ:      t.Energy(window).TotalNJ(),
+			Utilization:   t.Dev.BusyFraction(window),
 			Device:        t.Dev.Snapshot(),
 		}
 		switch {

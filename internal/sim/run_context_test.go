@@ -83,7 +83,7 @@ func TestRunContextDeadlineWithoutTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.runAhead {
+	if sys.horizon != horizonOpen {
 		t.Fatal("options do not admit run-ahead; the test would not reach the run-ahead loop")
 	}
 	const deadline = 50 * time.Millisecond

@@ -63,12 +63,12 @@ type variant struct {
 
 // evictVariant oversubscribes physical memory so that CLOCK evicts on
 // nearly every measured-run fault: it shrinks every memory tier 4x,
-// skips prefaulting, and reshapes the reference stream into uniform
-// scatter bursts (no hot region, no stream, high miss rate, short
-// bursts), so the aggregate touched working set far exceeds physical
-// memory.
+// skips prefaulting, and reshapes the run's workload (bwaves under
+// baseOpts) into uniform scatter bursts (no hot region, no stream, high
+// miss rate, short bursts), so the aggregate touched working set far
+// exceeds physical memory. Such a run is bounded by the fault horizon.
 var evictVariant = variant{name: "evict", mutate: func(t testing.TB, o *Options) {
-	prof, err := workload.ByName("bwaves")
+	prof, err := workload.ByName(o.Workload.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,10 @@ func recordReplay(t testing.TB, o *Options, instr uint64) {
 // boundaries, here under sampling too), demand faulting (the
 // evTranslate commits of unmapped pages), a consolidated mix (per-core
 // spans that differ), a recorded trace replayed through Options.Sources
-// (the non-synthetic Source.Next branch) and a shared first cache level
-// (no first-level probe: every step's walk parks). Serial mode's own
-// results are pinned by TestSerialDigestsPinned.
+// (the non-synthetic Source.Next branch), a shared first cache level
+// (no first-level probe: every step's walk parks) and an evicting
+// footprint (the bounded fault horizon). Serial mode's own results are
+// pinned by TestSerialDigestsPinned.
 var runAheadVariants = []variant{
 	{name: "base"},
 	{name: "timeline", mutate: func(_ testing.TB, o *Options) {
@@ -174,22 +175,24 @@ var runAheadVariants = []variant{
 		o.Config.CacheLevels = append([]config.CacheLevelConfig(nil), o.Config.CacheLevels...)
 		o.Config.CacheLevels[0].Shared = true
 	}},
+	evictVariant,
 }
 
-// runSequential runs opts on the sequential engine, in run-ahead mode
-// or with serial mode forced, and fails unless the options admit
-// run-ahead (else the comparison would pit serial mode against itself).
+// runSequential runs opts at the fault horizon New picks for them, or
+// at −∞ (serial mode) when serial is set, and fails when the options
+// already run at −∞ (the comparison would pit serial mode against
+// itself).
 func runSequential(t testing.TB, opts Options, instr uint64, serial bool) *Result {
 	t.Helper()
 	sys, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.runAhead {
-		t.Fatal("options do not admit run-ahead; the comparison would be vacuous")
+	if sys.horizon == horizonNone {
+		t.Fatal("options run at horizon −∞; the comparison would be vacuous")
 	}
 	if serial {
-		sys.runAhead = false
+		sys.setHorizon(horizonNone)
 	}
 	res, err := sys.Run(instr)
 	if err != nil {
@@ -199,9 +202,11 @@ func runSequential(t testing.TB, opts Options, instr uint64, serial bool) *Resul
 }
 
 // TestRunAheadMatchesSerial: run-ahead, which translates mapped pages
-// in each core's private prefix and orders only shared events, must
-// reproduce serial mode, which translates every reference at its
-// commit in (time, id) order, bit for bit, for every registered policy.
+// in each core's private prefix below its fault horizon and orders only
+// shared events, must reproduce serial mode, which translates every
+// reference at its commit in (time, id) order, bit for bit, for every
+// registered policy. The evict variant runs at a bounded horizon, every
+// other one at +∞.
 func TestRunAheadMatchesSerial(t *testing.T) {
 	for _, kind := range PolicyNames() {
 		for _, v := range runAheadVariants {
@@ -226,6 +231,10 @@ func TestRunAheadMatchesSerial(t *testing.T) {
 					if serial.OS.MinorFaults == 0 {
 						t.Fatal("no faults in the measured run; variant is not exercising the fault path")
 					}
+				case "evict":
+					if serial.OS.MajorFaults == 0 {
+						t.Fatal("no major faults in the measured run; variant is not exercising the horizon")
+					}
 				}
 				if v.name == "churn" && serial.OS.FreedPages == 0 {
 					t.Fatal("no churn buffer freed; variant is not exercising phase boundaries")
@@ -242,17 +251,23 @@ func TestRunAheadMatchesSerial(t *testing.T) {
 // seeds, policies, workloads, churn periods and timeline epochs on a
 // 4-core slice of the default machine, with synthetic streams or, when
 // replay is set, a short capture of the same streams replayed through
-// Options.Sources.
+// Options.Sources. evict reshapes the run as evictVariant does, on
+// every core of the machine, so that all workloads but mcf, whose
+// footprint still fits, run at a bounded fault horizon.
 func FuzzRunAheadMatchesSerial(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint32(0), uint32(0), false)
-	f.Add(uint64(7), uint8(3), uint8(2), uint32(15_000), uint32(30_000), false)
-	f.Add(uint64(31), uint8(6), uint8(5), uint32(8_000), uint32(0), false)
-	f.Add(uint64(99), uint8(7), uint8(1), uint32(0), uint32(8_000), false)
-	f.Add(uint64(5), uint8(4), uint8(3), uint32(12_000), uint32(20_000), true)
-	f.Add(uint64(64), uint8(1), uint8(0), uint32(0), uint32(0), true)
+	f.Add(uint64(1), uint8(0), uint8(0), uint32(0), uint32(0), false, false)
+	f.Add(uint64(7), uint8(3), uint8(2), uint32(15_000), uint32(30_000), false, false)
+	f.Add(uint64(31), uint8(6), uint8(5), uint32(8_000), uint32(0), false, false)
+	f.Add(uint64(99), uint8(7), uint8(1), uint32(0), uint32(8_000), false, false)
+	f.Add(uint64(5), uint8(4), uint8(3), uint32(12_000), uint32(20_000), true, false)
+	f.Add(uint64(64), uint8(1), uint8(0), uint32(0), uint32(0), true, false)
+	f.Add(uint64(3), uint8(0), uint8(2), uint32(0), uint32(0), false, true)
+	f.Add(uint64(17), uint8(5), uint8(1), uint32(9_000), uint32(25_000), false, true)
+	f.Add(uint64(42), uint8(8), uint8(3), uint32(0), uint32(10_000), true, true)
+	f.Add(uint64(11), uint8(2), uint8(5), uint32(20_000), uint32(0), false, true)
 	policies := PolicyNames()
 	workloads := []string{"mcf", "lbm", "bwaves", "hpccg", "comd", "miniGhost"}
-	f.Fuzz(func(t *testing.T, seed uint64, policyPick, workloadPick uint8, churnEvery, epoch uint32, replay bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, policyPick, workloadPick uint8, churnEvery, epoch uint32, replay, evict bool) {
 		kind := policies[int(policyPick)%len(policies)]
 		opts := baseOpts(t, kind)
 		prof, err := workload.ByName(workloads[int(workloadPick)%len(workloads)])
@@ -261,6 +276,11 @@ func FuzzRunAheadMatchesSerial(f *testing.F) {
 		}
 		opts.Workload = prof.Scale(4 * 512)
 		opts.Copies = 4
+		if evict {
+			// On four cores every reshaped footprint fits.
+			evictVariant.mutate(t, &opts)
+			opts.Copies = 0
+		}
 		opts.Seed = seed
 		opts.WarmupInstructions = 20_000
 		if every := uint64(churnEvery % 50_000); every >= 1_000 {
@@ -278,8 +298,8 @@ func FuzzRunAheadMatchesSerial(f *testing.F) {
 		serial := runSequential(t, serialOpts, 60_000, true)
 		ahead := runSequential(t, aheadOpts, 60_000, false)
 		if !reflect.DeepEqual(serial, ahead) {
-			t.Errorf("%s/%s seed %d churn %d epoch %d replay %v: run-ahead diverged from serial mode",
-				kind, opts.Workload.Name, seed, opts.PhaseEveryInstructions, opts.TimelineEpochCycles, replay)
+			t.Errorf("%s/%s seed %d churn %d epoch %d replay %v evict %v: run-ahead diverged from serial mode",
+				kind, opts.Workload.Name, seed, opts.PhaseEveryInstructions, opts.TimelineEpochCycles, replay, evict)
 		}
 	})
 }
@@ -317,11 +337,10 @@ func TestTranslationsStableCountsChurnBuffer(t *testing.T) {
 	}
 }
 
-// TestRunAheadRefusesEviction: run-ahead relies on no page ever being
-// evicted, so a fault that would evict must stop the run with an error
-// rather than return a result built on stale translations. Forcing
-// run-ahead on the evicting footprint reaches that guard for every
-// registered policy.
+// TestRunAheadRefusesEviction: the commit-time guard stops a run whose
+// cores translated ahead past an evicting commit, rather than return a
+// result built on stale translations. Forcing horizon +∞ on the
+// evicting footprint reaches that guard for every registered policy.
 func TestRunAheadRefusesEviction(t *testing.T) {
 	for _, kind := range PolicyNames() {
 		t.Run(kind, func(t *testing.T) {
@@ -331,33 +350,86 @@ func TestRunAheadRefusesEviction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.runAhead = true
+			sys.setHorizon(horizonOpen)
 			res, err := sys.Run(100_000)
 			if err == nil {
-				t.Fatalf("run-ahead over an evicting footprint returned a result (%d major faults)", res.OS.MajorFaults)
+				t.Fatalf("run-ahead at +∞ over an evicting footprint returned a result (%d major faults)", res.OS.MajorFaults)
 			}
-			if !strings.Contains(err.Error(), "would evict a page") {
-				t.Fatalf("error %q does not name the eviction guard", err)
+			if !strings.Contains(err.Error(), "violating the fault horizon") {
+				t.Fatalf("error %q does not name the horizon guard", err)
 			}
 		})
 	}
 }
 
-// TestRunAheadSelection pins which inputs admit run-ahead: stable
-// translations with no AutoNUMA engine and no trace sink.
+// TestEvictionReboundsVictim: a core's fault bound stays a lower bound
+// only while the pages its lookahead scanned as mapped stay mapped, so
+// a commit that takes one of them must lower the owner's bound to that
+// reference's step. Here core 0's lookahead is scanned over a
+// prefaulted footprint, at a bounded horizon forced on a footprint that
+// fits, so every queued page is mapped; one of them is then unmapped
+// and reported as core 1's eviction.
+func TestEvictionReboundsVictim(t *testing.T) {
+	sys, err := New(baseOpts(t, string(PolicyFlat)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.setHorizon(horizonBounded)
+	if err := sys.prefault(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c := &sys.cores
+	c.ev[0] = stepEvent{kind: evWalk}
+	sys.rebound(0)
+	l := &c.look[0]
+	if l.scan != l.tail {
+		t.Fatalf("scan stopped at %d of [%d, %d) over a prefaulted footprint", l.scan, l.head, l.tail)
+	}
+	// Unmap the latest queued reference's page that no earlier queued
+	// reference touches, so the bound must fall to exactly its step.
+	pageOf := func(k uint64) uint64 { return l.refs[k%lookDepth].VAddr / sys.os.Config().PageBytes }
+	m := l.tail - 1
+	for ; m > l.head; m-- {
+		first := true
+		for k := l.head; k < m; k++ {
+			first = first && pageOf(k) != pageOf(m)
+		}
+		if first {
+			break
+		}
+	}
+	before := c.bound[0]
+	va := l.refs[m%lookDepth].VAddr
+	sys.os.FreeRange(c.proc[0], va, 1, 0)
+	if err := sys.evicted(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := c.time[0] + l.cycs[m%lookDepth] - l.cycs[l.head%lookDepth]
+	if c.bound[0] != want || want >= before {
+		t.Errorf("bound %d after the eviction (was %d), want %d: the step of the queued reference to %#x", c.bound[0], before, want, va)
+	}
+}
+
+// TestRunAheadSelection pins the fault horizon each input gets: +∞ for
+// stable translations, a bounded horizon for footprints that can
+// evict, and −∞ under an AutoNUMA engine or a trace sink.
 func TestRunAheadSelection(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		policy PolicyKind
 		mutate func(*Options)
-		want   bool
+		want   horizonMode
 	}{
-		{"stable", PolicyChameleonOpt, func(*Options) {}, true},
-		{"trace sink", PolicyChameleonOpt, func(o *Options) { o.TraceSink = &memSink{} }, false},
-		{"evictable", PolicyChameleonOpt, func(o *Options) { evictVariant.mutate(t, o) }, false},
+		{"stable", PolicyChameleonOpt, func(*Options) {}, horizonOpen},
+		{"trace sink", PolicyChameleonOpt, func(o *Options) { o.TraceSink = &memSink{} }, horizonNone},
+		{"evictable", PolicyChameleonOpt, func(o *Options) { evictVariant.mutate(t, o) }, horizonBounded},
+		{"evictable with a trace sink", PolicyAlloy, func(o *Options) {
+			evictVariant.mutate(t, o)
+			o.TraceSink = &memSink{}
+		}, horizonNone},
 		{"autonuma", PolicyNUMAFlat, func(o *Options) {
 			o.AutoNUMA = &osmodel.AutoNUMAConfig{EpochCycles: 1_000_000, Threshold: 0.8, ScanPages: 4096}
-		}, false},
+		}, horizonNone},
 	} {
 		opts := baseOpts(t, string(tc.policy))
 		tc.mutate(&opts)
@@ -365,23 +437,26 @@ func TestRunAheadSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sys.runAhead != tc.want {
-			t.Errorf("%s: runAhead = %v, want %v", tc.name, sys.runAhead, tc.want)
+		if sys.horizon != tc.want {
+			t.Errorf("%s: horizon = %d, want %d", tc.name, sys.horizon, tc.want)
+		}
+		if bounded := sys.cores.look != nil; bounded != (tc.want == horizonBounded) {
+			t.Errorf("%s: lookahead allocated = %v at horizon %d", tc.name, bounded, sys.horizon)
 		}
 	}
 }
 
 // TestStepLoopDoesNotAllocate pins the engine's steady-state step loop
-// at zero allocations per reference, in run-ahead and in serial mode:
-// once the system is prefaulted and the scratch buffers have grown to
-// their working sizes, whole execute passes must not allocate. This is
-// the package-level regression gate behind BenchmarkStep's allocs/op
-// column.
+// at zero allocations per reference at every fault horizon (+∞,
+// bounded, and −∞ or serial mode): once the system is prefaulted and
+// the scratch buffers have grown to their working sizes, whole execute
+// passes must not allocate. This is the package-level regression gate
+// behind BenchmarkStep's allocs/op column.
 func TestStepLoopDoesNotAllocate(t *testing.T) {
 	for _, mode := range []struct {
-		name     string
-		runAhead bool
-	}{{"run-ahead", true}, {"serial", false}} {
+		name    string
+		horizon horizonMode
+	}{{"run-ahead", horizonOpen}, {"bounded", horizonBounded}, {"serial", horizonNone}} {
 		t.Run(mode.name, func(t *testing.T) {
 			opts := baseOpts(t, string(PolicyChameleonOpt))
 			opts.WarmupInstructions = 0
@@ -389,10 +464,10 @@ func TestStepLoopDoesNotAllocate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sys.runAhead {
+			if sys.horizon != horizonOpen {
 				t.Fatal("options do not admit run-ahead")
 			}
-			sys.runAhead = mode.runAhead
+			sys.setHorizon(mode.horizon)
 			sys.ran = true
 			sys.runCtx = context.Background()
 			if err := sys.prefault(context.Background()); err != nil {

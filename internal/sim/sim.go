@@ -161,6 +161,15 @@ type coreSoA struct {
 	touchTotal []uint64
 	touchFast  []uint64
 
+	// Fault-horizon state (see System.horizon). bound[i] is a lower bound
+	// on the commit key of core i's next step that can evict a page (the
+	// core id breaks ties); ahead[i] is one more than the key of core i's
+	// latest run-ahead translation in the pass, 0 for none; look[i] is
+	// core i's lookahead, allocated only under horizonBounded.
+	bound []uint64
+	ahead []uint64
+	look  []lookahead
+
 	// The parked event of each core (see stepEvent): its commit key (the
 	// pre-step clock the heap orders by), the event, and the
 	// deferred shared-phase ops of its private walk.
@@ -187,6 +196,8 @@ func newCoreSoA(n int) coreSoA {
 		phaseHeld:    make([]bool, n),
 		touchTotal:   make([]uint64, n),
 		touchFast:    make([]uint64, n),
+		bound:        make([]uint64, n),
+		ahead:        make([]uint64, n),
 		key:          make([]uint64, n),
 		ev:           make([]stepEvent, n),
 		ops:          make([][]hier.SharedOp, n),
@@ -210,13 +221,12 @@ type System struct {
 	// heapIdx is the scheduler heap's reusable index storage, sized at
 	// construction so execute passes allocate nothing.
 	heapIdx []int32
-	// runAhead lets the engine translate mapped pages in the private
-	// prefix, ahead of the commit order (see execute). It holds when no
-	// other core's commit can change what a translation reads:
-	// translations are stable, and no AutoNUMA engine or trace sink
-	// observes every translation. Otherwise, in serial mode, every step
-	// parks at its translation. Fixed at construction.
-	runAhead bool
+	// horizon says how far ahead of the commit order runPrivate may
+	// translate mapped pages: without bound when translations are stable,
+	// never when an AutoNUMA engine or a trace sink observes every
+	// translation, and up to each core's fault horizon otherwise (see
+	// horizonMode). Fixed at construction.
+	horizon horizonMode
 
 	// runName is the result's workload label, fixed at construction:
 	// the profile name, the "+"-joined mix, or a replayed trace's
@@ -444,7 +454,14 @@ func New(opts Options) (*System, error) {
 		}
 		s.sinkOn = true
 	}
-	s.runAhead = !s.autoOn && !s.sinkOn && s.translationsStable()
+	switch {
+	case s.autoOn || s.sinkOn:
+		s.setHorizon(horizonNone)
+	case s.translationsStable():
+		s.setHorizon(horizonOpen)
+	default:
+		s.setHorizon(horizonBounded)
+	}
 	return s, nil
 }
 
@@ -454,8 +471,9 @@ func New(opts Options) (*System, error) {
 // transient buffer phaseChurn maps past its footprint — fits in
 // physical memory simultaneously. Evictions are the only cross-process
 // page-table mutation, so under this bound no other core's commit can
-// change what a run-ahead TranslateMapped read returns, and the engine
-// may run ahead. When the bound does not hold it runs in serial mode.
+// change what a run-ahead TranslateMapped read returns, and the fault
+// horizon is unbounded. When the bound does not hold, each core's
+// horizon is bounded by the other cores' next possible faults.
 func (s *System) translationsStable() bool {
 	page := s.os.Config().PageBytes
 	var need uint64
