@@ -359,15 +359,13 @@ type (
 	Client = server.Client
 )
 
-// Job lifecycle states. Remote and claimed occur only on clustered
-// servers: a remote job was forwarded to its ring owner and is
-// mirrored locally; a claimed job was stolen off the queue by an idle
-// peer.
+// Job lifecycle states. Remote occurs only on clustered servers: the
+// job runs on a peer (its ring owner, or an idle node it was handed
+// to) and is mirrored locally.
 const (
 	JobQueued   = server.StateQueued
 	JobRunning  = server.StateRunning
 	JobRemote   = server.StateRemote
-	JobClaimed  = server.StateClaimed
 	JobDone     = server.StateDone
 	JobFailed   = server.StateFailed
 	JobCanceled = server.StateCanceled

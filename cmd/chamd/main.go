@@ -3,7 +3,8 @@
 // content-addressed result cache and expvar metrics. Several chamd
 // processes become a cluster with -peers: gossip membership, job
 // routing over a consistent-hash ring, a cluster-wide result cache,
-// and work stealing between nodes.
+// and idle nodes taking queued jobs from loaded ones (a handed-over
+// job is mirrored like a forwarded one).
 //
 // Usage:
 //

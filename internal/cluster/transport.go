@@ -20,12 +20,9 @@ const (
 	// CachePath prefixed to a result hash serves GET (peer lookup) and
 	// PUT (peer fill) of cached result bytes.
 	CachePath = "/v1/cluster/cache/"
-	// QueuePath lists this node's stealable queued jobs.
-	QueuePath = "/v1/cluster/queue"
-	// ClaimPath CAS-claims one queued job for a thief.
-	ClaimPath = "/v1/cluster/claim"
-	// CompletePath reports a stolen job's outcome back to its owner.
-	CompletePath = "/v1/cluster/complete"
+	// StealPath accepts an idle node's ask for queued jobs; the node
+	// answers how many it hands over, then submits them to the asker.
+	StealPath = "/v1/cluster/steal"
 )
 
 // ForwardedHeader is the single-hop loop guard: a submit carrying it

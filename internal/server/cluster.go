@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,11 +17,11 @@ import (
 const replication = 2
 
 // peerCallTimeout bounds one peer HTTP round-trip (status reads,
-// cache lookups, claims). Forwards share it: a forward that cannot
-// reach the owner quickly falls back to running locally.
+// cache lookups, steal asks). Forwards and hand-offs share it: a job
+// whose peer cannot take it quickly runs locally instead.
 const peerCallTimeout = 5 * time.Second
 
-// --- routing: run a job on its ring owner ------------------------------
+// --- remote execution: run a job on a peer and mirror it here ---------
 
 // ringOwners returns hash's ring owner and replica, and whether this
 // node is one of them.
@@ -116,19 +115,24 @@ func (s *Server) forward(norm JobSpec, hash string, now time.Time, owners []clus
 	}
 	s.metrics.JobsForwarded.Add(1)
 	j := s.store.NewJob(norm, hash, now)
-	if !j.markRemote(owner.ID, owner.Addr, remote.ID, now) {
-		return j, true // raced terminal; nothing else to do
+	if j.markRemote(owner.ID, owner.Addr, remote.ID, now) {
+		s.follow(j, owner.Addr, remote)
 	}
+	return j, true
+}
+
+// follow keeps mirror j in step with remote, its copy on the peer at
+// addr. A copy the peer already ended (served from its cache, or failed
+// fast) resolves the mirror before follow returns, so a forward's
+// caller gets a finished job; any other is followed in the background.
+func (s *Server) follow(j *Job, addr string, remote JobStatus) {
 	if remote.State.Terminal() {
-		// The owner served it from cache (or failed fast): resolve
-		// the mirror now so the caller gets a finished job.
-		if st, b, err := s.awaitPeerJob(context.Background(), owner.Addr, remote, nil); err == nil {
+		if st, b, err := s.awaitPeerJob(context.Background(), addr, remote, nil); err == nil {
 			s.resolveRemote(j, st, b)
-			return j, true
+			return
 		}
 	}
 	go s.followRemote(j, remote)
-	return j, true
 }
 
 // followRemote keeps a mirror in step with its owner's job: progress
@@ -174,51 +178,49 @@ func (s *Server) resolveRemote(j *Job, st JobStatus, b []byte) {
 	now := time.Now()
 	switch st.State {
 	case StateDone:
-		j.finishFromPeer(StateRemote, StateDone, s.cache.Put(j.Hash, b), "", st.Cached, now, &s.metrics.JobsRemoteDone)
+		j.finishFromPeer(StateDone, s.cache.Put(j.Hash, b), "", st.Cached, now, &s.metrics.JobsRemoteDone)
 	case StateFailed, StateCanceled:
-		j.finishFromPeer(StateRemote, st.State, "", st.Error, false, now, nil)
+		j.finishFromPeer(st.State, "", st.Error, false, now, nil)
 	}
 }
 
-// sweepDead re-enqueues work stranded on dead nodes: remote mirrors
-// whose owner died, and claimed jobs whose thief died. Exactly-once
-// still holds — revertToQueued only fires from remote/claimed, and a
-// late completion report for a re-run job lands on a terminal (or
-// re-owned) job and is dropped.
+// sweepDead re-enqueues mirrors whose executing node died, and counts
+// them in jobs_reenqueued. Exactly-once still holds: revertToQueued
+// only fires from remote, and a late report from the dead node's copy
+// lands on a terminal (or re-run) job and is dropped.
 func (s *Server) sweepDead() {
 	if s.cl == nil {
 		return
 	}
 	for _, j := range s.store.Snapshot() {
-		switch j.State() {
-		case StateRemote, StateClaimed:
-			node, _, _ := j.remoteRef()
-			if node != "" && !s.cl.Alive(node) {
-				s.reenqueueLocal(j)
-			}
+		if j.State() != StateRemote {
+			continue
+		}
+		if node, _, _ := j.remoteRef(); node != "" && !s.cl.Alive(node) && s.requeue(j, node) {
+			s.metrics.JobsReenqueued.Add(1)
 		}
 	}
 }
 
-// reenqueueLocal returns a job stranded on a dead node to the local
-// worker pool. A claimed job whose first queue entry is still waiting
-// keeps that entry instead of taking a second slot.
-func (s *Server) reenqueueLocal(j *Job) {
-	reverted, submit := j.revertToQueued(time.Now())
+// requeue returns a job mirrored from node to the local worker pool,
+// and reports whether it did. A handed-off job whose first queue entry
+// still waits keeps that entry instead of taking a second slot.
+func (s *Server) requeue(j *Job, node string) bool {
+	reverted, submit := j.revertToQueued(node)
 	if !reverted {
-		return
+		return false
 	}
 	if submit {
 		if err := s.enqueue(j); err != nil {
-			j.finish(StateFailed, "", fmt.Errorf("re-enqueue after node death: %w", err), time.Now(), &s.metrics.JobsFailed)
-			return
+			j.finish(StateFailed, "", fmt.Errorf("re-enqueue from %s: %w", node, err), time.Now(), &s.metrics.JobsFailed)
+			return false
 		}
 	}
-	s.metrics.JobsReenqueued.Add(1)
+	return true
 }
 
 // cancelRemote best-effort propagates a mirror cancellation to the
-// owner so the remote execution stops burning a worker.
+// peer so the remote execution stops burning a worker.
 func (s *Server) cancelRemote(addr, rid string) {
 	ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
 	defer cancel()
@@ -247,32 +249,16 @@ func (s *Server) writeBackResult(hash string, b []byte) {
 	})
 }
 
-// --- work stealing ----------------------------------------------------
+// --- work stealing: an idle node asks a peer to hand it queued jobs ---
 
-// stealableJob is one queued job offered to idle peers.
-type stealableJob struct {
-	ID   string  `json:"id"`
-	Hash string  `json:"hash"`
-	Spec JobSpec `json:"spec"`
-}
+// maxStealBatch bounds how many jobs one steal call hands over.
+const maxStealBatch = 64
 
-type claimRequest struct {
-	ID   string `json:"id"`
-	By   string `json:"by"`
-	Addr string `json:"addr"`
-}
-
-type claimResponse struct {
-	OK   bool    `json:"ok"`
-	Spec JobSpec `json:"spec,omitempty"`
-}
-
-type completeRequest struct {
-	ID      string          `json:"id"`
-	By      string          `json:"by"`
-	Result  json.RawMessage `json:"result,omitempty"`
-	Error   string          `json:"error,omitempty"`
-	Requeue bool            `json:"requeue,omitempty"`
+// stealRequest asks a peer to hand up to N of its queued jobs to the
+// idle node By.
+type stealRequest struct {
+	By string `json:"by"`
+	N  int    `json:"n"`
 }
 
 // idleCapacity returns how many more jobs this node could run right
@@ -285,114 +271,54 @@ func (s *Server) idleCapacity() int {
 	return int(free)
 }
 
-// stealOnce scans peers for queued work when this node is idle,
-// claims jobs one at a time (the claim is CAS-guarded in the owner's
-// jobstore, so a job runs exactly once cluster-wide), runs them
-// locally, and reports results back to the owner.
+// stealOnce asks live peers in turn, while this node is idle, to hand
+// it queued jobs, up to its idle capacity. A peer hands a job over as a
+// forward (handOff): it submits the spec here and mirrors our copy.
 func (s *Server) stealOnce() {
 	if s.cl == nil || s.draining.Err() != nil {
 		return
 	}
 	budget := s.idleCapacity()
-	if budget <= 0 {
-		return
-	}
-	self := s.cl.Self()
+	self := s.selfID()
 	for _, peer := range s.cl.Members() {
 		if budget <= 0 {
 			return
 		}
-		if peer.ID == self.ID || !s.cl.Alive(peer.ID) {
+		if peer.ID == self || !s.cl.Alive(peer.ID) {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		var queued []stealableJob
-		err := cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodGet, peer.Addr+cluster.QueuePath, nil, &queued)
+		var handed int
+		err := cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodPost, peer.Addr+cluster.StealPath,
+			stealRequest{By: self, N: budget}, &handed)
 		cancel()
 		if err != nil {
 			s.cl.Membership().MarkFailed(peer.ID)
 			continue
 		}
-		for _, sj := range queued {
-			if budget <= 0 {
-				return
-			}
-			if s.stealJob(peer, sj) {
-				budget--
-			}
-		}
+		s.metrics.JobsStolen.Add(int64(handed))
+		budget -= handed
 	}
 }
 
-// stealJob claims one queued job from a peer and runs it locally.
-func (s *Server) stealJob(peer cluster.Node, sj stealableJob) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-	defer cancel()
-	var cr claimResponse
-	err := cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodPost, peer.Addr+cluster.ClaimPath,
-		claimRequest{ID: sj.ID, By: s.selfID(), Addr: s.cl.Self().Addr}, &cr)
-	if err != nil || !cr.OK {
-		return false
-	}
-	giveBack := func() bool {
-		s.reportComplete(originRef{NodeID: peer.ID, Addr: peer.Addr, ID: sj.ID},
-			completeRequest{ID: sj.ID, By: s.selfID(), Requeue: true})
-		return false
-	}
-	norm, err := cr.Spec.Normalize()
-	if err != nil {
-		// The spec ran Normalize on the owner already; a failure here
-		// means an incompatible peer. Give the job back.
-		return giveBack()
-	}
-	s.metrics.JobsStolen.Add(1)
-	now := time.Now()
-	j := s.store.NewJob(norm, sj.Hash, now)
-	j.setNode(s.selfID())
-	j.setOrigin(peer.ID, peer.Addr, sj.ID)
-	if err := s.enqueue(j); err != nil {
-		j.finish(StateFailed, "", err, time.Now(), nil)
-		// We cannot run it after all; let the owner re-queue it.
-		return giveBack()
-	}
-	return true
-}
-
-// reportToOrigin posts a stolen job's outcome back to the victim
-// node, if this job was stolen. Called from runJob on every outcome.
-func (s *Server) reportToOrigin(j *Job, result []byte, runErr error) {
-	og, ok := j.Origin()
+// handOff runs j, which handleSteal marked remote on thief, there: it
+// submits the spec with the forwarded header, records the thief's job
+// ID and follows it as a forward does. A refused or failed submission
+// returns j to the local queue, where it keeps its queue entry if that
+// still waits: a lost peer costs capacity, never a job. A mirror that
+// was canceled or reverted meanwhile cancels the thief's copy.
+func (s *Server) handOff(j *Job, thief cluster.Node) {
+	_, remote, ok := s.submitToOwner(context.Background(), j.Spec, []cluster.Node{thief})
 	if !ok {
+		s.requeue(j, thief.ID)
 		return
 	}
-	req := completeRequest{ID: og.ID, By: s.selfID(), Result: result}
-	if runErr != nil {
-		req.Error = runErr.Error()
+	if !j.setRemoteID(thief.ID, remote.ID) {
+		s.cancelRemote(thief.Addr, remote.ID)
+		return
 	}
-	go s.reportComplete(og, req)
-}
-
-// reportComplete delivers one completion report with retries; the
-// owner's dead-thief sweep covers the case where every attempt fails.
-func (s *Server) reportComplete(og originRef, req completeRequest) {
-	for attempt := 0; attempt < 3; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		err := cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodPost, og.Addr+cluster.CompletePath, req, nil)
-		cancel()
-		if err == nil {
-			return
-		}
-		var pe *cluster.PeerError
-		if errors.As(err, &pe) {
-			return // the owner saw the report and rejected it (job gone/terminal)
-		}
-		select {
-		case <-s.draining.Done():
-			return
-		case <-time.After(time.Duration(attempt+1) * 100 * time.Millisecond):
-		}
-	}
-	s.cl.Membership().MarkFailed(og.NodeID)
+	s.metrics.JobsStolenAway.Add(1)
+	s.follow(j, thief.Addr, remote)
 }
 
 // --- background loops and diagnostics ---------------------------------
@@ -452,9 +378,7 @@ func (s *Server) registerClusterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("GET "+cluster.MembersPath, s.handleMembers)
 	mux.HandleFunc("GET "+cluster.CachePath+"{hash}", s.handleCacheGet)
 	mux.HandleFunc("PUT "+cluster.CachePath+"{hash}", s.handleCachePut)
-	mux.HandleFunc("GET "+cluster.QueuePath, s.handleQueue)
-	mux.HandleFunc("POST "+cluster.ClaimPath, s.handleClaim)
-	mux.HandleFunc("POST "+cluster.CompletePath, s.handleComplete)
+	mux.HandleFunc("POST "+cluster.StealPath, s.handleSteal)
 }
 
 func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
@@ -497,59 +421,35 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleQueue(w http.ResponseWriter, _ *http.Request) {
-	var out []stealableJob
-	if s.draining.Err() == nil {
+// handleSteal hands up to n of this node's queued jobs, oldest first,
+// to the live peer by, and answers how many it took. Each job leaves
+// the queue through markRemote's CAS before the answer goes out, and
+// is submitted to the thief only after (handOff), so the thief's call
+// never waits out the submissions. Trace replays read a node-local
+// file and never move; a draining node hands nothing over.
+func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
+	var req stealRequest
+	if err := cluster.ReadJSON(w, r, &req, 1<<10); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	thief, known := s.cl.Membership().Lookup(req.By)
+	var handed []*Job
+	if known && thief.ID != s.selfID() && s.cl.Alive(thief.ID) && s.draining.Err() == nil {
+		now := time.Now()
 		for _, j := range s.store.Snapshot() {
-			// Trace replays read a node-local file; they cannot move.
-			if j.State() == StateQueued && j.Spec.TracePath == "" {
-				out = append(out, stealableJob{ID: j.ID, Hash: j.Hash, Spec: j.Spec})
+			if len(handed) >= min(req.N, maxStealBatch) {
+				break
+			}
+			if j.Spec.TracePath == "" && j.markRemote(thief.ID, thief.Addr, "", now) {
+				handed = append(handed, j)
 			}
 		}
 	}
-	cluster.WriteJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	var req claimRequest
-	if err := cluster.ReadJSON(w, r, &req, 1<<20); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	cluster.WriteJSON(w, http.StatusOK, len(handed))
+	for _, j := range handed {
+		go s.handOff(j, thief)
 	}
-	j, ok := s.store.Get(req.ID)
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown job "+req.ID))
-		return
-	}
-	if req.By == "" || j.Spec.TracePath != "" || !j.tryClaim(req.By, req.Addr, time.Now()) {
-		cluster.WriteJSON(w, http.StatusOK, claimResponse{OK: false})
-		return
-	}
-	s.metrics.JobsStolenAway.Add(1)
-	cluster.WriteJSON(w, http.StatusOK, claimResponse{OK: true, Spec: j.Spec})
-}
-
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req completeRequest
-	if err := cluster.ReadJSON(w, r, &req, 64<<20); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, ok := s.store.Get(req.ID)
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown job "+req.ID))
-		return
-	}
-	now := time.Now()
-	switch {
-	case req.Requeue:
-		s.reenqueueLocal(j)
-	case req.Error != "":
-		j.finishFromPeer(StateClaimed, StateFailed, "", req.Error, false, now, &s.metrics.JobsFailed)
-	default:
-		j.finishFromPeer(StateClaimed, StateDone, s.cache.Put(j.Hash, req.Result), "", false, now, &s.metrics.JobsRemoteDone)
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // readAllLimited reads a bounded request body.

@@ -100,7 +100,7 @@ func newServerCluster(t *testing.T, n int, clock *fakeClock, workers func(i int)
 }
 
 // converge gossips until every node agrees on an n-node ring.
-func converge(t *testing.T, nodes []*clusterNode) {
+func converge(t testing.TB, nodes []*clusterNode) {
 	t.Helper()
 	ctx := context.Background()
 	for round := 0; round < 200; round++ {
@@ -322,9 +322,10 @@ func TestClusterNodeDeathReenqueues(t *testing.T) {
 	}
 }
 
-// TestClusterWorkStealing: an idle node claims queued work from a
-// loaded peer, runs it, and reports the result back; the claim CAS
-// means the job runs exactly once.
+// TestClusterWorkStealing: an idle node asks a loaded peer for queued
+// work, and the peer hands the job over as a forward: the victim's job
+// becomes a mirror of the thief's copy and ends done with it, so the
+// job runs exactly once.
 func TestClusterWorkStealing(t *testing.T) {
 	clock := newFakeClock()
 	// Node a has a single worker; b and c are idle helpers.
@@ -337,53 +338,112 @@ func TestClusterWorkStealing(t *testing.T) {
 	converge(t, nodes)
 	a, b := nodes[0], nodes[1]
 
-	// Wedge a's worker, then queue a fast job a owns (no forwarding).
-	// The wedge must be running first: a still-queued wedge is stolen
-	// too, and a's freed worker then runs the fast job itself.
-	wedge := findSpec(t, a.cl, slowSpec, func(owners []string) bool {
-		return owners[0] == a.id || owners[1] == a.id
-	})
-	jw, err := a.s.Submit(wedge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(10 * time.Second); jw.State() != StateRunning; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("wedge never started: %s", jw.State())
+	_, jq := wedgeAndQueue(t, a, fastSpec)
+
+	// a hands nothing to an unknown node or to itself.
+	for _, by := range []string{"node-x", a.id} {
+		var handed int
+		err := cluster.DoJSON(context.Background(), http.DefaultClient, http.MethodPost, a.addr+cluster.StealPath,
+			stealRequest{By: by, N: 1 << 30}, &handed)
+		if err != nil || handed != 0 || jq.State() != StateQueued {
+			t.Fatalf("steal ask by %q: handed %d (err %v), job %s; want 0 and queued", by, handed, err, jq.State())
 		}
 	}
-	spec := findSpec(t, a.cl, fastSpec, func(owners []string) bool {
-		return owners[0] == a.id || owners[1] == a.id
-	})
-	jq, err := a.s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jq.State() != StateQueued {
-		t.Fatalf("job state = %s, want queued behind the wedge", jq.State())
-	}
 
-	// Idle b scans for work and claims it.
+	// Idle b asks for work and is handed the queued job.
 	b.s.stealOnce()
 	if got := b.s.Metrics().JobsStolen.Value(); got != 1 {
 		t.Fatalf("b stole %d jobs, want 1", got)
 	}
-	if got := a.s.Metrics().JobsStolenAway.Value(); got != 1 {
-		t.Fatalf("a lost %d jobs to thieves, want 1", got)
+	if st := jq.State(); st != StateRemote {
+		t.Fatalf("handed-off job = %s on the victim, want remote", st)
 	}
 
-	// The victim's job completes via b's completion report.
+	// The victim's mirror ends with the thief's copy.
 	st := waitTerminal(t, jq, 30*time.Second)
 	if st.State != StateDone {
 		t.Fatalf("stolen job = %s (err %q), want done", st.State, st.Error)
 	}
-	if st.Node != b.id {
-		t.Fatalf("stolen job executed on %q, want %s", st.Node, b.id)
+	if st.Node != b.id || st.NodeAddr != b.addr || st.RemoteID == "" {
+		t.Fatalf("stolen job mirrors %q at %q (remote id %q), want %s at %s", st.Node, st.NodeAddr, st.RemoteID, b.id, b.addr)
 	}
-	// A second scan finds nothing left to steal.
+	if got := a.s.Metrics().JobsStolenAway.Value(); got != 1 {
+		t.Fatalf("a handed %d jobs to thieves, want 1", got)
+	}
+	if got := sumJobsDone(nodes); got != 1 {
+		t.Fatalf("cluster ran the job %d times, want 1", got)
+	}
+	// A second ask finds nothing left to steal.
 	b.s.stealOnce()
 	if got := b.s.Metrics().JobsStolen.Value(); got != 1 {
 		t.Fatalf("second scan stole more work: %d", got)
+	}
+}
+
+// wedgeAndQueue fills nd's single worker with a never-ending job, then
+// queues behind it a job from spec that nd owns (so it is not
+// forwarded). The wedge must be running first: a still-queued wedge
+// would be stolen too, and nd's freed worker would run the queued job.
+func wedgeAndQueue(t *testing.T, nd *clusterNode, spec func(uint64) JobSpec) (wedge, queued *Job) {
+	t.Helper()
+	owned := func(owners []string) bool { return owners[0] == nd.id || owners[1] == nd.id }
+	wedge, err := nd.s.Submit(findSpec(t, nd.cl, slowSpec, owned))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); wedge.State() != StateRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("wedge never started: %s", wedge.State())
+		}
+	}
+	queued, err = nd.s.Submit(findSpec(t, nd.cl, func(seed uint64) JobSpec { return spec(seed + 1000) }, owned))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := queued.State(); st != StateQueued {
+		t.Fatalf("job state = %s, want queued behind the wedge", st)
+	}
+	return wedge, queued
+}
+
+// TestCancelStolenJobStopsThief: canceling a handed-off job on the
+// victim cancels the thief's copy through the mirror's peer reference,
+// so the thief's worker is freed instead of running the job to the end.
+func TestCancelStolenJobStopsThief(t *testing.T) {
+	nodes := newServerCluster(t, 2, newFakeClock(), func(int) int { return 1 })
+	converge(t, nodes)
+	a, b := nodes[0], nodes[1]
+
+	_, jq := wedgeAndQueue(t, a, slowSpec)
+	b.s.stealOnce()
+	var copyID string
+	for deadline := time.Now().Add(10 * time.Second); copyID == ""; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the thief's job ID never reached the victim (state %s)", jq.State())
+		}
+		copyID = jq.Status().RemoteID
+	}
+	jb, ok := b.s.Job(copyID)
+	if !ok {
+		t.Fatalf("thief has no job %s", copyID)
+	}
+	for deadline := time.Now().Add(10 * time.Second); jb.State() != StateRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("thief's copy never started: %s", jb.State())
+		}
+	}
+
+	if ok, err := a.s.Cancel(jq.ID); !ok || err != nil {
+		t.Fatalf("cancel on the victim = %v, %v", ok, err)
+	}
+	if st := waitTerminal(t, jb, 10*time.Second); st.State != StateCanceled {
+		t.Fatalf("thief's copy ended %s (err %q), want canceled", st.State, st.Error)
+	}
+	if n := b.s.Metrics().JobsRunning.Value(); n != 0 {
+		t.Fatalf("thief still runs %d jobs after the cancel", n)
+	}
+	if st := jq.State(); st != StateCanceled {
+		t.Fatalf("victim's job = %s, want canceled", st)
 	}
 }
 
@@ -425,41 +485,29 @@ func TestClusterForwardLoopGuard(t *testing.T) {
 }
 
 // TestLatePeerReportDoesNotFinishRerun: a peer's report ends a job only
-// while the job is still in the state the report belongs to. Once a
-// claimed or forwarded job has been re-enqueued and a local worker has
-// started it, a late report from the thief or owner it left is
-// dropped, and the local run decides the outcome.
+// while the job is still its mirror. Once a forwarded or handed-off job
+// has been re-enqueued and a local worker has started it, a late report
+// from the peer it left is dropped, and the local run decides the
+// outcome.
 func TestLatePeerReportDoesNotFinishRerun(t *testing.T) {
-	nd := newServerCluster(t, 1, newFakeClock(), nil)[0]
+	s := newTestServer(t, Options{})
 	now := time.Now()
-	rerun := func(away func(*Job) bool) *Job {
-		j := nd.s.store.NewJob(fastSpec(1), fastSpec(1).Hash(), now)
-		if !away(j) {
+	// A forward knows the owner's job ID at once; a hand-off learns the
+	// thief's only once the thief has answered.
+	for _, rid := range []string{"rid", ""} {
+		j := s.store.NewJob(fastSpec(1), fastSpec(1).Hash(), now)
+		if !j.markRemote("node-x", "http://x", rid, now) {
 			t.Fatal("could not move the job away")
 		}
-		if reverted, _ := j.revertToQueued(now); !reverted || !j.tryStart(now, func() {}) {
+		if reverted, _ := j.revertToQueued("node-x"); !reverted || !j.tryStart(now, func() {}) {
 			t.Fatal("could not move the job back and into a local run")
 		}
-		return j
-	}
-
-	stolen := rerun(func(j *Job) bool { return j.tryClaim("node-x", "http://x", now) })
-	body, err := json.Marshal(completeRequest{ID: stolen.ID, By: "node-x", Result: json.RawMessage(`{}`)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(nd.addr+cluster.CompletePath, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st := stolen.State(); st != StateRunning {
-		t.Errorf("a late thief report moved the local rerun to %s", st)
-	}
-
-	forwarded := rerun(func(j *Job) bool { return j.markRemote("node-x", "http://x", "rid", now) })
-	nd.s.resolveRemote(forwarded, JobStatus{State: StateDone}, []byte(`{}`))
-	if st := forwarded.State(); st != StateRunning {
-		t.Errorf("a late owner report moved the local rerun to %s", st)
+		s.resolveRemote(j, JobStatus{State: StateDone}, []byte(`{}`))
+		if j.setRemoteID("node-x", "late") {
+			t.Errorf("remote id %q: a late hand-off answer reattached the local rerun", rid)
+		}
+		if st := j.State(); st != StateRunning {
+			t.Errorf("remote id %q: a late peer report moved the local rerun to %s", rid, st)
+		}
 	}
 }

@@ -16,16 +16,13 @@ import (
 type JobState string
 
 // Job lifecycle states. Queued jobs wait for a worker; running jobs
-// own one; done/failed/canceled are terminal. Two states exist only
-// on clustered servers: remote jobs were forwarded to the ring owner
-// and mirror its progress here; claimed jobs were stolen off our
-// queue by an idle peer and will be completed (or reverted) from
-// there.
+// own one; done/failed/canceled are terminal. Remote exists only on
+// clustered servers: the job runs on a peer (its ring owner, or an idle
+// node it was handed to) and mirrors that peer's copy here.
 const (
 	StateQueued   JobState = "queued"
 	StateRunning  JobState = "running"
 	StateRemote   JobState = "remote"
-	StateClaimed  JobState = "claimed"
 	StateDone     JobState = "done"
 	StateFailed   JobState = "failed"
 	StateCanceled JobState = "canceled"
@@ -98,23 +95,12 @@ type Job struct {
 	cancel      context.CancelFunc
 
 	// Cluster bookkeeping. node labels the executing node; for remote
-	// mirrors nodeAddr/remoteID reference the owner's job, and origin
-	// (on a thief's copy of a stolen job) names the victim job to
-	// report completion back to.
+	// mirrors nodeAddr/remoteID reference the peer's job.
 	node     string
 	nodeAddr string
 	remoteID string
-	origin   *originRef
 
 	done chan struct{}
-}
-
-// originRef names the victim-side job a stolen job must report back
-// to: the owner node, its base URL, and the job ID in its store.
-type originRef struct {
-	NodeID string
-	Addr   string
-	ID     string
 }
 
 // newJob builds a queued job; hash is spec.Hash(), which every caller
@@ -212,10 +198,10 @@ func (j *Job) finish(state JobState, result string, err error, now time.Time, co
 	return true
 }
 
-// Cancel cancels a queued or running job. Queued (and remote /
-// claimed) jobs go terminal immediately; running jobs get their
-// context canceled and go terminal when the simulation loop notices.
-// It reports whether the call had any effect.
+// Cancel cancels a queued or running job. Queued (and remote) jobs go
+// terminal immediately; running jobs get their context canceled and go
+// terminal when the simulation loop notices. It reports whether the
+// call had any effect.
 func (j *Job) Cancel(now time.Time) bool { return j.cancelCounted(now, nil) }
 
 // cancelCounted is Cancel that also bumps count (if non-nil) when it
@@ -224,7 +210,7 @@ func (j *Job) Cancel(now time.Time) bool { return j.cancelCounted(now, nil) }
 func (j *Job) cancelCounted(now time.Time, count *expvar.Int) bool {
 	j.mu.Lock()
 	switch j.state {
-	case StateQueued, StateRemote, StateClaimed:
+	case StateQueued, StateRemote:
 		j.end(StateCanceled, "", "canceled while "+string(j.state), false, now, count)
 		j.mu.Unlock()
 		return true
@@ -285,9 +271,12 @@ func (j *Job) setNode(id string) {
 	j.mu.Unlock()
 }
 
-// markRemote turns a freshly queued job into a mirror of remoteID
-// executing on the named owner node. Fails if the job already left
-// the queued state (e.g. canceled during the forward round-trip).
+// markRemote turns a queued job into a mirror of remoteID executing on
+// the named node. It is the CAS that keeps execution exactly-once: it
+// fails once the job left the queued state, so the local worker
+// (tryStart), a second hand-off and a canceling client race on the
+// same mutex and exactly one of them wins. A hand-off passes remoteID
+// "" and sets it with setRemoteID once the node has answered.
 func (j *Job) markRemote(nodeID, addr, remoteID string, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -308,32 +297,31 @@ func (j *Job) remoteRef() (nodeID, addr, remoteID string) {
 	return j.node, j.nodeAddr, j.remoteID
 }
 
-// tryClaim is the CAS guard that makes work stealing exactly-once: it
-// transitions queued → claimed for thief `by`, and fails for any
-// other current state — a second thief, the local worker (tryStart),
-// and a canceling client race on the same mutex, so exactly one
-// party ever runs the job.
-func (j *Job) tryClaim(by, addr string, now time.Time) bool {
+// setRemoteID records the peer's job ID on a handed-off mirror that
+// still waits for it on node. It fails once the mirror left that state
+// (canceled, or reverted and perhaps handed on), so the caller can stop
+// the peer's now orphaned copy.
+func (j *Job) setRemoteID(node, remoteID string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.state != StateRemote || j.node != node || j.remoteID != "" {
 		return false
 	}
-	j.state = StateClaimed
-	j.node, j.nodeAddr = by, addr
-	j.startedAt = now
+	j.remoteID = remoteID
 	return true
 }
 
-// revertToQueued returns a remote or claimed job to the local queue
-// after its executing node died. It reports whether the job was
-// reverted and whether the caller must submit it to the worker pool: a
-// claimed job whose first entry is still waiting in the queue is run by
-// that entry, so it must not take a second slot.
-func (j *Job) revertToQueued(now time.Time) (reverted, submit bool) {
+// revertToQueued returns a job mirrored from node to the local queue
+// after that node died or refused it; a job that has moved on since
+// (ended, or reverted and handed to another node) stays as it is. It
+// reports whether the job was reverted and whether the caller must
+// submit it to the worker pool: a handed-off job whose first entry is
+// still waiting in the queue is run by that entry, so it must not take
+// a second slot.
+func (j *Job) revertToQueued(node string) (reverted, submit bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRemote && j.state != StateClaimed {
+	if j.state != StateRemote || j.node != node {
 		return false, false
 	}
 	submit = !j.pooled
@@ -355,15 +343,13 @@ func (j *Job) setPooled() {
 
 // finishFromPeer moves the job to a terminal state with the error text
 // and cached flag reported by the node that executed it (finish is its
-// local form). It acts only while the job is still in state from, the
-// state the report belongs to: StateClaimed for a thief's report,
-// StateRemote for an owner's. A late report for a job that was
-// re-enqueued and started here since is dropped. count (if non-nil)
-// is bumped before Done closes.
-func (j *Job) finishFromPeer(from, state JobState, result, errstr string, cached bool, now time.Time, count *expvar.Int) bool {
+// local form). It acts only while the job is still a remote mirror: a
+// late report for a job that was re-enqueued and started here since is
+// dropped. count (if non-nil) is bumped before Done closes.
+func (j *Job) finishFromPeer(state JobState, result, errstr string, cached bool, now time.Time, count *expvar.Int) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != from {
+	if j.state != StateRemote {
 		return false
 	}
 	j.end(state, result, errstr, cached, now, count)
@@ -389,25 +375,6 @@ func (j *Job) end(state JobState, result, errstr string, cached bool, now time.T
 	close(j.done)
 }
 
-// setOrigin records, on a thief's local copy of a stolen job, the
-// victim job to report completion back to. Set once before the job
-// enters the pool.
-func (j *Job) setOrigin(nodeID, addr, id string) {
-	j.mu.Lock()
-	j.origin = &originRef{NodeID: nodeID, Addr: addr, ID: id}
-	j.mu.Unlock()
-}
-
-// Origin returns the stolen job's victim reference, if any.
-func (j *Job) Origin() (originRef, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.origin == nil {
-		return originRef{}, false
-	}
-	return *j.origin, true
-}
-
 // setProgress overwrites the progress snapshot (remote mirrors).
 func (j *Job) setProgress(p Progress) {
 	j.mu.Lock()
@@ -424,8 +391,8 @@ const keepEnded = 1024
 
 // Store is the in-memory job registry. It forgets ended jobs: a
 // terminal job is dropped once keepEnded newer jobs have ended and it
-// ended more than maxStatusWait ago. Queued, running, remote and
-// claimed jobs are never dropped.
+// ended more than maxStatusWait ago. Queued, running and remote jobs
+// are never dropped.
 type Store struct {
 	mu     sync.Mutex
 	prefix string // cluster: node-scoped ID prefix, "" standalone

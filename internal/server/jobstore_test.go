@@ -7,8 +7,8 @@ import (
 )
 
 // TestJobCancelRaces races Cancel against every competing lifecycle
-// transition — local start, peer claim, remote completion — under the
-// race detector. The invariants are the ones the cluster relies on
+// transition — local start, forward or hand-off, remote completion —
+// under the race detector. The invariants are the ones the cluster relies on
 // for exactly-once execution: at most one "executor" transition wins,
 // the done channel closes exactly once (a double close panics), and
 // the job lands in a coherent terminal-or-queued state.
@@ -30,11 +30,6 @@ func TestJobCancelRaces(t *testing.T) {
 			allowed: map[JobState]bool{StateRunning: true, StateCanceled: true},
 		},
 		{
-			name:    "queued: peer claim vs cancel",
-			rival:   func(j *Job) bool { return j.tryClaim("thief", "http://x", now) },
-			allowed: map[JobState]bool{StateClaimed: true, StateCanceled: true},
-		},
-		{
 			name:    "queued: forward vs cancel",
 			rival:   func(j *Job) bool { return j.markRemote("owner", "http://x", "rid", now) },
 			allowed: map[JobState]bool{StateRemote: true, StateCanceled: true},
@@ -48,21 +43,15 @@ func TestJobCancelRaces(t *testing.T) {
 		{
 			name:    "remote: peer completion vs cancel",
 			prep:    func(j *Job) { j.markRemote("owner", "http://x", "rid", now) },
-			rival:   func(j *Job) bool { return j.finishFromPeer(StateRemote, StateDone, "{}", "", true, now, nil) },
+			rival:   func(j *Job) bool { return j.finishFromPeer(StateDone, "{}", "", true, now, nil) },
 			allowed: map[JobState]bool{StateDone: true, StateCanceled: true},
-		},
-		{
-			name:    "claimed: thief completion vs cancel",
-			prep:    func(j *Job) { j.tryClaim("thief", "http://x", now) },
-			rival:   func(j *Job) bool { return j.finishFromPeer(StateClaimed, StateFailed, "", "boom", false, now, nil) },
-			allowed: map[JobState]bool{StateFailed: true, StateCanceled: true},
 		},
 		{
 			name: "remote: dead-node revert vs cancel",
 			prep: func(j *Job) { j.markRemote("owner", "http://x", "rid", now) },
 			// revert then (sequentially) cancel can both succeed; the job
 			// must never end half-reverted.
-			rival:   func(j *Job) bool { reverted, _ := j.revertToQueued(now); return reverted },
+			rival:   func(j *Job) bool { reverted, _ := j.revertToQueued("owner"); return reverted },
 			allowed: map[JobState]bool{StateQueued: true, StateCanceled: true},
 		},
 	}
@@ -87,8 +76,8 @@ func TestJobCancelRaces(t *testing.T) {
 						iter, st, rivalWon, cancelWon)
 				}
 				// A canceled-while-waiting job must reject both executors:
-				// once terminal, neither start nor claim may succeed.
-				if st == StateCanceled && (j.tryStart(now, func() {}) || j.tryClaim("late", "", now)) {
+				// once terminal, neither start nor hand-off may succeed.
+				if st == StateCanceled && (j.tryStart(now, func() {}) || j.markRemote("late", "", "", now)) {
 					t.Fatalf("iter %d: terminal job accepted a late executor", iter)
 				}
 			}
@@ -96,21 +85,21 @@ func TestJobCancelRaces(t *testing.T) {
 	}
 }
 
-// TestJobStartClaimExclusive races the local worker against a remote
-// thief for the same queued job: exactly one may win.
+// TestJobStartClaimExclusive races the local worker against a hand-off
+// to an idle peer for the same queued job: exactly one may win.
 func TestJobStartClaimExclusive(t *testing.T) {
 	now := time.Now()
 	for iter := 0; iter < 500; iter++ {
 		j := newJob("j1", fastSpec(1), fastSpec(1).Hash(), now)
-		var started, claimed bool
+		var started, handed bool
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() { defer wg.Done(); started = j.tryStart(now, func() {}) }()
-		go func() { defer wg.Done(); claimed = j.tryClaim("thief", "", now) }()
+		go func() { defer wg.Done(); handed = j.markRemote("thief", "http://x", "", now) }()
 		wg.Wait()
-		if started == claimed {
-			t.Fatalf("iter %d: started=%v claimed=%v, want exactly one winner",
-				iter, started, claimed)
+		if started == handed {
+			t.Fatalf("iter %d: started=%v handed=%v, want exactly one winner",
+				iter, started, handed)
 		}
 	}
 }
@@ -141,7 +130,10 @@ func TestJobRevertClearsExecutionState(t *testing.T) {
 	}
 	j.setProgress(Progress{Epochs: 7})
 	// A mirror never had a pool entry, so the caller must submit it.
-	if reverted, submit := j.revertToQueued(now); !reverted || !submit {
+	if reverted, _ := j.revertToQueued("elsewhere"); reverted {
+		t.Fatal("revertToQueued reverted a mirror of another node")
+	}
+	if reverted, submit := j.revertToQueued("owner"); !reverted || !submit {
 		t.Fatalf("revertToQueued = %v, %v; want true, true", reverted, submit)
 	}
 	st := j.Status()

@@ -287,12 +287,13 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// TestReenqueueKeepsQueuedEntry: a claim reverted while the job's
-// first queue entry is still waiting (the thief gave it back before a
-// worker reached it) must not queue the job a second time. The job
-// keeps its one slot, the queue's other slots stay free for fresh
-// submissions, and the job runs once.
-func TestReenqueueKeepsQueuedEntry(t *testing.T) {
+// TestRevertedHandOffKeepsQueuedEntry: a hand-off reverted while the
+// job's first queue entry is still waiting (the idle peer refused it
+// before a worker reached it) must not queue the job a second time.
+// The job keeps its one slot, the queue's other slots stay free for
+// fresh submissions, and the job runs once. Only the dead-node sweep
+// counts jobs_reenqueued, so a refused hand-off leaves it at 0.
+func TestRevertedHandOffKeepsQueuedEntry(t *testing.T) {
 	for _, depth := range []int{1, 2} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
 			s := newTestServer(t, Options{Workers: 1, QueueDepth: depth})
@@ -308,10 +309,12 @@ func TestReenqueueKeepsQueuedEntry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !j.tryClaim("node-x", "http://x", time.Now()) {
-				t.Fatal("could not claim the queued job")
+			if !j.markRemote("node-x", "http://x", "", time.Now()) {
+				t.Fatal("could not hand off the queued job")
 			}
-			s.reenqueueLocal(j)
+			if !s.requeue(j, "node-x") {
+				t.Fatal("could not revert the hand-off")
+			}
 			if st := j.Status(); st.State != StateQueued {
 				t.Fatalf("reverted job is %s (err %q), want queued", st.State, st.Error)
 			}
@@ -345,8 +348,8 @@ func TestReenqueueKeepsQueuedEntry(t *testing.T) {
 			if done, want := m.JobsDone.Value(), int64(depth+1); done != want {
 				t.Errorf("jobs_done = %d, want %d (the reverted job once, %d fresh)", done, want, depth)
 			}
-			if q, r := m.JobsQueued.Value(), m.JobsReenqueued.Value(); q != 0 || r != 1 {
-				t.Errorf("jobs_queued = %d, jobs_reenqueued = %d; want 0, 1", q, r)
+			if q, r := m.JobsQueued.Value(), m.JobsReenqueued.Value(); q != 0 || r != 0 {
+				t.Errorf("jobs_queued = %d, jobs_reenqueued = %d; want 0, 0", q, r)
 			}
 		})
 	}

@@ -45,8 +45,8 @@ type Metrics struct {
 	// Cluster counters (zero on standalone servers).
 	JobsForwarded  expvar.Int // submits proxied to the ring owner
 	JobsRemoteDone expvar.Int // local jobs completed by a peer's execution
-	JobsStolen     expvar.Int // queued jobs this node claimed from peers
-	JobsStolenAway expvar.Int // queued jobs peers claimed from this node
+	JobsStolen     expvar.Int // queued jobs peers handed this node when it asked
+	JobsStolenAway expvar.Int // queued jobs this node handed to idle peers
 	JobsReenqueued expvar.Int // jobs re-queued locally after a node died
 	PeerCacheHits  expvar.Int // local misses served from a peer's cache
 	PeerCacheFills expvar.Int // peer-pushed results accepted into the cache

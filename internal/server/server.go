@@ -39,14 +39,16 @@ type Options struct {
 	// Cluster attaches the server to a chamd cluster (nil =
 	// standalone). The server registers the peer protocol on its
 	// Handler, routes submissions over the cluster's consistent-hash
-	// ring, fills its result cache from peers, and steals queued work
-	// from loaded nodes when idle. The caller owns the cluster's
-	// gossip lifecycle (Start/Stop).
+	// ring, fills its result cache from peers, and, when idle, asks
+	// loaded peers to hand it queued jobs. A job that runs on a peer,
+	// forwarded to its ring owner or handed to an idle node, is
+	// mirrored locally. The caller owns the cluster's gossip lifecycle
+	// (Start/Stop).
 	Cluster *cluster.Cluster
 	// ClusterManual disables the background cluster loops; tests
 	// drive sweepDead/stealOnce directly so membership and routing
-	// transitions happen at deterministic points. Forwarded-job
-	// mirrors still follow their owners.
+	// transitions happen at deterministic points. Mirrors still follow
+	// their peers' copies.
 	ClusterManual bool
 }
 
@@ -206,8 +208,8 @@ func (s *Server) submit(spec JobSpec, forwardedFrom string) (*Job, error) {
 
 // enqueue submits j to the worker pool and counts it queued. The job
 // is marked pooled first, and stays so until a worker takes the entry
-// (tryStart); a claim leaves the entry in place, so a claim reverted
-// while it waits does not queue the job again (reenqueueLocal).
+// (tryStart); a hand-off leaves the entry in place, so a hand-off
+// reverted while it waits does not queue the job again (requeue).
 func (s *Server) enqueue(j *Job) error {
 	j.setPooled()
 	if err := s.pool.Submit(j); err != nil {
@@ -223,18 +225,18 @@ func (s *Server) Job(id string) (*Job, bool) { return s.store.Get(id) }
 // Jobs lists every job's status in submission order.
 func (s *Server) Jobs() []JobStatus { return s.store.List() }
 
-// Cancel cancels a queued or running job by ID. Canceling a forwarded
-// job's mirror also cancels, best effort, the owner's copy, so the
-// remote execution stops burning a worker.
+// Cancel cancels a queued or running job by ID. Canceling a mirror
+// also cancels, best effort, the peer's copy, so the remote execution
+// stops burning a worker. The reference is read after the cancel: only
+// a mirror carries a peer address, a canceled job keeps it, and a
+// hand-off whose job ID arrives later cancels that copy itself.
 func (s *Server) Cancel(id string) (bool, error) {
 	j, ok := s.store.Get(id)
 	if !ok {
 		return false, fmt.Errorf("unknown or expired job %q", id)
 	}
-	wasRemote := j.State() == StateRemote
-	_, raddr, rid := j.remoteRef()
 	canceled := j.cancelCounted(time.Now(), &s.metrics.JobsCanceled)
-	if canceled && wasRemote && s.clustered() && raddr != "" && rid != "" {
+	if _, raddr, rid := j.remoteRef(); canceled && raddr != "" && rid != "" {
 		go s.cancelRemote(raddr, rid)
 	}
 	return canceled, nil
@@ -275,8 +277,7 @@ func (s *Server) runJob(j *Job) {
 	defer cancel()
 	if !j.tryStart(now, cancel) {
 		// Canceled while waiting in the queue (Server.Cancel counted
-		// it), or stolen off our queue: the thief owns it now and
-		// reports its completion via the peer protocol.
+		// it), or handed to an idle peer, which this node now mirrors.
 		return
 	}
 	s.metrics.ObserveQueueWait(now.Sub(j.Status().SubmittedAt))
@@ -310,7 +311,6 @@ func (s *Server) runJob(j *Job) {
 				j.Spec.Timeout(s.opts.DefaultTimeout), err)
 		}
 		j.finish(state, "", err, fin, count)
-		s.reportToOrigin(j, nil, err)
 		return
 	}
 	j.finish(StateDone, s.cache.Put(j.Hash, b), nil, fin, &s.metrics.JobsDone)
@@ -319,7 +319,6 @@ func (s *Server) runJob(j *Job) {
 		// loses capacity, not results.
 		go s.writeBackResult(j.Hash, b)
 	}
-	s.reportToOrigin(j, b, nil)
 }
 
 // runSim executes a single-simulation job.
