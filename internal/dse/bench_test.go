@@ -6,8 +6,8 @@ import (
 )
 
 // TestDominatesAllocFree pins the dominance comparison at zero
-// allocations — it sits inside an O(n²) filter and an O(n²)-per-wave
-// pruning pass.
+// allocations — a Frontier runs it once per front member for every
+// point a sweep adds.
 func TestDominatesAllocFree(t *testing.T) {
 	objs := DefaultObjectives()
 	a := []float64{2, 100, 5}

@@ -72,8 +72,8 @@ func better(v, w float64, sense string) bool {
 // at least as good on every objective and strictly better on at least
 // one. Equal vectors dominate in neither direction. A NaN coordinate
 // loses to any real value in either sense (a cell missing an objective
-// can only be dominated, never dominate). The comparison is
-// allocation-free (it sits inside an O(n²) filter).
+// can only be dominated, never dominate), so Dominates is a strict
+// partial order, as a Frontier needs. It allocates nothing.
 func Dominates(a, b []float64, objs []Objective) bool {
 	if len(a) != len(objs) || len(b) != len(objs) {
 		return false
@@ -97,26 +97,13 @@ func Dominates(a, b []float64, objs []Objective) bool {
 	return strict
 }
 
-// Front applies the strict-dominance Pareto filter: it returns the
-// points no other point strictly dominates, in input order, plus the
-// number of dominated points. With points ordered by cell index the
-// front is fully deterministic.
+// Front applies the strict-dominance Pareto filter, as a Frontier fed
+// points as one wave: it returns the points no other point strictly
+// dominates, in input order, plus the number of dominated points.
 func Front(points []Point, objs []Objective) (front []Point, dominated int) {
-	for i, p := range points {
-		dom := false
-		for k, q := range points {
-			if k != i && Dominates(q.Values, p.Values, objs) {
-				dom = true
-				break
-			}
-		}
-		if dom {
-			dominated++
-		} else {
-			front = append(front, p)
-		}
-	}
-	return front, dominated
+	f := NewFrontier(Spec{Objectives: objs})
+	f.Add(points)
+	return f.Front()
 }
 
 // Values extracts the objective vector from a run's unified stats

@@ -102,7 +102,8 @@ type Spec struct {
 	// cells carrying that value are skipped without simulation. 0
 	// disables pruning (full enumeration). The heuristic is applied at
 	// deterministic wave boundaries, so a sweep's outcome is identical
-	// at any runner concurrency.
+	// at any runner concurrency. It is exact only when a condemned
+	// value is dominated everywhere: a skipped front cell is lost.
 	PruneAfter int `json:"prune_after,omitempty"`
 }
 
@@ -241,15 +242,6 @@ func variantIndices(n int) []int {
 	return idx
 }
 
-// tierCount returns the number of memory tiers cell combinations with
-// tier variant tv configure (the default stack has two).
-func (s Spec) tierCount(tv int) int {
-	if tv < 0 {
-		return 2
-	}
-	return len(s.MemoryTierVariants[tv])
-}
-
 // Expand enumerates the sweep's cells in a fixed, documented order:
 // tier variant, then cache variant, then policy, workload, ratio,
 // scale, seed (innermost). Combinations whose policy needs more memory
@@ -267,7 +259,10 @@ func (s Spec) Expand() ([]Cell, error) {
 	cacheIdx := variantIndices(len(s.CacheLevelVariants))
 	var cells []Cell
 	for _, tv := range tierIdx {
-		tiers := s.tierCount(tv)
+		tiers := 2 // the default stack's
+		if tv >= 0 {
+			tiers = len(s.MemoryTierVariants[tv])
+		}
 		for _, cv := range cacheIdx {
 			for _, pol := range s.Policies {
 				desc, err := policy.Lookup(pol)

@@ -56,10 +56,10 @@ type Cell struct {
 
 // Normalize validates the cell and returns its canonical form: a
 // replay workload becomes a trace path with its content hash, the
-// baseline takes its default (or is dropped for a design without
-// one), the timeline epoch takes its default, and a ratio that leaves
-// the machine's tier split as it is becomes 0. Cells that simulate the
-// same thing normalize equal.
+// baseline and the timeline epoch take their defaults (a design
+// without a baseline drops it), an overlay equal to the scaled
+// default's and a ratio that leaves the tier split as it is are
+// dropped. Cells that simulate the same thing normalize equal.
 func (c Cell) Normalize() (Cell, error) {
 	if c.Scale == 0 || c.Scale&(c.Scale-1) != 0 {
 		return c, fmt.Errorf("scale must be a power of two, got %d", c.Scale)
@@ -74,6 +74,13 @@ func (c Cell) Normalize() (Cell, error) {
 	if tiers := max(len(c.MemoryTiers), 2); desc.RequiredTiers() > tiers {
 		return c, fmt.Errorf("policy %q needs %d memory tiers, spec has %d",
 			c.Policy, desc.RequiredTiers(), tiers)
+	}
+	def := config.Default(c.Scale)
+	if reflect.DeepEqual(c.CacheLevels, def.CacheLevels) {
+		c.CacheLevels = nil
+	}
+	if reflect.DeepEqual(c.MemoryTiers, def.MemoryTiers) {
+		c.MemoryTiers = nil
 	}
 	// A machine that fails here is one the scale or the ratio starved
 	// of a tier: reject it now rather than inside a simulation.

@@ -10,28 +10,20 @@ import (
 	"chameleon/internal/sim"
 )
 
-// pruneWaveSize is the fixed cell count between a pruned sweep's
-// pruning decisions. Decisions happen at wave boundaries on the full
-// index-ordered point set, never on completion order, and the wave
-// size is a constant, not the concurrency bound, so a pruned sweep's
-// outcome is identical at any Parallelism.
+// pruneWaveSize is a pruned sweep's wave: a constant, not the
+// concurrency bound, so the sweep's outcome is the same at any Parallelism.
 const pruneWaveSize = 32
 
 // RunDSE runs a design-space sweep: Options axes seed the spec's empty
-// axes (see Sweep), and Options supply each cell's instruction and
-// warm-up budgets. The sweep's cells run through the pool behind Run,
-// in waves: one wave, or with PruneAfter set fixed-size index-ordered
-// waves between which the spec's pruning decision (dse.Condemned) may
-// skip the remaining cells of a condemned axis value. Every cell error
-// of a wave is joined into one. Progress counts expanded cells, and
-// every point carries its cell's Cell.Hash.
-//
-// Like the figure plan (Options.run), a sweep simulates each unique
-// Cell.Hash once: axis values that describe one machine expand to
-// separate points, and a point whose hash an earlier point of the
-// sweep already has (a duplicate) shares that point's values and
-// Cached flag. A duplicate counts in Evaluated, and in Cached when its
-// original does, so Evaluated + Pruned is TotalCells.
+// axes (see Sweep) and supply each cell's budgets. The cells run
+// through pool in index-ordered waves, of pruneWaveSize with
+// PruneAfter set, between which the sweep's running front
+// (dse.Frontier) may condemn an axis value and skip its remaining
+// cells. A wave's cell errors are joined into one. As in a figure run,
+// each unique Cell.Hash is simulated once: a point whose hash an
+// earlier point has shares its values and Cached flag and counts in
+// Evaluated (and Cached), so Evaluated + Pruned is TotalCells.
+// Progress counts expanded cells; every point carries its Cell.Hash.
 func RunDSE(ctx context.Context, o Options, spec dse.Spec) (*dse.Result, error) {
 	o = o.Defaults()
 	spec, err := o.Sweep(spec)
@@ -47,21 +39,17 @@ func RunDSE(ctx context.Context, o Options, spec dse.Spec) (*dse.Result, error) 
 		waveSize = pruneWaveSize
 	}
 	res := &dse.Result{Objectives: spec.Objectives, TotalCells: len(cells)}
-	condemned := dse.Condemned{}
-	// known holds the first point of every hash evaluated so far.
-	known := map[string]dse.Point{}
+	frontier := dse.NewFrontier(spec)
+	known := map[string]dse.Point{} // the values of each hash resolved so far
 	for next := 0; next < len(cells); {
-		// The next wave in cell-index order, without the cells an
-		// earlier wave condemned.
-		var wave []dse.Cell
+		// The next wave, in index order, less the condemned cells.
+		var wave []dse.Point
+		var runs []Cell
 		var hashes []string
-		var unique []Cell
-		var slots [][]int // per unique cell, the wave points it fills
-		index := map[string]int{}
 		var errs []error
 		for ; next < len(cells) && len(wave) < waveSize; next++ {
 			c := cells[next]
-			if condemned.Prunes(c) {
+			if frontier.Prunes(c) {
 				res.Pruned++
 				o.progress(res.Evaluated, res.Cached, res.Pruned, res.TotalCells)
 				continue
@@ -72,53 +60,45 @@ func RunDSE(ctx context.Context, o Options, spec dse.Spec) (*dse.Result, error) 
 				continue
 			}
 			h := run.Hash()
-			if _, ok := known[h]; !ok {
-				u, ok := index[h]
-				if !ok {
-					u = len(unique)
-					index[h] = u
-					unique, slots = append(unique, run), append(slots, nil)
-				}
-				slots[u] = append(slots[u], len(wave))
-			}
-			wave, hashes = append(wave, c), append(hashes, h)
+			wave, runs, hashes = append(wave, dse.Point{Cell: c, Hash: h}), append(runs, run), append(hashes, h)
 		}
 		if len(errs) > 0 {
 			return nil, errors.Join(errs...)
 		}
-		points := make([]dse.Point, len(wave))
-		evaluated := func(w int, p dse.Point) {
-			points[w] = dse.Point{Cell: wave[w], Values: p.Values, Hash: hashes[w], Cached: p.Cached}
-			res.Evaluated++
-			if p.Cached {
-				res.Cached++
-			}
-			o.progress(res.Evaluated, res.Cached, res.Pruned, res.TotalCells)
-		}
-		for w, h := range hashes {
-			if p, ok := known[h]; ok {
-				evaluated(w, p)
+		evaluated := func(idx []int, p dse.Point) {
+			known[hashes[idx[0]]] = p
+			for _, i := range idx {
+				wave[i].Values, wave[i].Cached = p.Values, p.Cached
+				res.Evaluated++
+				if p.Cached {
+					res.Cached++
+				}
+				o.progress(res.Evaluated, res.Cached, res.Pruned, res.TotalCells)
 			}
 		}
-		err := o.pool(ctx, unique, func(u int, r *sim.Result, cached bool) error {
+		// A hash an earlier wave resolved takes its values; the rest run.
+		var todo [][]int
+		for _, idx := range byHash(hashes) {
+			if p, ok := known[hashes[idx[0]]]; ok {
+				evaluated(idx, p)
+			} else {
+				todo = append(todo, idx)
+			}
+		}
+		err := o.pool(ctx, runs, todo, func(idx []int, r *sim.Result, cached bool) error {
 			vals, err := dse.Values(r.Snapshot(), spec.Objectives)
-			if err != nil {
-				return err
+			if err == nil {
+				evaluated(idx, dse.Point{Values: vals, Cached: cached})
 			}
-			p := dse.Point{Values: vals, Cached: cached}
-			known[hashes[slots[u][0]]] = p
-			for _, w := range slots[u] {
-				evaluated(w, p)
-			}
-			return nil
+			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.Points = append(res.Points, points...)
-		condemned.Update(spec, res.Points)
+		frontier.Add(wave)
+		res.Points = append(res.Points, wave...)
 	}
-	res.Front, res.Dominated = dse.Front(res.Points, spec.Objectives)
+	res.Front, res.Dominated = frontier.Front()
 	return res, nil
 }
 

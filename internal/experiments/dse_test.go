@@ -284,3 +284,52 @@ func TestRunDSESimulatesDuplicateOnce(t *testing.T) {
 		t.Errorf("points %+v and %+v: want two ratios with one hash and equal values", a, b)
 	}
 }
+
+// TestPruningIsHeuristic pins what PruneAfter does not promise: the
+// pruned front equals the unpruned one only when a condemned value is
+// dominated everywhere. Here pom's cells are dominated except seed 40,
+// which alone is on the unpruned front; pruning condemns pom at the
+// second wave boundary (its first 24 cells are all dominated), skips
+// pom/40, and leaves chameleon/40 as the pruned front.
+func TestPruningIsHeuristic(t *testing.T) {
+	seeds := make([]uint64, 40)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	spec := dse.Spec{Policies: []string{"chameleon", "pom"}, Workloads: []string{"bwaves"}, Seeds: seeds}
+	vals := func(c Cell) (float64, float64, float64) {
+		switch {
+		case c.Policy == "chameleon":
+			return 1 + float64(c.Seed)/100, 1000, 50
+		case c.Seed == 40:
+			return 2, 1000, 50
+		}
+		return 1, 1000, 50
+	}
+	o := Options{Parallelism: 2, Simulate: fakeSimulate(vals)}
+	front := func(res *dse.Result) []string {
+		var out []string
+		for _, p := range res.Front {
+			out = append(out, fmt.Sprintf("%s/%d", p.Cell.Policy, p.Cell.Seed))
+		}
+		return out
+	}
+	res, err := RunDSE(context.Background(), o, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.PruneAfter = 2
+	resP, err := RunDSE(context.Background(), o, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := front(res); !reflect.DeepEqual(got, []string{"pom/40"}) {
+		t.Errorf("unpruned front = %v, want [pom/40]", got)
+	}
+	if got := front(resP); !reflect.DeepEqual(got, []string{"chameleon/40"}) {
+		t.Errorf("pruned front = %v, want [chameleon/40]", got)
+	}
+	if resP.Pruned != 16 || resP.Evaluated != 64 {
+		t.Errorf("pruned sweep evaluated %d and pruned %d cells, want 64 and pom's last 16", resP.Evaluated, resP.Pruned)
+	}
+}

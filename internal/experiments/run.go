@@ -96,15 +96,14 @@ func (o Options) cells(f Figure) [][]Cell {
 	return rows
 }
 
-// run simulates every figure's cells. It declares them, normalizes
-// them, drops duplicates by Cell.Hash, simulates each unique cell once
-// through pool, and returns each figure's grid of results. A cell that
-// does not normalize stops the run before anything simulates; every
-// such cell is reported. Progress counts unique cells.
+// run declares and normalizes the figures' cells, simulates each
+// unique Cell.Hash once through pool, and returns each figure's grid
+// of results. Cells that do not normalize stop the run before anything
+// simulates, and all are reported. Progress counts unique cells.
 func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, error) {
-	index := map[string]int{}
-	var unique []Cell
-	var slots [][]**sim.Result // per unique cell, the grid slots it fills
+	var cells []Cell
+	var hashes []string
+	var slots []**sim.Result // per cell, the grid slot it fills
 	var errs []error
 	grids := make([][][]*sim.Result, len(figs))
 	for i, f := range figs {
@@ -118,15 +117,7 @@ func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, err
 					errs = append(errs, fmt.Errorf("%s: %v/%s: %w", f.Name, c.Policy, c.Workload, err))
 					continue
 				}
-				key := c.Hash()
-				u, ok := index[key]
-				if !ok {
-					u = len(unique)
-					index[key] = u
-					unique = append(unique, c)
-					slots = append(slots, nil)
-				}
-				slots[u] = append(slots[u], &grids[i][j][k])
+				cells, hashes, slots = append(cells, c), append(hashes, c.Hash()), append(slots, &grids[i][j][k])
 			}
 		}
 	}
@@ -134,16 +125,17 @@ func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, err
 		return nil, errors.Join(errs...)
 	}
 
+	same := byHash(hashes)
 	done, cached := 0, 0
-	err := o.pool(ctx, unique, func(u int, r *sim.Result, hit bool) error {
-		for _, slot := range slots[u] {
-			*slot = r
+	err := o.pool(ctx, cells, same, func(idx []int, r *sim.Result, hit bool) error {
+		for _, i := range idx {
+			*slots[i] = r
 		}
 		done++
 		if hit {
 			cached++
 		}
-		o.progress(done, cached, 0, len(unique))
+		o.progress(done, cached, 0, len(same))
 		return nil
 	})
 	if err != nil {
@@ -152,28 +144,44 @@ func (o Options) run(ctx context.Context, figs []Figure) ([][][]*sim.Result, err
 	return grids, nil
 }
 
+// byHash is the one dedupe step of figures and sweeps: it groups the
+// indices of hashes by value, in order of first appearance.
+func byHash(hashes []string) [][]int {
+	index := map[string]int{}
+	var same [][]int
+	for i, h := range hashes {
+		if _, ok := index[h]; !ok {
+			index[h] = len(same)
+			same = append(same, nil)
+		}
+		same[index[h]] = append(same[index[h]], i)
+	}
+	return same
+}
+
 // pool is the one bounded simulation pool: every simulation of this
-// package, figure, matrix and DSE cells alike, runs through it. It
-// simulates cells with at most o.Parallelism in flight, through
-// o.Simulate when set, else in this process, and hands finish each
-// result with its index in cells and whether a cache served it;
-// finish calls are serialized. No cell starts once ctx is done. A
-// failed cell, in its simulation or its finish, does not stop its
-// peers: every failure, and a context error, is joined into the
-// returned error.
-func (o Options) pool(ctx context.Context, cells []Cell, finish func(i int, r *sim.Result, cached bool) error) error {
+// package runs through it. For each group of same, indices of cells
+// that share a Cell.Hash (byHash), it simulates the first cell, with
+// at most o.Parallelism in flight, through o.Simulate when set, else
+// in this process, and hands finish the result with the group and
+// whether a cache served it; finish calls are serialized. No cell
+// starts once ctx is done. A failed cell, in its simulation or its
+// finish, does not stop its peers: every failure, and a context error,
+// is joined into the returned error.
+func (o Options) pool(ctx context.Context, cells []Cell, same [][]int, finish func(idx []int, r *sim.Result, cached bool) error) error {
 	var (
 		mu   sync.Mutex
 		errs []error
 		wg   sync.WaitGroup
 	)
 	sem := make(chan struct{}, o.Parallelism)
-	for i, c := range cells {
+	for _, idx := range same {
 		if ctx.Err() != nil {
 			// Don't launch cells that would fail immediately; the
 			// cancellation itself is reported below.
 			break
 		}
+		c := cells[idx[0]]
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -190,7 +198,7 @@ func (o Options) pool(ctx context.Context, cells []Cell, finish func(i int, r *s
 			mu.Lock()
 			defer mu.Unlock()
 			if err == nil {
-				err = finish(i, r, cached)
+				err = finish(idx, r, cached)
 			}
 			if err != nil {
 				errs = append(errs, fmt.Errorf("%v/%s: %w", c.Policy, c.Workload, err))

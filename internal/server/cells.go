@@ -84,7 +84,7 @@ func (s *Server) runCellRemote(ctx context.Context, c experiments.Cell, owners [
 		if ctx.Err() != nil {
 			s.cancelRemote(owner.Addr, st.ID)
 		} else {
-			s.cl.Membership().MarkFailed(owner.ID)
+			s.peerFailed(owner.ID, err)
 		}
 	}
 	return b, err == nil && st.State == StateDone

@@ -35,9 +35,20 @@ func (s *Server) ringOwners(hash string) ([]cluster.Node, bool) {
 	return owners, false
 }
 
+// peerFailed reports peer id to the failure detector when err is a
+// failed round trip. A peer that answered, even with an error status
+// such as 503 (queue full), is alive: a *cluster.PeerError never
+// marks it.
+func (s *Server) peerFailed(id string, err error) {
+	var answered *cluster.PeerError
+	if err != nil && !errors.As(err, &answered) {
+		s.cl.Membership().MarkFailed(id)
+	}
+}
+
 // eachPeerOwner calls call on each live ring owner other than this
 // node, in ring order and under peerCallTimeout, until call reports
-// done. An owner whose call fails is reported to the failure detector.
+// done. An owner whose call fails is reported to peerFailed.
 func (s *Server) eachPeerOwner(ctx context.Context, owners []cluster.Node, call func(context.Context, cluster.Node) (done bool, err error)) {
 	for _, o := range owners {
 		if o.ID == s.selfID() || !s.cl.Alive(o.ID) {
@@ -47,7 +58,7 @@ func (s *Server) eachPeerOwner(ctx context.Context, owners []cluster.Node, call 
 		done, err := call(cctx, o)
 		cancel()
 		if err != nil {
-			s.cl.Membership().MarkFailed(o.ID)
+			s.peerFailed(o.ID, err)
 		} else if done {
 			return
 		}
@@ -99,7 +110,7 @@ func (s *Server) awaitPeerJob(ctx context.Context, addr string, st JobStatus, pr
 	defer cancel()
 	b, ok, err := cluster.GetBytes(cctx, hc, url+"/result")
 	if err == nil && !ok {
-		err = fmt.Errorf("GET %s/result: not found", url)
+		err = &cluster.PeerError{Status: http.StatusNotFound, URL: url + "/result", Body: "not found"}
 	}
 	return st, b, err
 }
@@ -138,9 +149,9 @@ func (s *Server) follow(j *Job, addr string, remote JobStatus) {
 // followRemote keeps a mirror in step with its owner's job: progress
 // while it runs, the owner's end once it ends. It returns once the
 // mirror leaves StateRemote (done, canceled or re-enqueued) or the
-// server drains. An unreachable owner is reported to the failure
-// detector and retried after sweepInterval; sweepDead re-enqueues the
-// mirror once the owner is declared dead.
+// server drains. A failed read is retried after sweepInterval, and an
+// unreachable owner is reported to the failure detector (peerFailed);
+// sweepDead re-enqueues the mirror once the owner is declared dead.
 func (s *Server) followRemote(j *Job, st JobStatus) {
 	node, addr, _ := j.remoteRef()
 	ctx, cancel := context.WithCancel(s.draining)
@@ -162,7 +173,7 @@ func (s *Server) followRemote(j *Job, st JobStatus) {
 			continue
 		}
 		if ctx.Err() == nil {
-			s.cl.Membership().MarkFailed(node)
+			s.peerFailed(node, err)
 		}
 		select {
 		case <-ctx.Done():
@@ -262,7 +273,9 @@ type stealRequest struct {
 }
 
 // idleCapacity returns how many more jobs this node could run right
-// now without queueing.
+// now without queueing: its workers less its running and queued jobs.
+// A queued job handed off or canceled no longer counts, even while its
+// pool entry still waits.
 func (s *Server) idleCapacity() int {
 	free := int64(s.opts.Workers) - s.metrics.JobsRunning.Value() - s.metrics.JobsQueued.Value()
 	if free < 0 {
@@ -293,7 +306,7 @@ func (s *Server) stealOnce() {
 			stealRequest{By: self, N: budget}, &handed)
 		cancel()
 		if err != nil {
-			s.cl.Membership().MarkFailed(peer.ID)
+			s.peerFailed(peer.ID, err)
 			continue
 		}
 		s.metrics.JobsStolen.Add(int64(handed))

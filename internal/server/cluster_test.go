@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -509,5 +510,60 @@ func TestLatePeerReportDoesNotFinishRerun(t *testing.T) {
 		if st := j.State(); st != StateRunning {
 			t.Errorf("remote id %q: a late peer report moved the local rerun to %s", rid, st)
 		}
+	}
+}
+
+// memberState returns the state in which nd's membership sees id.
+func memberState(t *testing.T, nd *clusterNode, id string) cluster.NodeState {
+	t.Helper()
+	for _, m := range nd.cl.Members() {
+		if m.ID == id {
+			return m.State
+		}
+	}
+	t.Fatalf("%s does not know %s", nd.id, id)
+	return ""
+}
+
+// TestRefusedForwardLeavesOwnerAlive: an owner that answers a forward
+// with 503 (its queue is full) is alive. The forwarding node falls
+// through to the replica and must not report the owner to the failure
+// detector: only a failed round trip does that.
+func TestRefusedForwardLeavesOwnerAlive(t *testing.T) {
+	nodes := newServerCluster(t, 3, newFakeClock(), func(int) int { return 1 })
+	converge(t, nodes)
+	a, b, c := nodes[0], nodes[1], nodes[2]
+
+	// Fill a: its one worker runs a wedge and its queue is full. The
+	// forwarded-from mark keeps every submission on a.
+	wedge, err := a.s.submit(slowSpec(1), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); wedge.State() != StateRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("wedge never started: %s", wedge.State())
+		}
+	}
+	for seed := uint64(2); ; seed++ {
+		if _, err := a.s.submit(slowSpec(seed), "test"); errors.Is(err, ErrQueueFull) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	spec := findSpec(t, b.cl, fastSpec, func(owners []string) bool {
+		return owners[0] == a.id && owners[1] == c.id
+	})
+	j, err := b.s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(); st.Node != c.id {
+		t.Fatalf("forward landed on %q (state %s), want the replica %s", st.Node, st.State, c.id)
+	}
+	if st := memberState(t, b, a.id); st != cluster.StateAlive {
+		t.Errorf("b sees the owner that refused its forward as %s, want alive", st)
 	}
 }

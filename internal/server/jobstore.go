@@ -175,7 +175,7 @@ func (j *Job) tryStart(now time.Time, cancel context.CancelFunc) bool {
 	if j.state != StateQueued {
 		return false
 	}
-	j.state = StateRunning
+	j.setState(StateRunning)
 	j.startedAt = now
 	j.cancel = cancel
 	return true
@@ -283,7 +283,7 @@ func (j *Job) markRemote(nodeID, addr, remoteID string, now time.Time) bool {
 	if j.state != StateQueued {
 		return false
 	}
-	j.state = StateRemote
+	j.setState(StateRemote)
 	j.node, j.nodeAddr, j.remoteID = nodeID, addr, remoteID
 	j.startedAt = now
 	return true
@@ -326,7 +326,7 @@ func (j *Job) revertToQueued(node string) (reverted, submit bool) {
 	}
 	submit = !j.pooled
 	j.pooled = true
-	j.state = StateQueued
+	j.setState(StateQueued)
 	j.node, j.nodeAddr, j.remoteID = "", "", ""
 	j.startedAt = time.Time{}
 	j.progress = Progress{}
@@ -360,7 +360,7 @@ func (j *Job) finishFromPeer(state JobState, result, errstr string, cached bool,
 // count (if non-nil) and enters the job in its store's retention
 // order before it closes Done, so whoever wakes on Done sees both.
 func (j *Job) end(state JobState, result, errstr string, cached bool, now time.Time, count *expvar.Int) {
-	j.state = state
+	j.setState(state)
 	j.result = result
 	j.err = errstr
 	j.cached = cached
@@ -373,6 +373,21 @@ func (j *Job) end(state JobState, result, errstr string, cached bool, now time.T
 		j.store.ended(j.ID, now)
 	}
 	close(j.done)
+}
+
+// setState moves the job to state; j.mu must be held. It keeps its
+// store's queued gauge at the number of jobs in StateQueued, whether
+// or not a worker-pool entry still waits for them.
+func (j *Job) setState(state JobState) {
+	if j.store != nil && j.store.queued != nil {
+		switch {
+		case j.state == StateQueued && state != StateQueued:
+			j.store.queued.Add(-1)
+		case j.state != StateQueued && state == StateQueued:
+			j.store.queued.Add(1)
+		}
+	}
+	j.state = state
 }
 
 // setProgress overwrites the progress snapshot (remote mirrors).
@@ -405,6 +420,9 @@ type Store struct {
 	endOrder []endedJob
 	expired  int64 // jobs dropped so far
 	seq      atomic.Uint64
+	// queued, when set, is the gauge of the store's jobs in
+	// StateQueued (Server's jobs_queued).
+	queued *expvar.Int
 }
 
 // endedJob is one terminal job in the store's retention order.
@@ -436,6 +454,9 @@ func (s *Store) NewJob(spec JobSpec, hash string, now time.Time) *Job {
 	id := fmt.Sprintf("%sj%08x", s.prefix, s.seq.Add(1))
 	j := newJob(id, spec, hash, now)
 	j.store = s
+	if s.queued != nil {
+		s.queued.Add(1)
+	}
 	s.jobs[id] = j
 	s.ids = append(s.ids, id)
 	s.mu.Unlock()

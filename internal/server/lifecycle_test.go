@@ -354,3 +354,40 @@ func TestRevertedHandOffKeepsQueuedEntry(t *testing.T) {
 		})
 	}
 }
+
+// TestQueuedGaugeCountsQueuedJobs: jobs_queued counts jobs in the
+// queued state, not worker-pool entries. A queued job handed to an
+// idle peer, or canceled, stops counting at once, although its entry
+// waits until the victim's only worker, busy with a wedge, pops it.
+func TestQueuedGaugeCountsQueuedJobs(t *testing.T) {
+	nodes := newServerCluster(t, 2, newFakeClock(), func(int) int { return 1 })
+	converge(t, nodes)
+	a, b := nodes[0], nodes[1]
+	m := a.s.Metrics()
+
+	wedge, handed := wedgeAndQueue(t, a, fastSpec)
+	canceled, err := a.s.submit(slowSpec(7), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := m.JobsQueued.Value(); q != 2 {
+		t.Fatalf("jobs_queued = %d with two jobs behind the wedge, want 2", q)
+	}
+
+	b.s.stealOnce()
+	if st := handed.State(); st != StateRemote {
+		t.Fatalf("the oldest queued job is %s after the steal, want remote", st)
+	}
+	if q := m.JobsQueued.Value(); q != 1 {
+		t.Errorf("jobs_queued = %d after the hand-off, want 1", q)
+	}
+	if ok, err := a.s.Cancel(canceled.ID); !ok || err != nil {
+		t.Fatalf("cancel = %v, %v", ok, err)
+	}
+	if q := m.JobsQueued.Value(); q != 0 {
+		t.Errorf("jobs_queued = %d after the cancel, want 0", q)
+	}
+	if st := wedge.State(); st != StateRunning {
+		t.Fatalf("wedge is %s, want still running", st)
+	}
+}

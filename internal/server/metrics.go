@@ -22,7 +22,7 @@ var queueWaitBuckets = []int64{1, 10, 100, 1_000, 10_000}
 // PublishExpvar once to expose the serving instance globally.
 type Metrics struct {
 	JobsSubmitted expvar.Int // total POST /v1/jobs accepted
-	JobsQueued    expvar.Int // gauge: currently waiting for a worker
+	JobsQueued    expvar.Int // gauge: jobs in StateQueued, waiting for a worker
 	JobsRunning   expvar.Int // gauge: currently executing
 	JobsDone      expvar.Int // total simulated to completion locally
 	JobsFailed    expvar.Int // total failed (error or deadline)

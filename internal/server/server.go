@@ -107,6 +107,7 @@ func New(opts Options) *Server {
 		metrics: NewMetrics(),
 		cl:      opts.Cluster,
 	}
+	s.store.queued = &s.metrics.JobsQueued
 	s.metrics.SetCacheStats(s.cache.Stats)
 	s.metrics.SetStoreStats(s.store.Stats)
 	if s.cl != nil {
@@ -206,17 +207,14 @@ func (s *Server) submit(spec JobSpec, forwardedFrom string) (*Job, error) {
 	return j, nil
 }
 
-// enqueue submits j to the worker pool and counts it queued. The job
-// is marked pooled first, and stays so until a worker takes the entry
-// (tryStart); a hand-off leaves the entry in place, so a hand-off
-// reverted while it waits does not queue the job again (requeue).
+// enqueue submits j to the worker pool. The job is marked pooled
+// first, and stays so until a worker takes the entry (tryStart); a
+// hand-off leaves the entry in place, so a hand-off reverted while it
+// waits does not queue the job again (requeue). jobs_queued counts the
+// job by its state, not by its entry (Job.setState).
 func (s *Server) enqueue(j *Job) error {
 	j.setPooled()
-	if err := s.pool.Submit(j); err != nil {
-		return err
-	}
-	s.metrics.JobsQueued.Add(1)
-	return nil
+	return s.pool.Submit(j)
 }
 
 // Job looks up a job by ID.
@@ -267,7 +265,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // job's Done closes.
 func (s *Server) runJob(j *Job) {
 	now := time.Now()
-	s.metrics.JobsQueued.Add(-1)
 	if s.draining.Err() != nil {
 		// Drain mode: queued jobs are canceled, not started.
 		j.cancelCounted(now, &s.metrics.JobsCanceled)

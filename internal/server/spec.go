@@ -142,6 +142,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		}
 		s.Workload, s.TracePath, s.TraceSHA256 = c.Workload, c.TracePath, c.TraceSHA256
 		s.Ratio, s.BaselineGB, s.TimelineEpochCycles = c.Ratio, c.BaselineGB, c.TimelineEpochCycles
+		s.CacheLevels, s.MemoryTiers = c.CacheLevels, c.MemoryTiers
 		s.Workloads, s.Policies, s.Parallelism, s.DSE = nil, nil, 0, nil
 		return s, nil
 	case KindMatrix:
