@@ -32,6 +32,33 @@ const ForwardedHeader = "X-Chameleon-Forwarded"
 // maxPeerBody bounds any peer response we are willing to buffer.
 const maxPeerBody = 64 << 20
 
+// ReadBody reads a response body of at most limit bytes. A longer
+// body is an error, never a silent cut: a truncated result would
+// otherwise pass through as a short one, or fail to decode with a
+// misleading message. A body of declared length is read into one
+// buffer of that size.
+func ReadBody(resp *http.Response, limit int64) ([]byte, error) {
+	n := resp.ContentLength
+	if n > limit {
+		return nil, fmt.Errorf("response body of %d bytes exceeds %d", n, limit)
+	}
+	if n >= 0 {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("response body exceeds %d bytes", limit)
+	}
+	return data, nil
+}
+
 // DoJSON performs one JSON request against a peer: in (if non-nil) is
 // the request body, out (if non-nil) receives the decoded response.
 // Non-2xx responses are returned as *PeerError.
@@ -65,7 +92,7 @@ func DoJSONHeader(ctx context.Context, hc *http.Client, method, url string, hdr 
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+	data, err := ReadBody(resp, maxPeerBody)
 	if err != nil {
 		return err
 	}
@@ -90,7 +117,7 @@ func GetBytes(ctx context.Context, hc *http.Client, url string) ([]byte, bool, e
 		return nil, false, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+	data, err := ReadBody(resp, maxPeerBody)
 	if err != nil {
 		return nil, false, err
 	}

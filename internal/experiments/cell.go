@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 
@@ -58,8 +59,9 @@ type Cell struct {
 // replay workload becomes a trace path with its content hash, the
 // baseline and the timeline epoch take their defaults (a design
 // without a baseline drops it), an overlay equal to the scaled
-// default's and a ratio that leaves the tier split as it is are
-// dropped. Cells that simulate the same thing normalize equal.
+// default's, a ratio that leaves the tier split as it is and an
+// AutoNUMA threshold that enables nothing are dropped. Cells that
+// simulate the same thing normalize equal.
 func (c Cell) Normalize() (Cell, error) {
 	if c.Scale == 0 || c.Scale&(c.Scale-1) != 0 {
 		return c, fmt.Errorf("scale must be a power of two, got %d", c.Scale)
@@ -75,12 +77,14 @@ func (c Cell) Normalize() (Cell, error) {
 		return c, fmt.Errorf("policy %q needs %d memory tiers, spec has %d",
 			c.Policy, desc.RequiredTiers(), tiers)
 	}
-	def := config.Default(c.Scale)
-	if reflect.DeepEqual(c.CacheLevels, def.CacheLevels) {
-		c.CacheLevels = nil
-	}
-	if reflect.DeepEqual(c.MemoryTiers, def.MemoryTiers) {
-		c.MemoryTiers = nil
+	if len(c.CacheLevels) > 0 || len(c.MemoryTiers) > 0 {
+		def := config.Default(c.Scale)
+		if reflect.DeepEqual(c.CacheLevels, def.CacheLevels) {
+			c.CacheLevels = nil
+		}
+		if reflect.DeepEqual(c.MemoryTiers, def.MemoryTiers) {
+			c.MemoryTiers = nil
+		}
 	}
 	// A machine that fails here is one the scale or the ratio starved
 	// of a tier: reject it now rather than inside a simulation.
@@ -127,6 +131,12 @@ func (c Cell) Normalize() (Cell, error) {
 		c.BaselineGB = 0
 	} else if c.BaselineGB == 0 {
 		c.BaselineGB = 24
+	}
+	switch {
+	case math.IsInf(c.AutoNUMA, 1):
+		return c, fmt.Errorf("autonuma threshold must be finite")
+	case !(c.AutoNUMA > 0): // negative or NaN: no AutoNUMA, as Options reads it
+		c.AutoNUMA = 0
 	}
 	if c.TimelineEpochCycles == 0 {
 		c.TimelineEpochCycles = 1_000_000

@@ -107,7 +107,12 @@ type statusError struct {
 
 func (e *statusError) Error() string { return e.err.Error() }
 
-// doOnce runs one request against an absolute URL.
+// maxResponseBytes bounds a response the client buffers; a longer one
+// is an error.
+const maxResponseBytes = 64 << 20
+
+// doOnce runs one request against an absolute URL. A *json.RawMessage
+// out receives the body as served; any other out is decoded into.
 func (c *Client) doOnce(ctx context.Context, method, url string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -129,7 +134,7 @@ func (c *Client) doOnce(ctx context.Context, method, url string, in, out any) er
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := cluster.ReadBody(resp, maxResponseBytes)
 	if err != nil {
 		return err
 	}
@@ -148,6 +153,10 @@ func (c *Client) doOnce(ctx context.Context, method, url string, in, out any) er
 		return &statusError{code: resp.StatusCode, retryAfter: ra, err: apiErr}
 	}
 	if out == nil {
+		return nil
+	}
+	if raw, ok := out.(*json.RawMessage); ok && raw != nil {
+		*raw = data // the caller asked for the bytes unparsed
 		return nil
 	}
 	return json.Unmarshal(data, out)
@@ -258,7 +267,9 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 }
 
 // Result decodes a done job's result into out (for sim jobs, a
-// *sim.Result), fetching from the executing node when known.
+// *sim.Result), fetching from the executing node when known. A
+// *json.RawMessage out receives the served bytes unparsed: decoding
+// them, and so validating them, is then the caller's.
 func (c *Client) Result(ctx context.Context, id string, out any) error {
 	return c.routed(ctx, http.MethodGet, id, "/result", out)
 }

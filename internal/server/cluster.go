@@ -417,9 +417,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("not cached"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, res)
+	writeResult(w, res)
 }
 
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"chameleon/internal/cluster"
@@ -171,7 +172,16 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	writeResult(w, res)
+}
+
+// writeResult answers 200 with result bytes as stored. A result
+// outgrows net/http's own sizing buffer, which would send it chunked;
+// its length is known, so it goes out with a Content-Length.
+func writeResult(w http.ResponseWriter, res string) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(res)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = io.WriteString(w, res)
 }
