@@ -4,7 +4,9 @@
 // processes become a cluster with -peers: gossip membership, job
 // routing over a consistent-hash ring, a cluster-wide result cache,
 // and idle nodes taking queued jobs from loaded ones (a handed-over
-// job is mirrored like a forwarded one).
+// job is mirrored like a forwarded one). The cluster flags fill one
+// cluster.Config; the resulting cluster.Cluster owns the membership,
+// the failure detector and the ring, and is stopped on every exit.
 //
 // Usage:
 //

@@ -245,13 +245,14 @@ func run(rc runCfg) error {
 			len(res.NUMATimeline), res.OS.Migrations, res.OS.MigrateFails)
 	}
 	if rc.energy {
-		window := res.MeasuredCycles()
-		seconds := float64(window) / opts.Config.CPU.FreqHz
-		for i, t := range sys.Tiers() {
-			e := sys.TierEnergy(i, window)
+		seconds := float64(res.MeasuredCycles()) / opts.Config.CPU.FreqHz
+		for _, tr := range res.Tiers {
+			var avgMW float64
+			if seconds > 0 {
+				avgMW = tr.EnergyNJ / seconds / 1e6
+			}
 			fmt.Printf("%-18s%.2f mJ (%.0f mW avg), %.1f%% bus utilisation\n",
-				t.Name()+" energy", e.TotalNJ()/1e6, e.AveragePowerMW(seconds),
-				t.Dev.BusyFraction(window)*100)
+				tr.Tier+" energy", tr.EnergyNJ/1e6, avgMW, tr.Utilization*100)
 		}
 	}
 	fmt.Println("\nper-core results:")

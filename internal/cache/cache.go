@@ -116,9 +116,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats clears the statistics without flushing contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Snapshot implements stats.Source (Name is the cache level's name).
-func (c *Cache) Snapshot() stats.Snapshot { return c.stats.Snapshot() }
-
 // set returns addr's set and the valid line word addr would occupy.
 func (c *Cache) set(addr uint64) (set []uint64, key uint64) {
 	blk := addr >> c.lineShift

@@ -137,8 +137,8 @@ func TestFailureDetectionAndEviction(t *testing.T) {
 	for {
 		_ = nodes[0].c.GossipOnce(ctx)
 		_ = nodes[1].c.GossipOnce(ctx)
-		n0, _ := nodes[0].c.Membership().Lookup(nodeID(2))
-		n1, _ := nodes[1].c.Membership().Lookup(nodeID(2))
+		n0, _ := nodes[0].c.Lookup(nodeID(2))
+		n1, _ := nodes[1].c.Lookup(nodeID(2))
 		if n0.State == StateSuspect && n1.State == StateSuspect {
 			break
 		}
@@ -165,7 +165,7 @@ func TestFailureDetectionAndEviction(t *testing.T) {
 	// Past the evict timeout the entry is forgotten entirely.
 	clock.Advance(250 * time.Millisecond)
 	nodes[0].c.Tick(clock.Now())
-	if _, ok := nodes[0].c.Membership().Lookup(nodeID(2)); ok {
+	if _, ok := nodes[0].c.Lookup(nodeID(2)); ok {
 		t.Fatal("dead node not evicted from membership")
 	}
 }
@@ -187,7 +187,7 @@ func TestIncarnationRefutesDeathRumour(t *testing.T) {
 	}
 	// The bumped incarnation overrides the stale death on other nodes.
 	converge(t, nodes, 4)
-	seen, ok := nodes[1].c.Membership().Lookup(self.ID)
+	seen, ok := nodes[1].c.Lookup(self.ID)
 	if !ok || seen.State != StateAlive || seen.Incarnation != after.Incarnation {
 		t.Fatalf("peer still believes rumour: %+v (want alive inc=%d)", seen, after.Incarnation)
 	}
@@ -217,4 +217,33 @@ func TestBackgroundLoopConverges(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestStartStopIdempotent: chamd stops its cluster on either exit path,
+// whether or not the gossip loop ever started. Stop on a cluster that
+// never started returns at once and a later Start stays a no-op; Start
+// twice runs one loop; Stop twice returns. A second loop, or a loop
+// started after Stop, would close the done channel twice and panic.
+func TestStartStopIdempotent(t *testing.T) {
+	stop := func(c *Cluster) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { c.Stop(); c.Stop(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Stop blocked")
+		}
+	}
+	cfg := Config{NodeID: "a-node", Addr: "http://a-node", GossipInterval: time.Millisecond}
+
+	never := New(cfg)
+	stop(never)
+	never.Start()
+	stop(never)
+
+	twice := New(cfg)
+	twice.Start()
+	twice.Start()
+	stop(twice)
 }

@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// mergedView merges the node lists, in order, into a fresh membership
+// mergedView merges the node lists, in order, into a fresh cluster
 // whose own ID is "self" and returns the resulting table.
 func mergedView(lists ...[]Node) []Node {
 	clock := newFakeClock()
-	m := NewMembership(MembershipOptions{Self: Node{ID: "self", Addr: "http://self"}, Now: clock.Now})
+	c := New(Config{NodeID: "self", Addr: "http://self", Now: clock.Now})
 	for _, l := range lists {
-		m.merge(l)
+		c.merge(l)
 	}
-	return m.Members()
+	return c.Members()
 }
 
 // TestMergeAddrTieIsOrderIndependent: a node restarted under the same

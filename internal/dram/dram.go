@@ -136,7 +136,7 @@ func (d *Device) Capacity() uint64 { return d.cfg.CapacityBytes }
 // Stats returns a copy of the accumulated statistics.
 func (d *Device) Stats() Stats { return d.stats }
 
-// Snapshot implements stats.Source (Name is the device's config name).
+// Snapshot flattens the statistics into the unified snapshot shape.
 func (d *Device) Snapshot() stats.Snapshot { return d.stats.Snapshot() }
 
 // ResetStats clears the accumulated statistics (device timing state is

@@ -60,8 +60,9 @@ type Cell struct {
 // baseline and the timeline epoch take their defaults (a design
 // without a baseline drops it), an overlay equal to the scaled
 // default's, a ratio that leaves the tier split as it is and an
-// AutoNUMA threshold that enables nothing are dropped. Cells that
-// simulate the same thing normalize equal.
+// AutoNUMA threshold that enables nothing are dropped. AutoNUMA on a
+// design that is not OS-managed is rejected, as the simulator would
+// reject it. Cells that simulate the same thing normalize equal.
 func (c Cell) Normalize() (Cell, error) {
 	if c.Scale == 0 || c.Scale&(c.Scale-1) != 0 {
 		return c, fmt.Errorf("scale must be a power of two, got %d", c.Scale)
@@ -137,6 +138,8 @@ func (c Cell) Normalize() (Cell, error) {
 		return c, fmt.Errorf("autonuma threshold must be finite")
 	case !(c.AutoNUMA > 0): // negative or NaN: no AutoNUMA, as Options reads it
 		c.AutoNUMA = 0
+	case !desc.OSManaged:
+		return c, fmt.Errorf("autonuma requires an OS-managed policy (e.g. %s), not %q", sim.PolicyNUMAFlat, c.Policy)
 	}
 	if c.TimelineEpochCycles == 0 {
 		c.TimelineEpochCycles = 1_000_000

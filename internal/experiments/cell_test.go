@@ -133,6 +133,22 @@ func TestNormalizeDropsDisabledAutoNUMA(t *testing.T) {
 	}
 }
 
+// TestNormalizeRejectsAutoNUMAOnHardwareDesign: AutoNUMA migrates
+// pages between OS-visible tiers, so a design that manages the stacked
+// DRAM in hardware cannot run it. Normalize rejects such a cell before
+// it is hashed, rather than the simulation failing on a worker.
+func TestNormalizeRejectsAutoNUMAOnHardwareDesign(t *testing.T) {
+	c := Cell{Policy: sim.PolicyChameleonOpt, Workload: "bwaves", Scale: 1024, AutoNUMA: 0.9,
+		Seed: 1, Instructions: 1000, Warmup: 1}
+	if n, err := c.Normalize(); err == nil {
+		t.Fatalf("AutoNUMA on %s normalized to hash %.12s", c.Policy, n.Hash())
+	}
+	c.Policy = sim.PolicyNUMAFlat
+	if _, err := c.Normalize(); err != nil {
+		t.Fatalf("AutoNUMA on %s: %v", c.Policy, err)
+	}
+}
+
 // fuzzCell is the cell a FuzzCellCanonical input spells: each byte
 // picks one field from a small range near config.Default(scale), so
 // that distinct inputs often describe one machine.

@@ -50,7 +50,6 @@ import (
 
 	"chameleon/internal/cache"
 	"chameleon/internal/config"
-	"chameleon/internal/stats"
 )
 
 // Victim is a dirty line that spilled out of the last cache level and
@@ -338,21 +337,3 @@ func (h *Hierarchy) ResetStats() {
 		}
 	}
 }
-
-// Sources returns one stats.Source per level, aggregated across cores,
-// named after the level. Snapshots are taken lazily at call time.
-func (h *Hierarchy) Sources() []stats.Source {
-	out := make([]stats.Source, len(h.levels))
-	for i := range h.levels {
-		out[i] = levelSource{h: h, i: i}
-	}
-	return out
-}
-
-type levelSource struct {
-	h *Hierarchy
-	i int
-}
-
-func (s levelSource) Name() string             { return s.h.levels[s.i].name }
-func (s levelSource) Snapshot() stats.Snapshot { return s.h.LevelStats(s.i).Snapshot() }

@@ -248,12 +248,6 @@ func New(cfg Config, notifier Notifier) (*OS, error) {
 // Stats returns a copy of the accumulated statistics.
 func (o *OS) Stats() Stats { return o.stats }
 
-// Name implements stats.Source.
-func (o *OS) Name() string { return "os" }
-
-// Snapshot implements stats.Source.
-func (o *OS) Snapshot() stats.Snapshot { return o.stats.Snapshot() }
-
 // ResetStats clears the statistics and hit-rate counters (mappings and
 // free lists are preserved).
 func (o *OS) ResetStats() {

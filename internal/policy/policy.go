@@ -110,14 +110,6 @@ func (s Stats) Snapshot() stats.Snapshot {
 	}
 }
 
-// Source adapts a Controller to the unified stats.Source interface.
-func Source(c Controller) stats.Source { return ctrlSource{c} }
-
-type ctrlSource struct{ c Controller }
-
-func (s ctrlSource) Name() string             { return s.c.Name() }
-func (s ctrlSource) Snapshot() stats.Snapshot { return s.c.Stats().Snapshot() }
-
 // Controller is a heterogeneous memory-system design.
 type Controller interface {
 	// Name identifies the design (e.g. "pom", "chameleon-opt").

@@ -42,7 +42,7 @@ func (s *Server) ringOwners(hash string) ([]cluster.Node, bool) {
 func (s *Server) peerFailed(id string, err error) {
 	var answered *cluster.PeerError
 	if err != nil && !errors.As(err, &answered) {
-		s.cl.Membership().MarkFailed(id)
+		s.cl.MarkFailed(id)
 	}
 }
 
@@ -444,7 +444,7 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	thief, known := s.cl.Membership().Lookup(req.By)
+	thief, known := s.cl.Lookup(req.By)
 	var handed []*Job
 	if known && thief.ID != s.selfID() && s.cl.Alive(thief.ID) && s.draining.Err() == nil {
 		now := time.Now()

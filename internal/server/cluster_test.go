@@ -284,8 +284,8 @@ func TestClusterNodeDeathReenqueues(t *testing.T) {
 	for time.Now().Before(deadline) {
 		_ = a.cl.GossipOnce(ctx)
 		_ = b.cl.GossipOnce(ctx)
-		an, aok := a.cl.Membership().Lookup(c.id)
-		bn, bok := b.cl.Membership().Lookup(c.id)
+		an, aok := a.cl.Lookup(c.id)
+		bn, bok := b.cl.Lookup(c.id)
 		if aok && bok && an.State != cluster.StateAlive && bn.State != cluster.StateAlive {
 			break
 		}

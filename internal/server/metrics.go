@@ -97,12 +97,21 @@ func NewMetrics() *Metrics {
 }
 
 // ObserveRun records one completed simulation: the run itself, its
-// simulated cycles and its unified snapshot. Every path that runs a
-// simulation reports through here.
+// simulated cycles and its unified snapshot, accumulated into the
+// server-lifetime totals whatever counters the design exports. Every
+// path that runs a simulation reports through here.
 func (m *Metrics) ObserveRun(r *sim.Result) {
 	m.SimRuns.Add(1)
 	m.SimCycles.Add(int64(r.MaxCycles))
-	m.ObserveSim(r)
+	snap := r.Snapshot()
+	s := &m.sim
+	s.Lock()
+	defer s.Unlock()
+	if s.totals == nil {
+		s.totals = stats.Snapshot{}
+	}
+	s.totals.Add("", snap)
+	s.runs++
 }
 
 // ObserveQueueWait records one job's time-to-first-worker.
@@ -120,21 +129,6 @@ func (m *Metrics) ObserveQueueWait(d time.Duration) {
 	q.counts[i]++
 	q.totalMS += ms
 	q.samples++
-}
-
-// ObserveSim accumulates one completed simulation's unified snapshot
-// into the server-lifetime totals. Any stats.Source works — the server
-// does not know (or care) which counters a design exports.
-func (m *Metrics) ObserveSim(src stats.Source) {
-	snap := src.Snapshot()
-	s := &m.sim
-	s.Lock()
-	defer s.Unlock()
-	if s.totals == nil {
-		s.totals = stats.Snapshot{}
-	}
-	s.totals.Add("", snap)
-	s.runs++
 }
 
 // simSnapshot renders the accumulated simulation counters.

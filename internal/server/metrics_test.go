@@ -2,19 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
-	"chameleon/internal/stats"
+	"chameleon/internal/cache"
+	"chameleon/internal/sim"
 )
-
-// fakeSimSource exports deliberately unsorted metric names.
-type fakeSimSource struct{}
-
-func (fakeSimSource) Name() string { return "fake" }
-func (fakeSimSource) Snapshot() stats.Snapshot {
-	return stats.Snapshot{"z_last": 1, "a_first": 2, "mid.dle": 3}
-}
 
 // TestExpvarSimAggregateKeysSorted pins the rendering order of the
 // "sim" expvar aggregate: the JSON document lists metric keys sorted,
@@ -23,8 +17,10 @@ func (fakeSimSource) Snapshot() stats.Snapshot {
 // stats.Snapshot.Keys (see TestSnapshotKeysSorted).
 func TestExpvarSimAggregateKeysSorted(t *testing.T) {
 	m := NewMetrics()
-	m.ObserveSim(fakeSimSource{})
-	m.ObserveSim(fakeSimSource{})
+	run := &sim.Result{Policy: "pom", MaxCycles: 7, GeoMeanIPC: 0.5,
+		Levels: []sim.LevelResult{{Level: "L3", Stats: cache.Stats{Hits: 3}}}}
+	m.ObserveRun(run)
+	m.ObserveRun(run)
 
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal([]byte(m.Vars().String()), &doc); err != nil {
@@ -35,17 +31,18 @@ func TestExpvarSimAggregateKeysSorted(t *testing.T) {
 		t.Fatal(`expvar map has no "sim" entry`)
 	}
 	keys := jsonKeyOrder(t, raw)
-	want := []string{"a_first", "mid.dle", "runs", "z_last"}
+	want := append(run.Snapshot().Keys(), "runs")
+	sort.Strings(want)
 	if strings.Join(keys, ",") != strings.Join(want, ",") {
 		t.Errorf("sim aggregate key order = %v, want sorted %v", keys, want)
 	}
 
-	var sim map[string]float64
-	if err := json.Unmarshal(raw, &sim); err != nil {
+	var agg map[string]float64
+	if err := json.Unmarshal(raw, &agg); err != nil {
 		t.Fatal(err)
 	}
-	if sim["runs"] != 2 || sim["z_last"] != 2 || sim["a_first"] != 4 {
-		t.Errorf("sim aggregate = %v, want two accumulated observations", sim)
+	if agg["runs"] != 2 || agg["max_cycles"] != 14 || agg["l3.hits"] != 6 {
+		t.Errorf("sim aggregate = %v, want two accumulated observations", agg)
 	}
 }
 

@@ -171,12 +171,11 @@ func TestEnergyAndUtilisationReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, slow := sys.TierEnergy(0, res.MaxCycles), sys.TierEnergy(1, res.MaxCycles)
-	if fast.TotalNJ() <= 0 || slow.TotalNJ() <= 0 {
+	fast, slow := res.Tiers[0], res.Tiers[1]
+	if fast.EnergyNJ <= 0 || slow.EnergyNJ <= 0 {
 		t.Error("energy reports empty")
 	}
-	tiers := sys.Tiers()
-	fu, su := tiers[0].Dev.BusyFraction(res.MaxCycles), tiers[1].Dev.BusyFraction(res.MaxCycles)
+	fu, su := fast.Utilization, slow.Utilization
 	if fu < 0 || fu > 1.05 || su < 0 || su > 1.05 {
 		t.Errorf("utilisation out of range: %v, %v", fu, su)
 	}

@@ -28,14 +28,11 @@ type CoreResult struct {
 }
 
 // LevelResult is one cache level's aggregate statistics (private levels
-// summed across cores). It implements stats.Source.
+// summed across cores).
 type LevelResult struct {
 	Level string
 	cache.Stats
 }
-
-// Name implements stats.Source.
-func (l LevelResult) Name() string { return l.Level }
 
 // TierResult is one memory tier's end-of-run statistics.
 type TierResult struct {

@@ -24,7 +24,6 @@ import (
 
 	"chameleon/internal/addr"
 	"chameleon/internal/config"
-	"chameleon/internal/dram"
 	"chameleon/internal/hier"
 	"chameleon/internal/memtier"
 	"chameleon/internal/osmodel"
@@ -389,7 +388,7 @@ func New(opts Options) (*System, error) {
 	}
 	var notifier osmodel.Notifier
 	if osCfg.SegBytes != 0 {
-		notifier = isaAdapter{s.ctrl}
+		notifier = s.ctrl
 	}
 	if s.os, err = osmodel.New(osCfg, notifier); err != nil {
 		return nil, err
@@ -486,24 +485,12 @@ func (s *System) translationsStable() bool {
 	return need*page <= s.os.Config().TotalBytes
 }
 
-// isaAdapter forwards OS notifications to the controller.
-type isaAdapter struct{ c policy.Controller }
-
-func (a isaAdapter) ISAAlloc(now uint64, seg addr.Seg) { a.c.ISAAlloc(now, seg) }
-func (a isaAdapter) ISAFree(now uint64, seg addr.Seg)  { a.c.ISAFree(now, seg) }
-
 // Controller exposes the memory-system controller (for tests).
 func (s *System) Controller() policy.Controller { return s.ctrl }
 
 // Tiers exposes the built memory stack (nearest first) for per-tier
 // reporting.
 func (s *System) Tiers() []*memtier.Tier { return s.tiers }
-
-// TierEnergy reports tier i's energy over the elapsed window using its
-// configured power profile.
-func (s *System) TierEnergy(i int, elapsedCycles uint64) dram.EnergyReport {
-	return s.tiers[i].Energy(elapsedCycles)
-}
 
 // OS exposes the operating-system model (for tests and experiments).
 func (s *System) OS() *osmodel.OS { return s.os }

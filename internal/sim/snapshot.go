@@ -6,18 +6,13 @@ import (
 	"chameleon/internal/stats"
 )
 
-// LevelResult carries its level's stats as a Source.
-var _ stats.Source = LevelResult{}
-
-// Name implements stats.Source: the controller name of the run.
-func (r *Result) Name() string { return r.Policy }
-
-// Snapshot implements stats.Source: the run's headline scalars plus
-// every substrate counter, namespaced by subsystem ("ctrl.swaps",
-// "mem_stacked.row_hits", "l3.misses", ...). Cache levels contribute one
-// namespace each, keyed by the lower-cased level name, so the server's
-// expvar surface, the experiment figure emitters, and the CLI's counter
-// dump follow whatever hierarchy the run was configured with.
+// Snapshot flattens the run into one stats.Snapshot: its headline
+// scalars plus every substrate counter, namespaced by subsystem
+// ("ctrl.swaps", "mem_stacked.row_hits", "l3.misses", ...). Cache
+// levels contribute one namespace each, keyed by the lower-cased level
+// name, so the server's expvar surface, the experiment figure emitters,
+// and the CLI's counter dump follow whatever hierarchy the run was
+// configured with.
 func (r *Result) Snapshot() stats.Snapshot {
 	s := stats.Snapshot{
 		"ipc_geomean":         r.GeoMeanIPC,

@@ -3,20 +3,8 @@ package sim
 import (
 	"testing"
 
-	"chameleon/internal/cache"
 	"chameleon/internal/config"
-	"chameleon/internal/dram"
-	"chameleon/internal/osmodel"
-	"chameleon/internal/stats"
 	"chameleon/internal/workload"
-)
-
-// Every statistics-bearing layer must speak the one snapshot shape.
-var (
-	_ stats.Source = (*cache.Cache)(nil)
-	_ stats.Source = (*dram.Device)(nil)
-	_ stats.Source = (*osmodel.OS)(nil)
-	_ stats.Source = (*Result)(nil)
 )
 
 // TestResultSnapshotShape runs one small simulation and checks the
@@ -40,9 +28,6 @@ func TestResultSnapshotShape(t *testing.T) {
 	res, err := sys.Run(5_000)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Name() != res.Policy {
-		t.Errorf("Name() = %q, want %q", res.Name(), res.Policy)
 	}
 	snap := res.Snapshot()
 	for _, key := range []string{

@@ -14,17 +14,6 @@ import "sort"
 // dot prefix (e.g. "ctrl.swaps", "mem_stacked.row_hits").
 type Snapshot map[string]float64
 
-// Source is implemented by anything that can report its metrics as a
-// Snapshot.
-type Source interface {
-	// Name identifies the source (e.g. a cache level, a device, or a
-	// policy/workload pair).
-	Name() string
-	// Snapshot returns the current metric values. The returned map is
-	// owned by the caller.
-	Snapshot() Snapshot
-}
-
 // Keys returns the metric names in sorted order, for deterministic
 // rendering.
 func (s Snapshot) Keys() []string {

@@ -5,14 +5,6 @@ import (
 	"testing"
 )
 
-type fakeSource struct {
-	name string
-	snap Snapshot
-}
-
-func (f fakeSource) Name() string       { return f.name }
-func (f fakeSource) Snapshot() Snapshot { return f.snap }
-
 func TestSnapshotKeysSorted(t *testing.T) {
 	s := Snapshot{"z": 1, "a": 2, "m": 3}
 	if got, want := s.Keys(), []string{"a", "m", "z"}; !reflect.DeepEqual(got, want) {
@@ -32,11 +24,10 @@ func TestSnapshotMergePrefixes(t *testing.T) {
 
 func TestSnapshotAddAccumulates(t *testing.T) {
 	s := Snapshot{}
-	src := fakeSource{"run", Snapshot{"cycles": 10, "hits": 1}}
-	s.Add("sim", src.Snapshot())
-	s.Add("sim", src.Snapshot())
+	run := Snapshot{"cycles": 10, "hits": 1}
+	s.Add("sim", run)
+	s.Add("sim", run)
 	if s["sim.cycles"] != 20 || s["sim.hits"] != 2 {
 		t.Errorf("Add did not accumulate: %v", s)
 	}
-	var _ Source = src // fakeSource must satisfy the interface
 }
